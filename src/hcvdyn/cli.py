@@ -34,6 +34,7 @@ from .errors import (
     SweepError,
 )
 from .formats import (
+    METHOD_TOKENS,
     Scenario,
     parse_scenario,
     parse_sweep_spec,
@@ -44,8 +45,6 @@ from .formats import (
 )
 from .model import validate as validate_params
 from .simulate import (
-    RK4_FIXED,
-    RK45_ADAPTIVE,
     IntegratorConfig,
     Trajectory,
     convergence_report,
@@ -61,8 +60,6 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_ADVISORY = 3
 EXIT_RUNTIME = 4
-
-_METHOD_FLAGS = {"rk4": RK4_FIXED, "rk45": RK45_ADAPTIVE}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,25 +106,17 @@ def _relation(r0: float) -> str:
 def _analysis_pairs(scenario: Scenario, machine: bool) -> list[tuple[str, object]]:
     report = stability_report(scenario.params)
     existence = report.existence
-    e0_state = None
     pairs: list[tuple[str, object]] = []
     if scenario.name is not None:
         pairs.append(("scenario", scenario.name))
 
-    from .equilibria import uninfected_equilibrium
-    from .reproduction import r0_spectral
-
-    e0_point = uninfected_equilibrium(scenario.params)
-    e0_state = e0_point.state
-    spectral = r0_spectral(scenario.params)
     delta = scenario.params.d_I + scenario.params.q
-
     pairs += [
-        ("t0", e0_state.T),
-        ("t0_residual", e0_point.residual_norm),
+        ("t0", report.e0_point.state.T),
+        ("t0_residual", report.e0_point.residual_norm),
         ("r0", report.r0),
-        ("r0_spectral", spectral.rho),
-        ("r0_agreement_delta", abs(report.r0 - spectral.rho)),
+        ("r0_spectral", report.r0_spectral),
+        ("r0_agreement_delta", abs(report.r0 - report.r0_spectral)),
         ("delta", delta),
     ]
     if delta > 0:
@@ -190,7 +179,7 @@ def _integrator_config(scenario: Scenario, args: argparse.Namespace) -> Integrat
     overrides: dict[str, object] = {}
     method = args.method or scenario.method
     if method is not None:
-        overrides["method"] = _METHOD_FLAGS[method]
+        overrides["method"] = METHOD_TOKENS[method]
     t_end = args.t_end if args.t_end is not None else scenario.t_end
     if t_end is not None:
         overrides["t_end"] = t_end
@@ -353,7 +342,7 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--machine", action="store_true",
                           help="accepted for interface symmetry; the summary is already flat")
     simulate.add_argument("--t-end", type=float, default=None, help="override horizon in days")
-    simulate.add_argument("--method", choices=sorted(_METHOD_FLAGS), default=None,
+    simulate.add_argument("--method", choices=sorted(METHOD_TOKENS), default=None,
                           help="integrator override")
     simulate.add_argument("--width", type=int, default=800, help="SVG width in pixels")
     simulate.add_argument("--height", type=int, default=500, help="SVG height in pixels")

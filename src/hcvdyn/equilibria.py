@@ -11,7 +11,7 @@ form of T* cross-checks the quadratic route whenever it is defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, IntegrityError
 from .model import (
@@ -57,8 +57,9 @@ class ExistenceReport:
     candidates holds every verified infected steady state.  rejected_T_roots
     lists quadratic roots that were discarded (outside (0, T_max] or with a
     nonpositive I* or V*), so callers can see what the algebra produced
-    before filtering.  closed_form_T carries the radical route when defined,
-    with its relative deviation from the unique candidate.
+    before filtering.  closed_form_T carries the radical route when defined:
+    for a unique candidate, the branch of the radical nearer to it, with its
+    relative deviation from that candidate.
     """
 
     existence_condition: float
@@ -79,6 +80,9 @@ class ExistenceReport:
     """Published existence criteria verdicts; populated by existence_regime."""
     disagreements: tuple[str, ...] = ()
     """Criteria whose prediction contradicts the verified root count."""
+    e0_point: EquilibriumPoint | None = None
+    """Uninfected equilibrium behind r0 and the threshold route; populated by
+    existence_regime."""
 
 
 def uninfected_equilibrium(
@@ -245,6 +249,9 @@ def infected_equilibrium(
             closed_T = None
         if closed_T is not None and regime == REGIME_UNIQUE:
             T_star = candidates[0].state.T
+            # The radical solves the same quadratic, so E* may be its -sqrt
+            # branch, -D/H - closed_T; ties keep the +sqrt branch.
+            closed_T = min(closed_T, -cons.D / cons.H - closed_T, key=lambda x: abs(x - T_star))
             closed_diff = abs(closed_T - T_star) / max(abs(T_star), 1e-300)
             if closed_diff > tolerances.t_star_radical:
                 raise IntegrityError(
@@ -272,12 +279,16 @@ def existence_regime(
     the source's own standing assumptions, and compared against the verified
     root count; contradictions are listed in disagreements rather than
     raised, because reproducing them is part of this package's contract.
+    E0 is computed once, with the caller's tolerances, and returned in
+    e0_point.
     """
-    from .reproduction import r0 as _r0
+    from .reproduction import r0_from_T0
 
     report = infected_equilibrium(params, tolerances)
+    e0 = uninfected_equilibrium(params, tolerances)
+    T0 = e0.state.T
     cons = derive_constants(params)
-    R0 = _r0(params)
+    R0 = r0_from_T0(params, T0)
     exists = report.regime == REGIME_UNIQUE
 
     criteria = {
@@ -298,21 +309,11 @@ def existence_regime(
     if report.threshold_T is not None and cons.delta > 0:
         denom = params.r_I - cons.delta * R0
         if denom != 0.0:
-            T0 = uninfected_equilibrium(params, tolerances).state.T
             alt = (params.r_I - cons.delta) * T0 / denom
             scale = max(abs(report.threshold_T), abs(alt), 1.0)
             if abs(alt - report.threshold_T) > 1e-6 * scale:
                 disagreements.append("threshold_T_routes")
 
-    return ExistenceReport(
-        existence_condition=report.existence_condition,
-        threshold_T=report.threshold_T,
-        regime=report.regime,
-        candidates=report.candidates,
-        rejected_T_roots=report.rejected_T_roots,
-        closed_form_T=report.closed_form_T,
-        closed_form_rel_diff=report.closed_form_rel_diff,
-        r0=R0,
-        criteria=criteria,
-        disagreements=tuple(disagreements),
+    return replace(
+        report, r0=R0, criteria=criteria, disagreements=tuple(disagreements), e0_point=e0
     )

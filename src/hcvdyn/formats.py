@@ -44,13 +44,9 @@ __all__ = [
 
 STATE_KEYS = ("T0", "I0", "V0")
 OPTION_KEYS = ("t_end", "method", "step", "rel_tol", "abs_tol", "name")
-_METHOD_TOKENS = {
-    "rk4": RK4_FIXED,
-    "rk4_fixed": RK4_FIXED,
-    "rk45": RK45_ADAPTIVE,
-    "rk45_adaptive": RK45_ADAPTIVE,
-}
-_METHOD_SHORT = {RK4_FIXED: "rk4", RK45_ADAPTIVE: "rk45"}
+METHOD_TOKENS = {"rk4": RK4_FIXED, "rk45": RK45_ADAPTIVE}
+"""Short integrator tokens (Scenario.method, the CLI's --method) and the
+IntegratorConfig.method each names.  Scenario files also accept the latter."""
 
 _LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*?)\s*$")
 
@@ -135,13 +131,15 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             options[key] = number(key)
     if "method" in seen:
         lineno, raw = seen["method"]
-        if raw not in _METHOD_TOKENS:
+        short = [token for token, method in METHOD_TOKENS.items() if raw in (token, method)]
+        if not short:
             raise ScenarioError(
-                f"method must be one of {sorted(_METHOD_TOKENS)}, got {raw!r}",
+                f"method must be one of {sorted([*METHOD_TOKENS, *METHOD_TOKENS.values()])}, "
+                f"got {raw!r}",
                 line=lineno,
                 source=source,
             )
-        options["method"] = _METHOD_SHORT[_METHOD_TOKENS[raw]]
+        options["method"] = short[0]
     if "name" in seen:
         options["name"] = seen["name"][1]
     return Scenario(params=params, initial=initial, **options)

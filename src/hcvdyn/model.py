@@ -280,6 +280,17 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
     return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F, t_tilde0=t_tilde0)
 
 
+def _field(params: ModelParameters, T, I, V):
+    """(dT/dt, dI/dt, dV/dt) at (T, I, V); broadcasts over floats and arrays."""
+    crowding = 1.0 - (T + I) / params.T_max
+    infection = (1.0 - params.eta) * params.beta * V * T
+    return (
+        params.s + params.r_T * T * crowding - params.d_T * T - infection + params.q * I,
+        params.r_I * I * crowding - params.d_I * I + infection - params.q * I,
+        (1.0 - params.epsilon) * params.p * I - params.c * V,
+    )
+
+
 def vector_field(params: ModelParameters, state: State | np.ndarray) -> np.ndarray:
     """Right-hand side (dT/dt, dI/dt, dV/dt) at a state.
 
@@ -291,12 +302,7 @@ def vector_field(params: ModelParameters, state: State | np.ndarray) -> np.ndarr
     T, I, V = float(T), float(I), float(V)
     if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
         raise DomainError(f"state must be finite, got ({T!r}, {I!r}, {V!r})")
-    crowding = 1.0 - (T + I) / params.T_max
-    infection = (1.0 - params.eta) * params.beta * V * T
-    dT = params.s + params.r_T * T * crowding - params.d_T * T - infection + params.q * I
-    dI = params.r_I * I * crowding - params.d_I * I + infection - params.q * I
-    dV = (1.0 - params.epsilon) * params.p * I - params.c * V
-    return np.array([dT, dI, dV], dtype=float)
+    return np.array(_field(params, T, I, V), dtype=float)
 
 
 def field_function(params: ModelParameters):

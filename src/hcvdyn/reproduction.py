@@ -71,10 +71,17 @@ def r0_spectral(
     splitting (DF entrywise nonnegative), rho is checked against the closed
     form r0(params); a disagreement beyond tolerance raises IntegrityError.
     """
+    T0 = uninfected_equilibrium(params, tolerances).state.T
+    return _next_generation(params, T0, tolerances)
+
+
+def _next_generation(
+    params: ModelParameters, T0: float, tolerances: Tolerances
+) -> NextGenDecomposition:
+    """r0_spectral at a given infection-free level T0."""
     delta = params.d_I + params.q
     if delta == 0 or params.c == 0:
         raise DomainError("transfer matrix is singular when d_I + q = 0 or c = 0")
-    T0 = uninfected_equilibrium(params, tolerances).state.T
     DF = np.array(
         [
             [params.r_I * (1.0 - T0 / params.T_max), (1.0 - params.eta) * params.beta * T0],

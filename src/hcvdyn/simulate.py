@@ -418,9 +418,10 @@ def convergence_report(
     component is compared relative to its own equilibrium value.
     """
     from .equilibria import REGIME_UNIQUE, infected_equilibrium, uninfected_equilibrium
-    from .reproduction import r0
+    from .reproduction import r0_from_T0
 
-    R0 = r0(params)
+    e0 = uninfected_equilibrium(params, tolerances).state
+    R0 = r0_from_T0(params, e0.T)
     final = trajectory.final_state
     if R0 > 1.0:
         report = infected_equilibrium(params, tolerances)
@@ -433,11 +434,10 @@ def convergence_report(
                 abs(final.V - ref.V) / ref.V,
             )
             return ConvergenceReport("Estar", ref, dist, tol, dist <= tol)
-        return ConvergenceReport(None, None, math.inf, rel_tol or math.nan, False)
-    ref = uninfected_equilibrium(params, tolerances).state
-    tol = 1e-3 if rel_tol is None else rel_tol
-    if ref.T <= 0:
+        tol = math.nan if rel_tol is None else rel_tol
         return ConvergenceReport(None, None, math.inf, tol, False)
-    small = 1e-3 * ref.T
-    dist = max(abs(final.T - ref.T) / ref.T, final.I / small, final.V / small)
-    return ConvergenceReport("E0", ref, dist, tol, dist <= tol)
+    # r0_from_T0 has already rejected T0 <= 0.
+    tol = 1e-3 if rel_tol is None else rel_tol
+    small = 1e-3 * e0.T
+    dist = max(abs(final.T - e0.T) / e0.T, final.I / small, final.V / small)
+    return ConvergenceReport("E0", e0, dist, tol, dist <= tol)

@@ -28,11 +28,12 @@ from .errors import DomainError, IntegrityError
 from .model import (
     ModelParameters,
     State,
+    _field,
     derive_constants,
     jacobian,
     vector_field,
 )
-from .reproduction import r0_from_T0
+from .reproduction import _next_generation, r0_from_T0
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -142,6 +143,13 @@ class StabilityReport:
     routh_hurwitz: RouthHurwitzReport | None
     estar_local: LocalReport | None
     consistency_flags: tuple[str, ...]
+    r0_spectral: float
+    """Spectral radius of the next-generation matrix at the same T0."""
+
+    @property
+    def e0_point(self) -> EquilibriumPoint:
+        """The uninfected equilibrium every route of the report used."""
+        return self.existence.e0_point
 
 
 def _classify(negatives: tuple[float, ...], positives: tuple[float, ...], band: float) -> str:
@@ -170,6 +178,11 @@ def uninfected_local(
     the infected 2x2 block, whose determinant equals c delta (1 - R0).
     """
     T0 = uninfected_equilibrium(params, tolerances).state.T
+    return _uninfected_local(params, T0, tolerances)
+
+
+def _uninfected_local(params: ModelParameters, T0: float, tolerances: Tolerances) -> LocalReport:
+    """uninfected_local at a given infection-free level T0."""
     if T0 <= 0:
         raise DomainError("local analysis requires a positive uninfected level T0")
     b_eff = (1.0 - params.eta) * params.beta
@@ -420,14 +433,22 @@ def infected_local(
     characteristic coefficients; the classification is the Routh-Hurwitz
     verdict on the same coefficients.
     """
+    return _infected_local(params, estar, tolerances)[2]
+
+
+def _infected_local(
+    params: ModelParameters, estar: State | EquilibriumPoint, tolerances: Tolerances
+) -> tuple[CharacteristicCoefficients, RouthHurwitzReport, LocalReport]:
+    """infected_local together with the coefficients and verdict behind it."""
     coeffs = characteristic_coefficients(params, estar, tolerances)
     eigs = cubic_roots(coeffs.a1, coeffs.a2, coeffs.a3)
     verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3, tolerances)
-    return LocalReport(
+    local = LocalReport(
         jacobian=infected_jacobian(params, estar, tolerances),
         eigenvalues=eigs,
         classification=verdict.classification,
     )
+    return coeffs, verdict, local
 
 
 def lyapunov_uninfected(
@@ -547,11 +568,12 @@ def certify_global(
         raise DomainError("certificate region is degenerate for this parameter set")
     bound_TI = cons.t_tilde0
     bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
-    R0 = r0_from_T0(params, uninfected_equilibrium(params, tolerances).state.T)
+    e0 = uninfected_equilibrium(params, tolerances).state
+    R0 = r0_from_T0(params, e0.T)
 
     notes: list[str] = []
     if target == "E0":
-        anchor = uninfected_equilibrium(params, tolerances).state
+        anchor = e0
         if cons.delta > 0:
             gap = (1.0 - params.q / cons.delta) - R0
             preconditions_met = gap > 0
@@ -589,22 +611,15 @@ def certify_global(
         keep = T + I <= bound_TI * (1.0 + 1e-12)
         T, I, V = T[keep], I[keep], V[keep]
 
+    f0, f1, f2 = _field(params, T, I, V)
     b_eff = (1.0 - params.eta) * params.beta
-    p_eff = (1.0 - params.epsilon) * params.p
-    crowding = 1.0 - (T + I) / params.T_max
-    infection = b_eff * V * T
-    f0 = params.s + params.r_T * T * crowding - params.d_T * T - infection + params.q * I
-    f1 = params.r_I * I * crowding - params.d_I * I + infection - params.q * I
-    f2 = p_eff * I - params.c * V
-
+    g_T = 1.0 - anchor.T / T
     if target == "E0":
-        g_T = 1.0 - anchor.T / T
         g_I = np.ones_like(T)
         g_V = np.full_like(T, b_eff * anchor.T / params.c)
     else:
-        g_T = 1.0 - anchor.T / T
         g_I = 1.0 - anchor.I / I
-        w = b_eff * anchor.T * anchor.V / (p_eff * anchor.I)
+        w = b_eff * anchor.T * anchor.V / ((1.0 - params.epsilon) * params.p * anchor.I)
         g_V = w * (1.0 - anchor.V / V)
     dLdt = g_T * f0 + g_I * f1 + g_V * f2
 
@@ -631,24 +646,20 @@ def certify_global(
 def stability_report(
     params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> StabilityReport:
-    """Assemble the full local-stability picture for one parameter set."""
+    """Assemble the full local-stability picture for one parameter set.
+
+    One pass: existence_regime computes E0 once, and its T0 feeds the local
+    analysis at E0 and the spectral r0.
+    """
     existence = existence_regime(params, tolerances)
-    e0 = uninfected_local(params, tolerances)
+    T0 = existence.e0_point.state.T
+    e0 = _uninfected_local(params, T0, tolerances)
     flags = list(existence.disagreements)
 
-    estar = None
-    coeffs = None
-    verdict = None
-    estar_local_report = None
+    estar = coeffs = verdict = estar_local_report = None
     if existence.regime == REGIME_UNIQUE:
         estar = existence.candidates[0]
-        coeffs = characteristic_coefficients(params, estar, tolerances)
-        verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3, tolerances)
-        estar_local_report = LocalReport(
-            jacobian=infected_jacobian(params, estar, tolerances),
-            eigenvalues=cubic_roots(coeffs.a1, coeffs.a2, coeffs.a3),
-            classification=verdict.classification,
-        )
+        coeffs, verdict, estar_local_report = _infected_local(params, estar, tolerances)
         max_re = max(z.real for z in estar_local_report.eigenvalues)
         if abs(max_re) > tolerances.marginal_band and verdict.classification != MARGINAL:
             eig_class = STABLE if max_re < 0 else UNSTABLE
@@ -656,7 +667,7 @@ def stability_report(
                 flags.append("routh_hurwitz_vs_eigenvalues")
 
     return StabilityReport(
-        r0=existence.r0 if existence.r0 is not None else math.nan,
+        r0=existence.r0,
         existence=existence,
         e0=e0,
         estar_present=estar is not None,
@@ -665,4 +676,5 @@ def stability_report(
         routh_hurwitz=verdict,
         estar_local=estar_local_report,
         consistency_flags=tuple(flags),
+        r0_spectral=_next_generation(params, T0, tolerances).rho,
     )

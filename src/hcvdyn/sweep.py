@@ -11,7 +11,6 @@ and bisects it to relative precision.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,39 +170,25 @@ def _evaluate_cell(
     return values, status
 
 
-def run_sweep(
-    spec: SweepSpec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_workers: int | None = None,
-) -> SweepGrid:
-    """Evaluate every cell of the sweep grid.
-
-    Cells are independent and evaluated concurrently, but assembled by index,
-    so results are bitwise deterministic regardless of worker count.
-    """
+def run_sweep(spec: SweepSpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepGrid:
+    """Evaluate every cell of the sweep grid, row-major with axis1 fastest."""
     axis1_values = spec.axis1.values()
     axis2_values = spec.axis2.values() if spec.axis2 is not None else None
+    rows = [None] if axis2_values is None else list(enumerate(axis2_values))
 
-    jobs: list[tuple[tuple[int, ...], dict[str, float]]] = []
-    if axis2_values is None:
+    cells = []
+    for row in rows:
         for i1, v1 in enumerate(axis1_values):
-            jobs.append(((i1,), {spec.axis1.name: float(v1)}))
-    else:
-        for i2, v2 in enumerate(axis2_values):
-            for i1, v1 in enumerate(axis1_values):
-                jobs.append(
-                    ((i2, i1), {spec.axis1.name: float(v1), spec.axis2.name: float(v2)})
-                )
-
-    def work(job):
-        index, updates = job
-        values, status = _evaluate_cell(spec.base, updates, spec.outputs, tolerances)
-        axis_vals = tuple(updates[a.name] for a in ((spec.axis1,) if spec.axis2 is None else (spec.axis1, spec.axis2)))
-        return CellResult(index=index, axis_values=axis_vals, values=values, status=status)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        cells = tuple(pool.map(work, jobs))
-    return SweepGrid(spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, cells=cells)
+            index = (i1,)
+            updates = {spec.axis1.name: float(v1)}
+            if row is not None:
+                index = (row[0], i1)
+                updates[spec.axis2.name] = float(row[1])
+            values, status = _evaluate_cell(spec.base, updates, spec.outputs, tolerances)
+            cells.append(CellResult(index, tuple(updates.values()), values, status))
+    return SweepGrid(
+        spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, cells=tuple(cells)
+    )
 
 
 def _target_gap(params: ModelParameters, target: str, tolerances: Tolerances) -> float:

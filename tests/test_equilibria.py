@@ -13,6 +13,7 @@ from hcvdyn import (
     SCENARIO_S1,
     SCENARIO_S2,
     DomainError,
+    ModelParameters,
     existence_regime,
     infected_equilibrium,
     infected_T_closed_form,
@@ -97,6 +98,22 @@ def test_radical_closed_form_matches_root():
     closed = infected_T_closed_form(SCENARIO_S2)
     assert closed == pytest.approx(report.candidates[0].state.T, rel=1e-9)
     assert report.closed_form_T == pytest.approx(closed, rel=1e-15)
+    assert report.closed_form_rel_diff <= 1e-9
+
+
+def test_radical_cross_check_uses_the_nearer_branch():
+    # E* is the smaller root here, on the -sqrt branch of the radical form;
+    # the +sqrt branch (about 1.23e7) is no steady state.
+    params = ModelParameters(
+        s=5640.0, r_T=0.00962, r_I=0.399, d_T=0.00898, d_I=0.0353, T_max=5.6e6,
+        beta=1.34e-8, p=18.1, c=21.3, q=0.0885, eta=0.205, epsilon=0.0754,
+    )
+    report = infected_equilibrium(params)
+    assert report.regime == REGIME_UNIQUE
+    T_star = report.candidates[0].state.T
+    assert T_star == pytest.approx(3944671.275, rel=1e-9)
+    cons = derive_constants(params)
+    assert report.closed_form_T == -cons.D / cons.H - infected_T_closed_form(params)
     assert report.closed_form_rel_diff <= 1e-9
 
 

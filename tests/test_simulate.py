@@ -13,8 +13,11 @@ from hcvdyn import (
     DomainError,
     IntegrationError,
     IntegratorConfig,
+    IntegrityError,
+    ModelParameters,
     ParameterError,
     State,
+    Tolerances,
     asymptotic_bounds,
     check_invariants,
     convergence_report,
@@ -101,6 +104,24 @@ def test_supercritical_run_settles_at_infected_equilibrium():
     report = convergence_report(SCENARIO_S2, traj)
     assert report.attractor == "Estar" and report.converged
     assert traj.violation_log == ()
+
+
+def test_convergence_report_keeps_zero_rel_tol_without_equilibrium():
+    # r0 = 1.26 but no infected equilibrium exists, so there is no attractor.
+    params = ModelParameters(
+        s=74600.0, r_T=0.0101, r_I=0.0505, d_T=0.00256, d_I=0.0583, T_max=7.79e6,
+        beta=1.42e-7, p=4.06, c=7.5, q=0.323, eta=0.199, epsilon=0.261,
+    )
+    traj = integrate(params, START, IntegratorConfig(t_end=1.0))
+    report = convergence_report(params, traj, rel_tol=0.0)
+    assert report.attractor is None and not report.converged
+    assert report.rel_tol == 0.0
+
+
+def test_convergence_report_honours_tolerances():
+    traj = integrate(SCENARIO_S2, START, IntegratorConfig(t_end=1.0))
+    with pytest.raises(IntegrityError):
+        convergence_report(SCENARIO_S2, traj, tolerances=Tolerances(uninfected_residual=-1.0))
 
 
 def test_fixed_step_agrees_with_adaptive():

