@@ -171,11 +171,16 @@ def infected_T_closed_form(
     cons = constants if constants is not None else derive_constants(params)
     if cons.H == 0.0 or cons.F is None:
         raise DomainError("closed-form T* is undefined when H = 0")
-    ratio = cons.D / cons.H
-    radicand = ratio * ratio + cons.F + 4.0 * params.s * params.T_max / (params.r_T * cons.H)
+    ratio, radicand = _radical(params, cons)
     if radicand < 0.0:
         raise DomainError(f"closed-form T* has negative radicand {radicand!r}")
     return 0.5 * (-ratio + math.sqrt(radicand))
+
+
+def _radical(params, cons):
+    """(D/H, radicand) of the radical closed form; broadcasts over arrays."""
+    ratio = cons.D / cons.H
+    return ratio, ratio * ratio + cons.F + 4.0 * params.s * params.T_max / (params.r_T * cons.H)
 
 
 def infected_equilibrium(

@@ -241,20 +241,24 @@ def positive_logistic_root(s: float, g: float, k: float) -> float:
     return 2.0 * s / denom if denom > 0 else 0.0
 
 
-def derive_constants(params: ModelParameters) -> DerivedConstants:
-    """Compute the derived constants for a valid parameter set.
+def _squared(x):
+    """x**2 rounded as CPython's float power rounds it, also over arrays.
 
-    Raises DomainError when a constant is undefined or non-finite for the
-    given rates: both proliferation rates must be positive for H and the
-    total-hepatocyte ceiling to exist.
+    numpy squares an array by multiplication, which rounds differently from
+    C pow in about 0.1 % of cases; the batched sweep must match the scalar
+    route bit for bit.
     """
-    if params.r_I <= 0 or params.r_T <= 0:
-        raise DomainError(
-            "derived constants require positive proliferation rates, got "
-            f"r_T = {params.r_T!r}, r_I = {params.r_I!r}"
-        )
+    if isinstance(x, np.ndarray):
+        return np.array([v**2 for v in x.tolist()])
+    return x**2
+
+
+def _constants(params):
+    """(theta, delta, A, H, D) of derive_constants, without its checks.
+
+    Takes any object with the parameter attributes, floats or arrays.
+    """
     one_minus_theta = (1.0 - params.eta) * (1.0 - params.epsilon)
-    theta = 1.0 - one_minus_theta
     delta = params.d_I + params.q
     A = one_minus_theta * params.beta * params.p * params.T_max / params.c
     H = (A / (params.r_I * params.r_T)) * (A + params.r_T - params.r_I)
@@ -268,9 +272,28 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
         - delta * params.r_T / params.r_I
         - A * params.q / params.r_I
     )
-    F = None
-    if H != 0.0:
-        F = 4.0 * params.q * params.T_max**2 * (params.r_I - delta) / (params.r_I * params.r_T * H)
+    return 1.0 - one_minus_theta, delta, A, H, D
+
+
+def _constant_F(params, delta, H):
+    """Quadratic radical constant F; defined only where H != 0."""
+    return 4.0 * params.q * _squared(params.T_max) * (params.r_I - delta) / (params.r_I * params.r_T * H)
+
+
+def derive_constants(params: ModelParameters) -> DerivedConstants:
+    """Compute the derived constants for a valid parameter set.
+
+    Raises DomainError when a constant is undefined or non-finite for the
+    given rates: both proliferation rates must be positive for H and the
+    total-hepatocyte ceiling to exist.
+    """
+    if params.r_I <= 0 or params.r_T <= 0:
+        raise DomainError(
+            "derived constants require positive proliferation rates, got "
+            f"r_T = {params.r_T!r}, r_I = {params.r_I!r}"
+        )
+    theta, delta, A, H, D = _constants(params)
+    F = _constant_F(params, delta, H) if H != 0.0 else None
     t_tilde0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_I / params.T_max)
     values = (theta, delta, A, H, D, t_tilde0) + ((F,) if F is not None else ())
     if not all(math.isfinite(v) for v in values):
@@ -335,24 +358,26 @@ def jacobian(params: ModelParameters, state: State | np.ndarray) -> np.ndarray:
     T, I, V = (float(x) for x in state)
     if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
         raise DomainError(f"state must be finite, got ({T!r}, {I!r}, {V!r})")
+    return np.array(_jacobian_entries(params, T, I, V), dtype=float)
+
+
+def _jacobian_entries(params, T, I, V):
+    """Rows of the Jacobian at (T, I, V); broadcasts over floats and arrays."""
     inv_T_max = 1.0 / params.T_max
     b_eff = (1.0 - params.eta) * params.beta
     crowding = 1.0 - (T + I) * inv_T_max
-    return np.array(
-        [
-            [
-                params.r_T * crowding - params.r_T * T * inv_T_max - params.d_T - b_eff * V,
-                -params.r_T * T * inv_T_max + params.q,
-                -b_eff * T,
-            ],
-            [
-                -params.r_I * I * inv_T_max + b_eff * V,
-                params.r_I * crowding - params.r_I * I * inv_T_max - params.d_I - params.q,
-                b_eff * T,
-            ],
-            [0.0, (1.0 - params.epsilon) * params.p, -params.c],
-        ],
-        dtype=float,
+    return (
+        (
+            params.r_T * crowding - params.r_T * T * inv_T_max - params.d_T - b_eff * V,
+            -params.r_T * T * inv_T_max + params.q,
+            -b_eff * T,
+        ),
+        (
+            -params.r_I * I * inv_T_max + b_eff * V,
+            params.r_I * crowding - params.r_I * I * inv_T_max - params.d_I - params.q,
+            b_eff * T,
+        ),
+        (0.0, (1.0 - params.epsilon) * params.p, -params.c),
     )
 
 
@@ -365,20 +390,25 @@ def residual_norm(params: ModelParameters, state: State | np.ndarray) -> float:
     """
     T, I, V = (float(x) for x in state)
     f = vector_field(params, (T, I, V))
-    crowding = 1.0 - (T + I) / params.T_max
-    infection = abs((1.0 - params.eta) * params.beta * V * T)
-    scales = (
-        params.s + abs(params.r_T * T * crowding) + abs(params.d_T * T) + infection + abs(params.q * I),
-        abs(params.r_I * I * crowding) + abs(params.d_I * I) + infection + abs(params.q * I),
-        abs((1.0 - params.epsilon) * params.p * I) + abs(params.c * V),
-    )
     worst = 0.0
-    for value, scale in zip(f, scales):
+    for value, scale in zip(f, _term_scales(params, T, I, V)):
         if scale > 0.0:
             worst = max(worst, abs(value) / scale)
         elif value != 0.0:
             worst = math.inf
     return float(worst)
+
+
+def _term_scales(params, T, I, V):
+    """Sum of the magnitudes of the terms entering each field component;
+    broadcasts over floats and arrays."""
+    crowding = 1.0 - (T + I) / params.T_max
+    infection = abs((1.0 - params.eta) * params.beta * V * T)
+    return (
+        params.s + abs(params.r_T * T * crowding) + abs(params.d_T * T) + infection + abs(params.q * I),
+        abs(params.r_I * I * crowding) + abs(params.d_I * I) + infection + abs(params.q * I),
+        abs((1.0 - params.epsilon) * params.p * I) + abs(params.c * V),
+    )
 
 
 SCENARIO_S1 = ModelParameters(

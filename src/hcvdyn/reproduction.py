@@ -47,9 +47,14 @@ def r0_from_T0(params: ModelParameters, T0: float) -> float:
     """
     if T0 <= 0:
         raise DomainError(f"T0 must be positive, got {T0!r}")
-    delta = params.d_I + params.q
-    if delta == 0:
+    if params.d_I + params.q == 0:
         raise DomainError("reproduction number is undefined when d_I + q = 0")
+    return _r0_closed_form(params, T0)
+
+
+def _r0_closed_form(params, T0):
+    """r0_from_T0 without its checks; broadcasts over floats and arrays."""
+    delta = params.d_I + params.q
     one_minus_theta = (1.0 - params.eta) * (1.0 - params.epsilon)
     proliferation = (params.r_I / delta) * (1.0 - T0 / params.T_max)
     infection = one_minus_theta * params.beta * T0 * params.p / (params.c * delta)

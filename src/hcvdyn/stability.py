@@ -29,6 +29,7 @@ from .model import (
     ModelParameters,
     State,
     _field,
+    _squared,
     derive_constants,
     jacobian,
     vector_field,
@@ -223,7 +224,7 @@ def _check_jacobian_agreement(
     if rel > tolerances.jacobian_agreement:
         raise IntegrityError(
             f"specialised J({label}) deviates from the general Jacobian by "
-            f"relative {rel!r}"
+            f"relative {float(rel)!r}"
         )
 
 
@@ -290,29 +291,7 @@ def characteristic_coefficients(
     if st.T <= 0 or st.I <= 0:
         raise DomainError("infected equilibrium must have positive T* and I*")
     cons = derive_constants(params)
-    s, q, c = params.s, params.q, params.c
-    r_T, r_I, T_max = params.r_T, params.r_I, params.T_max
-    A, delta = cons.A, cons.delta
-    T, I = st.T, st.I
-
-    a1 = c + s / T + (r_T * T + r_I * I + A * T) / T_max + q * I / T
-    a2 = (
-        c * s / T
-        + (c * r_T * T + s * A + c * r_I * I) / T_max
-        + q * (I / T) * (r_I - delta)
-        + s * r_I * I / (T * T_max)
-        + r_T * A * T * (T + I) / T_max**2
-        + c * q * I / T
-        + q * A * I / T_max
-    )
-    a3 = (
-        c * s * r_I * I / (T * T_max)
-        + c * A * A * I * T / T_max**2
-        - c * A * r_I * I * T / T_max**2
-        + c * A * r_T * I * T / T_max**2
-        + q * c * (I / T) * (r_I - delta)
-    )
-
+    a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
     m1, m2, m3 = _principal_minors(jacobian(params, st))
     rel = max(
         abs(a1 - m1) / max(abs(m1), 1e-300),
@@ -322,11 +301,37 @@ def characteristic_coefficients(
     if rel > tolerances.char_coeff_integrity:
         raise IntegrityError(
             f"closed-form characteristic coefficients deviate from the minor "
-            f"expansion by relative {rel!r}"
+            f"expansion by relative {float(rel)!r}"
         )
     return CharacteristicCoefficients(
         a1=a1, a2=a2, a3=a3, minor_a1=m1, minor_a2=m2, minor_a3=m3, max_rel_diff=rel
     )
+
+
+def _closed_coefficients(params, A, delta, T, I):
+    """Closed-form (a1, a2, a3) at an infected equilibrium (T, I); broadcasts
+    over floats and arrays."""
+    s, q, c = params.s, params.q, params.c
+    r_T, r_I, T_max = params.r_T, params.r_I, params.T_max
+    T_max2 = _squared(T_max)
+    a1 = c + s / T + (r_T * T + r_I * I + A * T) / T_max + q * I / T
+    a2 = (
+        c * s / T
+        + (c * r_T * T + s * A + c * r_I * I) / T_max
+        + q * (I / T) * (r_I - delta)
+        + s * r_I * I / (T * T_max)
+        + r_T * A * T * (T + I) / T_max2
+        + c * q * I / T
+        + q * A * I / T_max
+    )
+    a3 = (
+        c * s * r_I * I / (T * T_max)
+        + c * A * A * I * T / T_max2
+        - c * A * r_I * I * T / T_max2
+        + c * A * r_T * I * T / T_max2
+        + q * c * (I / T) * (r_I - delta)
+    )
+    return a1, a2, a3
 
 
 def cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, complex]:

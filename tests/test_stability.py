@@ -1,5 +1,7 @@
 """Local stability: Jacobians, characteristic coefficients, Routh-Hurwitz."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hcvdyn import (
     SCENARIO_S2,
     STABLE,
     UNSTABLE,
+    IntegrityError,
     characteristic_coefficients,
     cubic_roots,
     infected_equilibrium,
@@ -21,6 +24,7 @@ from hcvdyn import (
     stability_report,
     uninfected_local,
 )
+from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 
 def s2_equilibrium():
@@ -63,6 +67,20 @@ def test_infected_jacobian_matches_general():
     assert (np.abs(J_closed - J_general) / denom).max() <= 1e-10
     # Virions do not react to target cells directly.
     assert J_closed[2, 0] == 0.0 and J_general[2, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, check",
+    [
+        ("jacobian_agreement", lambda tol: infected_jacobian(SCENARIO_S2, s2_equilibrium(), tol)),
+        ("char_coeff_integrity", lambda tol: characteristic_coefficients(SCENARIO_S2, s2_equilibrium(), tol)),
+    ],
+)
+def test_integrity_messages_print_plain_floats(field, check):
+    with pytest.raises(IntegrityError) as excinfo:
+        check(replace(DEFAULT_TOLERANCES, **{field: -1.0}))
+    assert "relative " in str(excinfo.value)
+    assert "np.float64" not in str(excinfo.value)
 
 
 def test_characteristic_coefficients_reference():

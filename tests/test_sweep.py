@@ -1,5 +1,7 @@
 """Parameter sweeps: grids, per-cell statuses, threshold location."""
 
+import hashlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from hcvdyn import (
     r0,
     run_sweep,
     threshold_locate,
+    write_sweep_csv,
 )
 from hcvdyn.sweep import STATUS_INVALID, STATUS_NO_EQUILIBRIUM, STATUS_OK
 
@@ -112,6 +115,36 @@ def test_estar_outputs_flag_missing_equilibrium():
             assert cell.values["estar_T"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "spec, sha256",
+    [
+        # The 2D grid of demos/parameter_sweep.py.
+        (
+            SweepSpec(
+                base=replace(SCENARIO_S1, beta=1e-7),
+                axis1=Axis(name="beta", lo=1e-8, hi=1e-6, n=7, scale="log"),
+                axis2=Axis(name="q", lo=0.0, hi=0.5, n=5, scale="linear"),
+                outputs=("r0", "regime"),
+            ),
+            "aaadf9f26ad1d4cfc92291e3d41b4dc7fe17130bd063260d75eda06fbf0c8963",
+        ),
+        # Every output; ok, no_equilibrium and (at eta = 1) invalid_params cells.
+        (
+            SweepSpec(
+                base=SCENARIO_S2,
+                axis1=Axis(name="beta", lo=1e-9, hi=1e-6, n=9, scale="log"),
+                axis2=Axis(name="eta", lo=0.0, hi=1.0, n=6),
+            ),
+            "6b80978e879ddc2235b5f7319227b69cc5b28e9395de3de0db22864a7631e2b5",
+        ),
+    ],
+)
+def test_sweep_csv_bytes_are_pinned(spec, sha256):
+    buffer = io.StringIO()
+    write_sweep_csv(run_sweep(spec), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == sha256
+
+
 def test_sweep_is_deterministic():
     spec = SweepSpec(
         base=SCENARIO_S2,
@@ -144,6 +177,58 @@ def test_threshold_second_target_uses_cure_adjustment():
     delta = SCENARIO_S1.d_I + SCENARIO_S1.q
     crossing = r0(replace(SCENARIO_S1, beta=result.axis_value))
     assert crossing == pytest.approx(1.0 - SCENARIO_S1.q / delta, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "base, lo, hi",
+    [
+        (SCENARIO_S2, 0.5, 0.7),
+        # r0 is still above 1 at eta = 0.9: the crossing lies between the
+        # last valid grid point and the domain's edge.
+        (replace(SCENARIO_S2, beta=1e-6), 0.9, 1.0),
+    ],
+)
+def test_threshold_skips_grid_points_outside_the_domain(base, lo, hi):
+    # eta = 1 is outside [0, 1): run_sweep marks it invalid_params and the
+    # scan skips it instead of raising.
+    result = threshold_locate(base, Axis("eta", 0.0, 1.0, 11))
+    assert result.found
+    assert r0(replace(base, eta=result.axis_value)) == pytest.approx(1.0, abs=1e-8)
+    assert result.r0_at_value == pytest.approx(1.0, abs=1e-8)
+    assert lo < result.bracket[0] <= result.axis_value <= result.bracket[1] < hi
+
+
+def test_threshold_reports_no_crossing_across_an_invalid_stretch():
+    # q < 0 is invalid; r0 stays above 1 on the valid part of the axis.
+    result = threshold_locate(replace(SCENARIO_S2, beta=1e-6), Axis("q", -1.0, 1.0, 11))
+    assert not result.found
+
+
+@pytest.mark.parametrize(
+    "base, axis, target, expected",
+    [
+        (
+            SCENARIO_S1, Axis("beta", 1e-9, 1e-5, 30, "log"), "r0_eq_1",
+            (1.2198977627416382e-07, 0.999999999999996, (1.2198977626965345e-07, 1.2198977627867416e-07)),
+        ),
+        (
+            SCENARIO_S1, Axis("beta", 1e-10, 1e-5, 40, "log"), "r0_eq_1_minus_q_over_delta",
+            (1.9951073600351805e-08, 0.16666666667104343, (1.995107359966616e-08, 1.9951073601037445e-08)),
+        ),
+        (
+            SCENARIO_S2, Axis("eta", 0.0, 0.99, 12), "r0_eq_1",
+            (0.5982313545257787, 0.9999999999985911, (0.5982313545048239, 0.5982313545467335)),
+        ),
+        (
+            SCENARIO_S2, Axis("p", 0.01, 1.0, 9, "log"), "r0_eq_1_minus_q_over_delta",
+            (0.15050241307448803, 0.3749999999997837, (0.15050241306944515, 0.1505024130795309)),
+        ),
+    ],
+)
+def test_threshold_results_are_pinned(base, axis, target, expected):
+    result = threshold_locate(base, axis, target)
+    assert result.found
+    assert (result.axis_value, result.r0_at_value, result.bracket) == expected
 
 
 def test_threshold_rejects_unknown_target():
