@@ -384,8 +384,6 @@ def _target_gap(params: ModelParameters, target: str, tolerances: Tolerances) ->
     """Signed distance of r0 from the requested threshold at this set."""
     T0 = uninfected_equilibrium(params, tolerances).state.T
     R0 = r0_from_T0(params, T0)
-    if target != "r0_eq_1" and params.d_I + params.q == 0:
-        raise SweepError("target r0_eq_1_minus_q_over_delta is undefined when d_I + q = 0")
     return R0 - _threshold_level(params, target)
 
 

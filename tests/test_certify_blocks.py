@@ -1,0 +1,225 @@
+"""The blocked grid certificate against a whole-grid reference.
+
+reference_certificate evaluates the whole N^3 grid at once, as
+certify_global did before it worked in blocks of T-slices.  The blocked
+evaluation must give the same report bit for bit: points sampled, worst
+margin, tolerance, and the violations with their order.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcvdyn import (
+    SCENARIO_S1,
+    SCENARIO_S2,
+    DomainError,
+    ModelError,
+    ModelParameters,
+    State,
+    certify_global,
+    derive_constants,
+    infected_equilibrium,
+    r0_from_T0,
+    uninfected_equilibrium,
+)
+from hcvdyn import model, stability
+from hcvdyn.equilibria import REGIME_UNIQUE
+from hcvdyn.model import PLAUSIBLE_RANGES, _field
+from hcvdyn.stability import CertificateReport, _grid_axis
+from hcvdyn.tolerances import DEFAULT_TOLERANCES
+
+# PLAUSIBLE_RANGES has no range for r_I, eta and epsilon.
+RANGES = dict(PLAUSIBLE_RANGES, r_I=(1e-3, 3.4), eta=(0.0, 0.99), epsilon=(0.0, 0.99))
+
+# Theorem-slice set with a unique infected equilibrium (tests/test_lyapunov.py).
+SLICE_PARAMS = replace(
+    SCENARIO_S2, r_T=0.112, r_I=0.112, d_T=0.8, d_I=0.3, q=0.5, s=8e6, T_max=1e7
+)
+
+
+def reference_certificate(params, target="E0", grid_points=20, tolerances=DEFAULT_TOLERANCES):
+    """certify_global's report, evaluated over the whole grid at once."""
+    if grid_points < 1:
+        raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
+    if target not in ("E0", "Estar"):
+        raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
+    cons = derive_constants(params)
+    if not math.isfinite(cons.t_tilde0) or cons.t_tilde0 <= 0:
+        raise DomainError("certificate region is degenerate for this parameter set")
+    bound_TI = cons.t_tilde0
+    bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
+    e0 = uninfected_equilibrium(params, tolerances).state
+    R0 = r0_from_T0(params, e0.T)
+
+    notes: list[str] = []
+    if target == "E0":
+        anchor = e0
+        if cons.delta > 0:
+            gap = (1.0 - params.q / cons.delta) - R0
+            preconditions_met = gap > 0
+            notes.append(f"hypothesis R0 < 1 - q/delta: gap {gap!r}")
+        else:
+            preconditions_met = False
+            notes.append("hypothesis undefined: delta = 0")
+    else:
+        report = infected_equilibrium(params, tolerances)
+        if report.regime != REGIME_UNIQUE:
+            raise DomainError(
+                f"Estar certificate needs a unique infected equilibrium, regime is {report.regime}"
+            )
+        anchor = report.candidates[0].state
+        rel = lambda x, y: abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1e-300)
+        on_slice = (
+            rel(params.r_I, params.r_T)
+            and rel(params.s, params.d_T * params.T_max)
+            and rel(cons.delta, params.d_T)
+        )
+        preconditions_met = on_slice and R0 > 1
+        notes.append(
+            f"theorem slice (r_I = r_T, s = d_T T_max, delta = d_T): {on_slice}; R0 = {R0!r}"
+        )
+
+    if grid_points == 1:
+        T = np.array([anchor.T])
+        I = np.array([anchor.I])
+        V = np.array([anchor.V])
+    else:
+        axis_T = _grid_axis(bound_TI, grid_points)
+        axis_I = _grid_axis(bound_TI, grid_points)
+        axis_V = _grid_axis(bound_V, grid_points)
+        T, I, V = (g.ravel() for g in np.meshgrid(axis_T, axis_I, axis_V, indexing="ij"))
+        keep = T + I <= bound_TI * (1.0 + 1e-12)
+        T, I, V = T[keep], I[keep], V[keep]
+
+    f0, f1, f2 = _field(params, T, I, V)
+    b_eff = (1.0 - params.eta) * params.beta
+    g_T = 1.0 - anchor.T / T
+    if target == "E0":
+        g_I = np.ones_like(T)
+        g_V = np.full_like(T, b_eff * anchor.T / params.c)
+    else:
+        g_I = 1.0 - anchor.I / I
+        w = b_eff * anchor.T * anchor.V / ((1.0 - params.epsilon) * params.p * anchor.I)
+        g_V = w * (1.0 - anchor.V / V)
+    dLdt = g_T * f0 + g_I * f1 + g_V * f2
+
+    term_scale = np.abs(g_T * f0) + np.abs(g_I * f1) + np.abs(g_V * f2)
+    tolerance = tolerances.certificate_margin * max(1.0, float(np.max(term_scale, initial=0.0)))
+    min_margin = float(np.max(dLdt, initial=-math.inf))
+    bad = np.flatnonzero(dLdt > tolerance)
+    violations = tuple(
+        (State(float(T[k]), float(I[k]), float(V[k])), float(dLdt[k])) for k in bad
+    )
+    return CertificateReport(
+        target=target,
+        grid_shape=(grid_points, grid_points, grid_points),
+        points_sampled=int(T.size),
+        min_margin=min_margin,
+        tolerance=tolerance,
+        violations=violations,
+        preconditions_met=preconditions_met,
+        r0=R0,
+        notes=tuple(notes),
+    )
+
+
+def assert_identical(params, target, grid_points):
+    got = certify_global(params, target, grid_points)
+    ref = reference_certificate(params, target, grid_points)
+    assert got.points_sampled == ref.points_sampled
+    # repr tells -0.0 from 0.0 and compares NaN with itself.
+    assert repr(got.min_margin) == repr(ref.min_margin)
+    assert repr(got.tolerance) == repr(ref.tolerance)
+    assert got.violations == ref.violations
+    assert repr(got) == repr(ref)
+    return got
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 3, 40, 127, 128, 129, 140])
+@pytest.mark.parametrize(
+    "params, target",
+    [(SCENARIO_S1, "E0"), (SCENARIO_S2, "E0"), (SCENARIO_S2, "Estar"), (SLICE_PARAMS, "Estar")],
+)
+def test_blocks_equal_the_whole_grid(params, target, grid_points):
+    assert_identical(params, target, grid_points)
+
+
+def test_blocks_keep_violations_in_row_major_order():
+    # r_I far below r_T: the E0 grid has violations in many T-slices.
+    params = replace(SCENARIO_S1, r_I=1e-3 * SCENARIO_S1.r_T, q=0.0)
+    report = assert_identical(params, "E0", 40)
+    assert len(report.violations) > 100
+    slices = {state.T for state, _ in report.violations}
+    assert len(slices) > 2
+
+
+def test_nan_term_scale_in_a_later_block_lowers_the_tolerance(monkeypatch):
+    # An overflowing field (inf - inf) makes a term scale NaN, and the
+    # whole-grid tolerance then falls to certificate_margin.  Stand in for
+    # the overflow with NaN in dT/dt on one slice of the last block: points
+    # of earlier blocks between the two tolerances must still be reported.
+    params = replace(SCENARIO_S1, q=0.0)
+    tolerances = replace(DEFAULT_TOLERANCES, certificate_margin=1e-2)
+    n = 60
+    clean = certify_global(params, "E0", n, tolerances)
+    nan_slice = _grid_axis(derive_constants(params).t_tilde0, n)[-2]
+
+    def overflowing_field(params, T, I, V):
+        f0, f1, f2 = model._field(params, T, I, V)
+        return np.where(T == nan_slice, math.nan, f0), f1, f2
+
+    monkeypatch.setattr(stability, "_field", overflowing_field)
+    monkeypatch.setitem(globals(), "_field", overflowing_field)
+    got = certify_global(params, "E0", n, tolerances)
+    assert repr(got) == repr(reference_certificate(params, "E0", n, tolerances))
+    assert math.isnan(got.min_margin)
+    assert got.tolerance == 1e-2 < clean.tolerance
+    assert len(got.violations) > len(clean.violations)
+
+
+def _log_uniform(name):
+    lo, hi = RANGES[name]
+    if lo <= 0.0:
+        return st.floats(lo, hi)
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def plausible_params(draw):
+    values = {name: draw(_log_uniform(name)) for name in RANGES}
+    return ModelParameters(**values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=plausible_params(),
+    target=st.sampled_from(["E0", "Estar"]),
+    grid_points=st.integers(1, 60),
+)
+def test_blocks_equal_the_whole_grid_over_plausible_sets(params, target, grid_points):
+    try:
+        ref = reference_certificate(params, target, grid_points)
+    except ModelError as exc:
+        # No unique E*, or its radical cross-check raises: the same error.
+        with pytest.raises(type(exc)) as raised:
+            certify_global(params, target, grid_points)
+        assert str(raised.value) == str(exc)
+        return
+    assert repr(certify_global(params, target, grid_points)) == repr(ref)
+
+
+def test_certificate_memory_is_bounded_by_a_block():
+    # The whole-grid evaluation peaked at 269 MB here.
+    tracemalloc.start()
+    try:
+        certify_global(SCENARIO_S1, "E0", 140)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

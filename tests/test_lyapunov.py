@@ -11,7 +11,10 @@ from hcvdyn import (
     SCENARIO_S1,
     SCENARIO_S2,
     DomainError,
+    ModelParameters,
+    State,
     certify_global,
+    derive_constants,
     infected_equilibrium,
     lyapunov_infected,
     lyapunov_uninfected,
@@ -86,6 +89,15 @@ def test_infected_lyapunov_vanishes_at_equilibrium():
     assert L_off > 0.0
 
 
+def test_lyapunov_derivatives_are_plain_floats():
+    _, dLdt = lyapunov_uninfected(SCENARIO_S1, (1e5, 1e3, 1e2))
+    assert type(dLdt) is float
+    estar = infected_equilibrium(SCENARIO_S2).candidates[0]
+    st = estar.state
+    _, dLdt = lyapunov_infected(SCENARIO_S2, (st.T * 2, st.I / 3, st.V * 5), estar)
+    assert type(dLdt) is float
+
+
 def test_certificate_uninfected_advisory_when_hypothesis_fails():
     # r0 = 0.82 exceeds 1 - q/delta = 1/6: the hypothesis fails even though
     # the sampled derivative stays negative.
@@ -104,6 +116,45 @@ def test_certificate_uninfected_clean_under_hypothesis():
         assert report.preconditions_met
         assert report.violations == ()
         assert report.r0 < 1.0 - params.q / (params.d_I + params.q)
+
+
+# A plausible E0 set on which R0 < 1 - q/delta holds, yet the grid finds
+# violations.  With r_I far below r_T, T-tilde0 (about 1.4e9) lies far above
+# T_max, and there the collected term
+# -(r_T/T_max)(T + I - T0)(T + (r_I/r_T) I - T0) is positive.
+FAR_R_I_PARAMS = ModelParameters(
+    s=37.06800137764832, r_T=2.7172938167250864, r_I=0.014215168348310228,
+    d_T=0.0027556424288158483, d_I=0.06617595041142241, T_max=7295727.84869788,
+    beta=5.142370165409041e-07, p=0.27352108334343694, c=13.85603324734895,
+    q=0.17328453190759652, eta=0.20334371483982078, epsilon=0.21393569860299405,
+)
+
+
+def test_certificate_finds_violations_although_the_hypothesis_holds():
+    params = FAR_R_I_PARAMS
+    assert derive_constants(params).t_tilde0 > 100.0 * params.T_max
+    report = certify_global(params, target="E0", grid_points=120)
+    assert report.preconditions_met
+    assert report.notes == ("hypothesis R0 < 1 - q/delta: gap 0.08281287660913036",)
+    assert report.points_sampled == 1688640
+    assert report.min_margin == 217169348.67326283
+    assert report.tolerance == 1124.2966469170203
+    assert len(report.violations) == 83280
+    assert report.violations[0] == (
+        State(655060.6067838593, 38105473.75937086, 21.61834982598133), 1194097.377167273
+    )
+    assert report.violations[-1] == (
+        State(5946544.544253885, 121671551.54785872, 21618349.825981308), 3354810.6445975527
+    )
+    # The collected form agrees with the gradient route at the worst point,
+    # so the violation is the function's, not a rounding artefact.
+    state, worst = max(report.violations, key=lambda item: item[1])
+    assert worst == report.min_margin
+    T0 = uninfected_equilibrium(params).state.T
+    collected = collected_derivative(params, T0, state)
+    assert collected == pytest.approx(worst, rel=1e-9)
+    T, I, _ = state
+    assert -(params.r_T / params.T_max) * (T + I - T0) * (T + (params.r_I / params.r_T) * I - T0) > 0.0
 
 
 def test_certificate_single_point_sits_on_the_anchor():

@@ -11,6 +11,7 @@ from hcvdyn import (
     SCENARIO_S1,
     SCENARIO_S2,
     Axis,
+    DomainError,
     SweepError,
     SweepSpec,
     r0,
@@ -18,7 +19,8 @@ from hcvdyn import (
     threshold_locate,
     write_sweep_csv,
 )
-from hcvdyn.sweep import STATUS_INVALID, STATUS_NO_EQUILIBRIUM, STATUS_OK
+from hcvdyn.sweep import STATUS_INVALID, STATUS_NO_EQUILIBRIUM, STATUS_OK, _target_gap
+from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 
 def test_axis_validation():
@@ -235,3 +237,11 @@ def test_threshold_rejects_unknown_target():
     axis = Axis(name="beta", lo=1e-9, hi=1e-5, n=10, scale="log")
     with pytest.raises(SweepError):
         threshold_locate(SCENARIO_S1, axis, target="r0_eq_2")
+
+
+def test_threshold_gap_is_undefined_without_delta():
+    # r0 itself is undefined at d_I + q = 0, for either target.
+    params = replace(SCENARIO_S1, d_I=0.0, q=0.0)
+    for target in ("r0_eq_1", "r0_eq_1_minus_q_over_delta"):
+        with pytest.raises(DomainError, match="d_I \\+ q = 0"):
+            _target_gap(params, target, DEFAULT_TOLERANCES)
