@@ -259,17 +259,26 @@ def write_trajectory_csv(trajectory: Trajectory, fh: IO[str]) -> None:
 
 
 def write_sweep_csv(grid, fh: IO[str]) -> None:
-    """Emit sweep cells row-major: axis columns, outputs, status."""
+    """Emit sweep cells row-major: axis columns, outputs, status.
+
+    Written column by column: each distinct axis value is formatted once,
+    floats with repr for lossless round-trips.
+    """
     spec = grid.spec
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     fh.write(",".join([a.name for a in axes] + list(spec.outputs) + ["status"]) + "\n")
-    for cell in grid.cells:
-        fields = [repr(v) for v in cell.axis_values]
-        for name in spec.outputs:
-            value = cell.values[name]
-            fields.append(value if isinstance(value, str) else repr(float(value)))
-        fields.append(cell.status)
-        fh.write(",".join(fields) + "\n")
+    axis1 = list(map(repr, grid.axis1_values.tolist()))
+    columns = [axis1 * (len(grid.status) // len(axis1))]
+    if grid.axis2_values is not None:
+        columns.append([text for v in grid.axis2_values.tolist() for text in [repr(v)] * len(axis1)])
+    for name in spec.outputs:
+        values = grid.columns[name]
+        if name == "regime":
+            columns.append([v if isinstance(v, str) else repr(v) for v in values])
+        else:
+            columns.append(map(repr, values))
+    columns.append(grid.status)
+    fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _svg_ticks(lo: float, hi: float) -> tuple[str, str]:

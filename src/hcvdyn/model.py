@@ -246,11 +246,16 @@ def _squared(x):
 
     numpy squares an array by multiplication, which rounds differently from
     C pow in about 0.1 % of cases; the batched sweep must match the scalar
-    route bit for bit.
+    route bit for bit.  A square beyond the float range is inf, where
+    CPython's float power raises OverflowError, so the finiteness checks
+    downstream see it.
     """
     if isinstance(x, np.ndarray):
-        return np.array([v**2 for v in x.tolist()])
-    return x**2
+        return np.array([_squared(v) for v in x.tolist()])
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _constants(params):

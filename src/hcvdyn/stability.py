@@ -291,6 +291,8 @@ def characteristic_coefficients(
     if st.T <= 0 or st.I <= 0:
         raise DomainError("infected equilibrium must have positive T* and I*")
     cons = derive_constants(params)
+    if not math.isfinite(_squared(params.T_max)):
+        raise DomainError("characteristic coefficients need T_max**2 within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
     m1, m2, m3 = _principal_minors(jacobian(params, st))
     rel = max(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from .model import (
     _constants,
     _field,
     _jacobian_entries,
+    _squared,
     _term_scales,
 )
 from .reproduction import _r0_closed_form, r0_from_T0
@@ -129,15 +131,34 @@ class CellResult:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """All cells of a sweep, row-major with axis1 fastest."""
+    """A sweep's results as columns over the cells, row-major with axis1 fastest.
+
+    columns holds one list per requested output and status one status per
+    cell, in cell order, as the batched evaluation returns them.  cells is
+    the same grid as CellResult objects, built on first access and cached.
+    """
 
     spec: SweepSpec
     axis1_values: np.ndarray
     axis2_values: np.ndarray | None
-    cells: tuple[CellResult, ...]
+    columns: dict[str, list[float | str]]
+    status: list[str]
 
     def column(self, name: str) -> list[float | str]:
-        return [cell.values[name] for cell in self.cells]
+        return list(self.columns[name])
+
+    @cached_property
+    def cells(self) -> tuple[CellResult, ...]:
+        # Outermost axis first: axis2, when there is one, then axis1.
+        axes = [v.tolist() for v in (self.axis2_values, self.axis1_values) if v is not None]
+        indices = product(*(range(len(values)) for values in axes))
+        axis_values = (values[::-1] for values in product(*axes))
+        outputs = self.spec.outputs
+        rows = zip(*(self.columns[name] for name in outputs))
+        return tuple(
+            CellResult(index, values, dict(zip(outputs, row)), cell_status)
+            for index, values, row, cell_status in zip(indices, axis_values, rows, self.status)
+        )
 
 
 @dataclass(frozen=True)
@@ -250,8 +271,11 @@ def _infected_candidate(params, cons, a, b, d, root, present, tolerances):
 
 
 def _column(values, shown: np.ndarray) -> list:
-    values = np.broadcast_to(values, shown.shape).tolist()
-    return [v if m else math.nan for v, m in zip(values, shown.tolist())]
+    """values where shown, else nan, as a list; regime mixes str and nan."""
+    values = np.broadcast_to(values, shown.shape)
+    if values.dtype.kind == "f":
+        return np.where(shown, values, math.nan).tolist()
+    return [v if m else math.nan for v, m in zip(values.tolist(), shown.tolist())]
 
 
 def _evaluate_grid(
@@ -335,6 +359,7 @@ def _evaluate_grid(
             )
             rel = _pymax(_pymax(d1, d2), d3)
             coefficients_ok = ~(rel > tolerances.char_coeff_integrity)
+            coefficients_ok &= np.isfinite(_squared(params.T_max))
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2
 
     columns = {
@@ -360,17 +385,7 @@ def run_sweep(spec: SweepSpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> S
         axes.append((spec.axis2.name, axis2_values))
     params, valid = _grid_parameters(spec.base, axes)
     columns, status = _evaluate_grid(params, valid, spec.outputs, tolerances)
-
-    indices = product(*(range(len(values)) for _, values in reversed(axes)))
-    axis_values = zip(*(getattr(params, name).tolist() for name, _ in axes))
-    rows = zip(*(columns[name] for name in spec.outputs))
-    cells = tuple(
-        CellResult(index, values, dict(zip(spec.outputs, row)), cell_status)
-        for index, values, row, cell_status in zip(indices, axis_values, rows, status)
-    )
-    return SweepGrid(
-        spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, cells=cells
-    )
+    return SweepGrid(spec, axis1_values, axis2_values, columns, status)
 
 
 def _threshold_level(params, target: str):

@@ -179,6 +179,35 @@ def test_sweep_missing_file_exits_1(capsys):
     assert "no such sweep-spec file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, options", [
+    ("analyze", []), ("certify", ["--grid", "5"]), ("simulate", ["--t-end", "10"])
+])
+def test_overflowing_t_max_squared_exits_1_without_traceback(tmp_path, capsys, command, options):
+    # T_max**2 is beyond the float range; validate accepts the file.
+    scn = tmp_path / "huge.scn"
+    scn.write_text(S1_Q0_LOW_BETA.replace("T_max = 1e7", "T_max = 1e200"))
+    assert main(["validate", str(scn)]) == 0
+    capsys.readouterr()
+    assert main([command, str(scn), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: derived constants are not finite")
+    assert "Traceback" not in err
+
+
+def test_sweep_past_the_float_range_of_t_max_squared(tmp_path, capsys):
+    spec = tmp_path / "huge.swp"
+    spec.write_text(
+        SWEEP_SPEC.replace("axis1 = eta 0.0 1.0 3 linear", "axis1 = T_max 1e6 1e200 5 log")
+        .replace("outputs = r0", "outputs = r0 regime")
+    )
+    assert main(["sweep", str(spec)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 6
+    assert lines[-1] == "1e+200,nan,nan,invalid_params"
+    assert captured.err == ""
+
+
 def test_validate_reports_warnings(capsys):
     assert main(["validate", "s1"]) == 0
     out = capsys.readouterr().out

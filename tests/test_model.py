@@ -21,6 +21,7 @@ from hcvdyn import (
 )
 from hcvdyn.model import (
     PARAMETER_NAMES,
+    _squared,
     assumption_warnings,
     field_function,
     positive_logistic_root,
@@ -124,6 +125,15 @@ def test_derive_constants_needs_positive_proliferation():
         derive_constants(replace(SCENARIO_S1, r_I=0.0))
     with pytest.raises(DomainError):
         derive_constants(replace(SCENARIO_S1, r_T=0.0))
+
+
+def test_derive_constants_raise_when_t_max_squared_overflows():
+    # CPython's float power raises OverflowError for T_max**2 from about
+    # 1.34e154 on; the square comes out inf, and the finiteness check sees it.
+    assert _squared(1e200) == math.inf
+    assert _squared(np.array([2.0, 1e200])).tolist() == [4.0, math.inf]
+    with pytest.raises(DomainError, match="not finite"):
+        derive_constants(replace(SCENARIO_S2, T_max=1e200))
 
 
 def test_vector_field_components():

@@ -13,7 +13,9 @@ from hcvdyn import (
     SCENARIO_S2,
     STABLE,
     UNSTABLE,
+    DomainError,
     IntegrityError,
+    State,
     characteristic_coefficients,
     cubic_roots,
     infected_equilibrium,
@@ -90,6 +92,14 @@ def test_characteristic_coefficients_reference():
     assert coeffs.a3 == pytest.approx(0.47929836963630423, rel=1e-12)
     assert coeffs.delta2 == pytest.approx(5.039069710731518, rel=1e-12)
     assert coeffs.max_rel_diff <= 1e-8
+
+
+def test_characteristic_coefficients_raise_when_t_max_squared_overflows():
+    # beta = 0 gives H = 0, so derive_constants has no F and never squares
+    # T_max; the closed-form coefficients do.
+    params = replace(SCENARIO_S2, beta=0.0, T_max=1e200)
+    with pytest.raises(DomainError, match="T_max"):
+        characteristic_coefficients(params, State(1e3, 1e3, 1.0))
 
 
 def test_characteristic_coefficients_match_minor_expansion():

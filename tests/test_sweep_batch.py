@@ -3,10 +3,16 @@
 reference_cell evaluates one grid cell through the public scalar functions.
 run_sweep evaluates the whole grid at once; every cell's status and the
 repr of every value must equal the reference's.
+
+reference_cells and reference_sweep_csv keep the row-wise cell construction
+and CSV writer that preceded the columnar SweepGrid; the columns, the lazily
+built cells and the column-wise CSV must equal what they give.
 """
 
+import io
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from hypothesis import strategies as st
 
 from hcvdyn import (
     PARAMETER_NAMES,
+    SCENARIO_S2,
     SWEEP_OUTPUTS,
     Axis,
     IntegrityError,
@@ -25,10 +32,18 @@ from hcvdyn import (
     r0_from_T0,
     run_sweep,
     uninfected_equilibrium,
+    write_sweep_csv,
 )
 from hcvdyn.equilibria import REGIME_UNIQUE
 from hcvdyn.model import PLAUSIBLE_RANGES
-from hcvdyn.sweep import STATUS_INVALID, STATUS_NO_EQUILIBRIUM, STATUS_OK
+from hcvdyn.sweep import (
+    STATUS_INVALID,
+    STATUS_NO_EQUILIBRIUM,
+    STATUS_OK,
+    CellResult,
+    _evaluate_grid,
+    _grid_parameters,
+)
 from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 # PLAUSIBLE_RANGES has no range for r_I, eta and epsilon.
@@ -163,3 +178,74 @@ def test_batched_sweep_matches_scalar_route_where_the_radical_check_raises():
         except IntegrityError:
             raised += 1
     assert raised > 50
+
+
+def test_sweep_past_the_float_range_of_t_max_squared_matches_scalar_route():
+    # T_max**2 overflows from about 1.34e154 on: derive_constants raises
+    # DomainError there, so the last cell is invalid_params, not a crash.
+    spec = SweepSpec(SCENARIO_S2, Axis("T_max", 1e6, 1e200, 5, "log"))
+    grid = assert_cells_match_reference(spec)
+    assert grid.status[-1] == STATUS_INVALID
+    assert grid.status[:-1] == [STATUS_NO_EQUILIBRIUM] * 4
+
+
+def reference_cells(spec, tolerances=DEFAULT_TOLERANCES):
+    """The cells as run_sweep built them row by row from the kernel's columns."""
+    axes = [(spec.axis1.name, spec.axis1.values())]
+    if spec.axis2 is not None:
+        axes.append((spec.axis2.name, spec.axis2.values()))
+    params, valid = _grid_parameters(spec.base, axes)
+    columns, status = _evaluate_grid(params, valid, spec.outputs, tolerances)
+
+    indices = product(*(range(len(values)) for _, values in reversed(axes)))
+    axis_values = zip(*(getattr(params, name).tolist() for name, _ in axes))
+    rows = zip(*(columns[name] for name in spec.outputs))
+    return tuple(
+        CellResult(index, values, dict(zip(spec.outputs, row)), cell_status)
+        for index, values, row, cell_status in zip(indices, axis_values, rows, status)
+    )
+
+
+def reference_sweep_csv(spec, cells):
+    """The sweep CSV as write_sweep_csv wrote it, one cell after another."""
+    fh = io.StringIO()
+    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+    fh.write(",".join([a.name for a in axes] + list(spec.outputs) + ["status"]) + "\n")
+    for cell in cells:
+        fields = [repr(v) for v in cell.axis_values]
+        for name in spec.outputs:
+            value = cell.values[name]
+            fields.append(value if isinstance(value, str) else repr(float(value)))
+        fields.append(cell.status)
+        fh.write(",".join(fields) + "\n")
+    return fh.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=bases, sweep_axes=axes(), wanted=outputs)
+def test_columnar_grid_matches_row_wise_reference(base, sweep_axes, wanted):
+    spec = SweepSpec(base, *sweep_axes, outputs=wanted)
+    grid = run_sweep(spec)
+    expected = reference_cells(spec)
+    buffer = io.StringIO()
+    write_sweep_csv(grid, buffer)
+    assert buffer.getvalue() == reference_sweep_csv(spec, expected)
+    # repr, so that NaN compares equal to NaN.
+    assert repr(grid.cells) == repr(expected)
+    for name in wanted:
+        assert repr(grid.column(name)) == repr([cell.values[name] for cell in expected])
+    assert grid.status == [cell.status for cell in expected]
+
+
+def test_cells_are_built_on_first_access():
+    spec = SweepSpec(
+        SCENARIO_S2, Axis("beta", 1e-9, 1e-6, 9, "log"), Axis("eta", 0.0, 1.0, 6)
+    )
+    grid = run_sweep(spec)
+    assert "cells" not in vars(grid)
+    write_sweep_csv(grid, io.StringIO())
+    assert "cells" not in vars(grid)
+    cells = grid.cells
+    assert "cells" in vars(grid)
+    assert grid.cells is cells
+    assert len(cells) == 54
