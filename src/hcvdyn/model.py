@@ -289,15 +289,17 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
     """Compute the derived constants for a valid parameter set.
 
     Raises DomainError when a constant is undefined or non-finite for the
-    given rates: both proliferation rates must be positive for H and the
-    total-hepatocyte ceiling to exist.
+    given rates: the product of the proliferation rates must be positive
+    for H and the total-hepatocyte ceiling to exist.
     """
-    if params.r_I <= 0 or params.r_T <= 0:
+    if params.r_I * params.r_T <= 0:
         raise DomainError(
-            "derived constants require positive proliferation rates, got "
+            "derived constants require r_I r_T > 0, got "
             f"r_T = {params.r_T!r}, r_I = {params.r_I!r}"
         )
     theta, delta, A, H, D = _constants(params)
+    if H != 0.0 and params.r_I * params.r_T * H == 0.0:
+        raise DomainError("radical constant F is undefined: r_I r_T H underflows to 0")
     F = _constant_F(params, delta, H) if H != 0.0 else None
     t_tilde0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_I / params.T_max)
     values = (theta, delta, A, H, D, t_tilde0) + ((F,) if F is not None else ())
@@ -337,7 +339,10 @@ def field_function(params: ModelParameters):
     """Return f(t, (T, I, V)) -> tuple for the integrators.
 
     Binds every coefficient into locals once; the hot loop then runs on
-    plain floats with no attribute lookups or array allocation.
+    plain floats with no attribute lookups or array allocation.  It keeps
+    this closure rather than calling _field: that costs about 4-7 % per
+    RK45 step, and multiplying by 1/T_max where _field divides by T_max
+    rounds differently, which moves trajectories and their benign dips.
     """
     s, r_T, r_I = params.s, params.r_T, params.r_I
     d_T, d_I, q, c = params.d_T, params.d_I, params.q, params.c

@@ -47,8 +47,8 @@ def r0_from_T0(params: ModelParameters, T0: float) -> float:
     """
     if T0 <= 0:
         raise DomainError(f"T0 must be positive, got {T0!r}")
-    if params.d_I + params.q == 0:
-        raise DomainError("reproduction number is undefined when d_I + q = 0")
+    if params.c * (params.d_I + params.q) == 0:
+        raise DomainError("reproduction number is undefined when d_I + q = 0 or c (d_I + q) underflows to 0")
     return _r0_closed_form(params, T0)
 
 
@@ -85,8 +85,8 @@ def _next_generation(
 ) -> NextGenDecomposition:
     """r0_spectral at a given infection-free level T0."""
     delta = params.d_I + params.q
-    if delta == 0 or params.c == 0:
-        raise DomainError("transfer matrix is singular when d_I + q = 0 or c = 0")
+    if params.c * delta == 0:
+        raise DomainError("transfer matrix is singular when d_I + q = 0 or c (d_I + q) underflows to 0")
     DF = np.array(
         [
             [params.r_I * (1.0 - T0 / params.T_max), (1.0 - params.eta) * params.beta * T0],

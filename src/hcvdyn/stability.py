@@ -32,7 +32,6 @@ from .model import (
     _squared,
     derive_constants,
     jacobian,
-    vector_field,
 )
 from .reproduction import _next_generation, r0_from_T0
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -291,8 +290,8 @@ def characteristic_coefficients(
     if st.T <= 0 or st.I <= 0:
         raise DomainError("infected equilibrium must have positive T* and I*")
     cons = derive_constants(params)
-    if not math.isfinite(_squared(params.T_max)):
-        raise DomainError("characteristic coefficients need T_max**2 within the float range")
+    if not (0.0 < _squared(params.T_max) < math.inf and st.T * params.T_max > 0.0):
+        raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
     m1, m2, m3 = _principal_minors(jacobian(params, st))
     rel = max(
@@ -458,6 +457,30 @@ def _infected_local(
     return coeffs, verdict, local
 
 
+def _lyapunov_weight(params: ModelParameters, target: str, anchor: State) -> float:
+    """V-weight of the target's Lyapunov function at its anchor equilibrium."""
+    b_eff = (1.0 - params.eta) * params.beta
+    if target == "E0":
+        return b_eff * anchor.T / params.c
+    production = (1.0 - params.epsilon) * params.p * anchor.I
+    if production == 0.0:
+        raise DomainError("Lyapunov weight is undefined without virion production")
+    return b_eff * anchor.T * anchor.V / production
+
+
+def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V):
+    """(dL/dt as gradient-dot-field, sum of its three terms' magnitudes) of
+    the target's Lyapunov function; broadcasts over floats and arrays."""
+    w = _lyapunov_weight(params, target, anchor)
+    f0, f1, f2 = _field(params, T, I, V)
+    g_T = 1.0 - anchor.T / T
+    if target == "E0":
+        t0, t1, t2 = g_T * f0, f1, w * f2
+    else:
+        t0, t1, t2 = g_T * f0, (1.0 - anchor.I / I) * f1, w * (1.0 - anchor.V / V) * f2
+    return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
+
+
 def lyapunov_uninfected(
     params: ModelParameters,
     state: State | tuple[float, float, float],
@@ -468,21 +491,18 @@ def lyapunov_uninfected(
     L = T - T0 - T0 ln(T/T0) + I + (1 - eta) beta T0 V / c.  The derivative
     is evaluated twice, as gradient-dot-field and as the collected algebraic
     form; the two must agree to the lyapunov_agreement tolerance.  Returns
-    (L, dL/dt) with the gradient route as the reported value.
+    (L, dL/dt) with the gradient route as the reported value.  A value
+    beyond the float range raises DomainError.
     """
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
         raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
-    T0 = uninfected_equilibrium(params, tolerances).state.T
+    e0 = uninfected_equilibrium(params, tolerances).state
+    T0 = e0.T
     if T0 <= 0:
         raise DomainError("Lyapunov function is undefined for T0 = 0")
-    b_eff = (1.0 - params.eta) * params.beta
-    w = b_eff * T0 / params.c
-    L = T - T0 - T0 * math.log(T / T0) + I + w * V
-
-    f0, f1, f2 = vector_field(params, (T, I, V)).tolist()
-    g_T = 1.0 - T0 / T
-    grad_route = g_T * f0 + f1 + w * f2
+    L = T - T0 - T0 * math.log(T / T0) + I + _lyapunov_weight(params, "E0", e0) * V
+    grad_route, term_scale = _lyapunov_rate(params, "E0", e0, T, I, V)
 
     # delta (R0 - 1 + q/delta) expands to delta R0 - d_I, which stays defined
     # at delta = 0.
@@ -491,15 +511,15 @@ def lyapunov_uninfected(
         params.r_I * (1.0 - T0 / params.T_max)
         + one_minus_theta * params.beta * params.p * T0 / params.c
     )
-    if params.r_T <= 0:
-        return L, grad_route
-    collected = (
-        -(params.s / (T * T0)) * (T - T0) ** 2
+    collected = grad_route if params.r_T <= 0 else (
+        -(params.s / (T * T0)) * _squared(T - T0)
         - (params.r_T / params.T_max) * (T + I - T0) * (T + (params.r_I / params.r_T) * I - T0)
         - params.q * I * T0 / T
         + I * (delta_r0 - params.d_I)
     )
-    term_scale = abs(g_T * f0) + abs(f1) + abs(w * f2)
+    # A non-finite state makes L non-finite, so this also rejects it.
+    if not all(math.isfinite(x) for x in (L, grad_route, collected)):
+        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
     diff = abs(grad_route - collected)
     if diff > tolerances.lyapunov_agreement * max(abs(grad_route), abs(collected)) and diff > 64.0 * np.finfo(float).eps * term_scale:
         raise IntegrityError(
@@ -518,9 +538,11 @@ def lyapunov_infected(
     """Volterra-type Lyapunov function for the infected equilibrium.
 
     L = T - T* - T* ln(T/T*) + I - I* - I* ln(I/I*) + w (V - V* - V* ln(V/V*))
-    with weight w = (1 - eta) beta T* V* / ((1 - epsilon) p I*).  Only the
+    with weight w = (1 - eta) beta T* V* / ((1 - epsilon) p I*)
+    (Korobeinikov 2004, Bull. Math. Biol. 66:879-883).  Only the
     gradient-dot-field derivative is evaluated; there is no trustworthy
-    independent collected form for this function.
+    independent collected form for this function.  A value beyond the float
+    range raises DomainError.
     """
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
@@ -528,18 +550,15 @@ def lyapunov_infected(
     st = _as_state(estar)
     if st.I <= 0 or st.T <= 0 or st.V <= 0:
         raise DomainError("infected-equilibrium Lyapunov function needs positive (T*, I*, V*)")
-    p_eff = (1.0 - params.epsilon) * params.p
-    if p_eff <= 0:
-        raise DomainError("Lyapunov weight is undefined without virion production")
-    b_eff = (1.0 - params.eta) * params.beta
-    w = b_eff * st.T * st.V / (p_eff * st.I)
+    w = _lyapunov_weight(params, "Estar", st)
     L = (
         T - st.T - st.T * math.log(T / st.T)
         + I - st.I - st.I * math.log(I / st.I)
         + w * (V - st.V - st.V * math.log(V / st.V))
     )
-    f0, f1, f2 = vector_field(params, (T, I, V)).tolist()
-    dLdt = (1.0 - st.T / T) * f0 + (1.0 - st.I / I) * f1 + w * (1.0 - st.V / V) * f2
+    dLdt, _ = _lyapunov_rate(params, "Estar", st, T, I, V)
+    if not (math.isfinite(L) and math.isfinite(dLdt)):
+        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
     return L, dLdt
 
 
@@ -550,7 +569,11 @@ _CERTIFICATE_BLOCK = 1 << 14
 
 
 def _grid_axis(bound: float, n: int) -> np.ndarray:
-    return np.logspace(math.log10(1e-6 * bound), math.log10(bound), n)
+    """n log-spaced points over [1e-6 bound, bound], which must be finite and nonempty."""
+    low = 1e-6 * bound
+    if not (low > 0.0 and bound < math.inf):
+        raise DomainError("certificate region is degenerate for this parameter set")
+    return np.logspace(math.log10(low), math.log10(bound), n)
 
 
 def certify_global(
@@ -570,7 +593,8 @@ def certify_global(
     (R0 < 1 - q/delta for E0; the theorem slice r_I = r_T, s = d_T T_max,
     delta = d_T plus R0 > 1 for Estar).  Sampling runs either way: a clean
     grid under failed preconditions is an advisory result, and violations
-    under met preconditions would contradict the theorem.
+    under met preconditions would contradict the theorem.  A grid on which
+    a term of the derivative leaves the float range raises DomainError.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -612,23 +636,23 @@ def certify_global(
             f"theorem slice (r_I = r_T, s = d_T T_max, delta = d_T): {on_slice}; R0 = {R0!r}"
         )
 
-    b_eff = (1.0 - params.eta) * params.beta
-    if target == "E0":
-        w = b_eff * anchor.T / params.c
-    else:
-        w = b_eff * anchor.T * anchor.V / ((1.0 - params.epsilon) * params.p * anchor.I)
     if grid_points > 1:
-        axis_T = _grid_axis(bound_TI, grid_points)
-        axis_I = _grid_axis(bound_TI, grid_points)
+        axis_T = axis_I = _grid_axis(bound_TI, grid_points)
         axis_V = _grid_axis(bound_V, grid_points)
     rows = max(1, _CERTIFICATE_BLOCK // grid_points**2)
 
-    def evaluate(start):
-        """Points, dL/dt and term scales of one block, in row-major order."""
+    # One pass over the blocks keeps the running maxima and, per block, the
+    # points above the tolerance the running scale maximum gives.  A term
+    # scale beyond the float range raises, so that tolerance only grows and
+    # the points kept hold every violation of the final one.
+    margin = tolerances.certificate_margin
+    peak = np.float64(-math.inf)
+    scale_peak = np.float64(0.0)
+    points = 0
+    kept = []
+    for start in range(0, grid_points, rows):
         if grid_points == 1:
-            T = np.array([anchor.T])
-            I = np.array([anchor.I])
-            V = np.array([anchor.V])
+            T, I, V = (np.array([x]) for x in anchor)
         else:
             T, I, V = (
                 g.ravel()
@@ -636,41 +660,18 @@ def certify_global(
             )
             keep = T + I <= bound_TI * (1.0 + 1e-12)
             T, I, V = T[keep], I[keep], V[keep]
-        f0, f1, f2 = _field(params, T, I, V)
-        g_T = 1.0 - anchor.T / T
-        if target == "E0":
-            g_I, g_V = 1.0, w
-        else:
-            g_I = 1.0 - anchor.I / I
-            g_V = w * (1.0 - anchor.V / V)
-        dLdt = g_T * f0 + g_I * f1 + g_V * f2
-        term_scale = np.abs(g_T * f0) + np.abs(g_I * f1) + np.abs(g_V * f2)
-        return T, I, V, dLdt, term_scale
-
-    # One pass over the blocks keeps the running maxima and, per block, the
-    # points above the tolerance the running scale maximum gives.  That
-    # floor never exceeds the final tolerance, unless a later block's term
-    # scale is NaN: the final tolerance then falls to certificate_margin
-    # and the blocks evaluated before are evaluated again.
-    margin = tolerances.certificate_margin
-    peak = np.float64(-math.inf)
-    scale_peak = np.float64(0.0)
-    points = 0
-    blocks = []
-    for start in range(0, grid_points, rows):
-        T, I, V, dLdt, term_scale = evaluate(start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
         points += T.size
         peak = np.maximum(peak, np.max(dLdt, initial=-math.inf))
         scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
-        floor = margin * max(1.0, float(scale_peak))
-        hit = dLdt > floor
-        blocks.append((start, floor, T[hit], I[hit], V[hit], dLdt[hit]))
-    tolerance = margin * max(1.0, float(scale_peak))
-
+        if not np.isfinite(scale_peak):
+            raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
+        tolerance = margin * max(1.0, float(scale_peak))
+        hit = dLdt > tolerance
+        kept.append((T[hit], I[hit], V[hit], dLdt[hit]))
     violations = []
-    for start, floor, T, I, V, dLdt in blocks:
-        if floor > tolerance:
-            T, I, V, dLdt, _ = evaluate(start)
+    for T, I, V, dLdt in kept:
         hit = dLdt > tolerance
         columns = (T[hit].tolist(), I[hit].tolist(), V[hit].tolist(), dLdt[hit].tolist())
         violations.extend((State(t, i, v), d) for t, i, v, d in zip(*columns))

@@ -301,7 +301,7 @@ def _evaluate_grid(
         ok = valid & ~(proliferating & (k <= 0))
         ok &= proliferating | (params.d_T > 0) | (params.s == 0)
         ok &= np.isfinite(T0) & ~(_residual(params, T0, 0.0, 0.0) > tolerances.uninfected_residual)
-        ok &= ~(T0 <= 0) & (params.d_I + params.q != 0)
+        ok &= ~(T0 <= 0) & (params.c * (params.d_I + params.q) != 0)
         R0 = _r0_closed_form(params, T0)
 
         wants_estar = "estar_T" in outputs or "delta2" in outputs
@@ -359,7 +359,8 @@ def _evaluate_grid(
             )
             rel = _pymax(_pymax(d1, d2), d3)
             coefficients_ok = ~(rel > tolerances.char_coeff_integrity)
-            coefficients_ok &= np.isfinite(_squared(params.T_max))
+            T_max2 = _squared(params.T_max)
+            coefficients_ok &= (0.0 < T_max2) & (T_max2 < math.inf) & (T * params.T_max > 0.0)
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2
 
     columns = {

@@ -35,10 +35,6 @@ class Tolerances:
     """Entrywise relative agreement between specialised equilibrium Jacobians
     and the general Jacobian."""
 
-    char_coeff_agreement: float = 1e-8
-    """Relative agreement expected between closed-form characteristic
-    coefficients and the minor-expansion route."""
-
     char_coeff_integrity: float = 1e-6
     """Hard ceiling on the closed-vs-minor disagreement; beyond this the
     coefficients raise IntegrityError instead of returning."""
@@ -62,10 +58,6 @@ class Tolerances:
     bound_slack: float = 1e-6
     """Relative slack applied to invariant-region bounds during trajectory
     checking."""
-
-    benign_dip: float = 1e-10
-    """Absolute magnitude below which a negative trajectory component is
-    logged as a benign integration dip, not a positivity violation."""
 
 
 DEFAULT_TOLERANCES = Tolerances()

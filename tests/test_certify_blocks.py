@@ -159,15 +159,13 @@ def test_blocks_keep_violations_in_row_major_order():
     assert len(slices) > 2
 
 
-def test_nan_term_scale_in_a_later_block_lowers_the_tolerance(monkeypatch):
-    # An overflowing field (inf - inf) makes a term scale NaN, and the
-    # whole-grid tolerance then falls to certificate_margin.  Stand in for
-    # the overflow with NaN in dT/dt on one slice of the last block: points
-    # of earlier blocks between the two tolerances must still be reported.
+def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
+    # An overflowing field (inf - inf) makes a term scale NaN.  Stand in for
+    # the overflow with NaN in dT/dt on one slice of the last block: the
+    # certificate raises instead of reporting a tolerance the NaN lowered.
     params = replace(SCENARIO_S1, q=0.0)
     tolerances = replace(DEFAULT_TOLERANCES, certificate_margin=1e-2)
     n = 60
-    clean = certify_global(params, "E0", n, tolerances)
     nan_slice = _grid_axis(derive_constants(params).t_tilde0, n)[-2]
 
     def overflowing_field(params, T, I, V):
@@ -175,12 +173,30 @@ def test_nan_term_scale_in_a_later_block_lowers_the_tolerance(monkeypatch):
         return np.where(T == nan_slice, math.nan, f0), f1, f2
 
     monkeypatch.setattr(stability, "_field", overflowing_field)
-    monkeypatch.setitem(globals(), "_field", overflowing_field)
-    got = certify_global(params, "E0", n, tolerances)
-    assert repr(got) == repr(reference_certificate(params, "E0", n, tolerances))
-    assert math.isnan(got.min_margin)
-    assert got.tolerance == 1e-2 < clean.tolerance
-    assert len(got.violations) > len(clean.violations)
+    with pytest.raises(DomainError, match="float range"):
+        certify_global(params, "E0", n, tolerances)
+
+
+def test_overflowing_field_on_the_grid_raises():
+    # The field overflows on the grid; this used to report NaN as the worst
+    # margin, an infinite tolerance and a clean certificate.
+    params = replace(SCENARIO_S1, r_I=1e-300, beta=1e-19)
+    with pytest.raises(DomainError, match="float range"):
+        certify_global(params, "E0", 20)
+
+
+@pytest.mark.parametrize("bound", [0.0, 5e-324, 1e-320, math.inf, math.nan])
+def test_degenerate_axis_raises(bound):
+    with pytest.raises(DomainError, match="degenerate"):
+        _grid_axis(bound, 5)
+
+
+def test_zero_virion_ceiling_raises():
+    # p = 0 is a valid set, but its V axis is [0, 0].
+    params = replace(SCENARIO_S1, p=0.0)
+    with pytest.raises(DomainError, match="degenerate"):
+        certify_global(params, "E0", 5)
+    assert certify_global(params, "E0", 1).violations == ()
 
 
 def _log_uniform(name):

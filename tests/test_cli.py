@@ -208,6 +208,48 @@ def test_sweep_past_the_float_range_of_t_max_squared(tmp_path, capsys):
     assert captured.err == ""
 
 
+S1 = S1_Q0_LOW_BETA.replace("beta = 1e-9", "beta = 1e-7").replace("q = 0.0", "q = 0.5")
+
+
+@pytest.mark.parametrize("command, updates", [
+    # The field overflows on the grid; this used to print a clean certificate.
+    (["certify"], {"r_I": "1e-300", "beta": "1e-19"}),
+    # p = 0 makes the V axis [0, 0]; this used to fail in log10.
+    (["certify"], {"p": "0.0"}),
+    # r_I r_T underflows to 0.
+    (["analyze"], {"r_T": "5e-324"}),
+    (["certify"], {"r_T": "5e-324"}),
+    # r_I r_T H underflows to 0 although H does not.
+    (["analyze"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
+    (["certify", "--target", "estar"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
+])
+def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command, updates):
+    text = S1
+    for key, value in updates.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    scn = tmp_path / "edge.scn"
+    scn.write_text(text)
+    assert main(["validate", str(scn)]) == 0
+    capsys.readouterr()
+    assert main([command[0], str(scn), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_sweep_where_c_delta_underflows_marks_the_cell_invalid(tmp_path, capsys):
+    spec = tmp_path / "c.swp"
+    spec.write_text(
+        SWEEP_SPEC.replace("axis1 = eta 0.0 1.0 3 linear", "axis1 = c 5e-324 1.0 3 log")
+        .replace("q = 0.5", "q = 0.0")
+    )
+    assert main(["sweep", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "5e-324,nan,invalid_params"
+    assert lines[2].endswith(",ok") and lines[3].endswith(",ok")
+
+
 def test_validate_reports_warnings(capsys):
     assert main(["validate", "s1"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,59 @@
+"""Every CLI command over the whole parameter domain exits with a documented
+code and raises nothing.
+
+Scenario files are drawn far outside the plausible ranges: each rate is
+log-uniform over [1e-300, 1e300], or exactly 0 where the model allows it,
+or the smallest subnormal 5e-324.  simulate is left out: its step count on
+such sets is unbounded, because an explicit integrator's step shrinks with
+the fastest rate.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcvdyn import DEFAULT_INITIAL_STATE, ModelParameters
+from hcvdyn.cli import main
+from hcvdyn.formats import Scenario, render_scenario
+
+RATES = ("s", "r_T", "r_I", "d_T", "d_I", "T_max", "beta", "p", "c", "q")
+# ModelParameters requires these to be positive; every other rate may be 0.
+POSITIVE = ("T_max", "c")
+
+COMMANDS = (
+    ["validate"],
+    ["analyze"],
+    ["certify", "--grid", "5", "--target", "e0"],
+    ["certify", "--grid", "5", "--target", "estar"],
+)
+
+
+def _rate(name):
+    log_uniform = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
+    special = [5e-324] if name in POSITIVE else [0.0, 5e-324]
+    return st.one_of(log_uniform, st.sampled_from(special))
+
+
+@st.composite
+def scenarios(draw):
+    values = {name: draw(_rate(name)) for name in RATES}
+    efficacy = st.floats(0.0, 1.0, exclude_max=True)
+    values.update(eta=draw(efficacy), epsilon=draw(efficacy))
+    return Scenario(ModelParameters(**values), DEFAULT_INITIAL_STATE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios())
+def test_every_command_exits_with_a_documented_code(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.scn"
+        path.write_text(render_scenario(scenario))
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in range(5), (command, code)

@@ -196,3 +196,20 @@ def test_slice_equilibrium_reference_values():
     assert point.state.T == pytest.approx(4332606.221409141, rel=1e-9)
     assert point.state.I == pytest.approx(11591317.76950017, rel=1e-9)
     assert point.state.V == pytest.approx(23180317.27544644, rel=1e-9)
+
+
+@pytest.mark.parametrize("params", [SCENARIO_S1, replace(SCENARIO_S1, T_max=1e300)])
+def test_uninfected_lyapunov_beyond_the_float_range_raises(params):
+    # (T - T0)**2 used to raise OverflowError here.
+    with pytest.raises(DomainError, match="not finite"):
+        lyapunov_uninfected(params, State(1e200, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_lyapunov_rejects_non_finite_states(bad):
+    estar = infected_equilibrium(SCENARIO_S2).candidates[0]
+    for state in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(DomainError):
+            lyapunov_uninfected(SCENARIO_S1, state)
+        with pytest.raises(DomainError):
+            lyapunov_infected(SCENARIO_S2, state, estar)

@@ -1,6 +1,7 @@
 """Parameter validation, derived constants, and vector-field algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,3 +189,14 @@ def test_residual_norm_is_zero_scale_free():
     assert residual_norm(SCENARIO_S1, point.state) < 1e-12
     # A state far from equilibrium has residual of order one.
     assert residual_norm(SCENARIO_S1, (1.0, 1.0, 1.0)) > 1e-3
+
+
+@pytest.mark.parametrize("updates, message", [
+    # r_I r_T underflows to 0, and H divides by it.
+    ({"r_T": 5e-324}, "r_I r_T > 0"),
+    # H is about -2.5e-34, but r_I r_T H underflows to 0, and F divides by it.
+    ({"r_I": 2e-150, "r_T": 1e-150, "beta": 1e-190}, "r_I r_T H underflows"),
+])
+def test_underflowing_rate_products_raise_domain_error(updates, message):
+    with pytest.raises(DomainError, match=message):
+        derive_constants(replace(SCENARIO_S1, **updates))

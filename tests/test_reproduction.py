@@ -65,3 +65,10 @@ def test_next_generation_matrix_structure():
 def test_r0_monotone_in_infectivity():
     values = [r0(replace(SCENARIO_S1, beta=b)) for b in (1e-8, 1e-7, 1e-6)]
     assert values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("route", [r0, r0_spectral])
+def test_underflowing_c_delta_raises_domain_error(route):
+    # c (d_I + q) = 5e-324 * 0.1 rounds to 0, and both routes divide by it.
+    with pytest.raises(DomainError, match="c \\(d_I \\+ q\\)"):
+        route(replace(SCENARIO_S1, c=5e-324, q=0.0))

@@ -15,6 +15,7 @@ from hcvdyn import (
     UNSTABLE,
     DomainError,
     IntegrityError,
+    ModelParameters,
     State,
     characteristic_coefficients,
     cubic_roots,
@@ -100,6 +101,20 @@ def test_characteristic_coefficients_raise_when_t_max_squared_overflows():
     params = replace(SCENARIO_S2, beta=0.0, T_max=1e200)
     with pytest.raises(DomainError, match="T_max"):
         characteristic_coefficients(params, State(1e3, 1e3, 1.0))
+
+
+# A unique infected equilibrium at T* = 4.5e-163: T_max**2 and T* T_max
+# underflow to 0, and the closed forms divide by both.
+TINY_LIVER = ModelParameters(
+    s=0.0, r_T=1e-162, r_I=1.0, d_T=0.0, d_I=0.05, T_max=1e-162,
+    beta=1.0, p=1.0, c=1.0, q=0.0, eta=0.0, epsilon=0.0,
+)
+
+
+def test_characteristic_coefficients_raise_when_the_denominators_underflow():
+    estar = infected_equilibrium(TINY_LIVER).candidates[0]
+    with pytest.raises(DomainError, match="within the float range"):
+        characteristic_coefficients(TINY_LIVER, estar)
 
 
 def test_characteristic_coefficients_match_minor_expansion():

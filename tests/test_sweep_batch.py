@@ -189,6 +189,26 @@ def test_sweep_past_the_float_range_of_t_max_squared_matches_scalar_route():
     assert grid.status[:-1] == [STATUS_NO_EQUILIBRIUM] * 4
 
 
+def test_sweep_where_c_delta_underflows_matches_scalar_route():
+    # At c = 5e-324, c (d_I + q) rounds to 0 and r0 divides by it: the
+    # scalar route raises DomainError, so the cell is invalid_params.
+    spec = SweepSpec(replace(SCENARIO_S2, q=0.0), Axis("c", 5e-324, 1.0, 5, "log"), outputs=("r0",))
+    grid = assert_cells_match_reference(spec)
+    assert grid.status == [STATUS_INVALID] + [STATUS_OK] * 4
+
+
+def test_sweep_where_the_coefficient_denominators_underflow_matches_scalar_route():
+    # T_max**2 and T* T_max underflow to 0: characteristic_coefficients
+    # raises DomainError, so delta2 is invalid_params, not ok with NaN.
+    base = ModelParameters(
+        s=0.0, r_T=1e-162, r_I=1.0, d_T=0.0, d_I=0.1, T_max=1e-162,
+        beta=1.0, p=1.0, c=1.0, q=0.0, eta=0.0, epsilon=0.0,
+    )
+    spec = SweepSpec(base, Axis("d_I", 0.05, 0.5, 4, "linear"), outputs=("estar_T", "delta2"))
+    grid = assert_cells_match_reference(spec)
+    assert grid.status == [STATUS_INVALID] * 3 + [STATUS_NO_EQUILIBRIUM]
+
+
 def reference_cells(spec, tolerances=DEFAULT_TOLERANCES):
     """The cells as run_sweep built them row by row from the kernel's columns."""
     axes = [(spec.axis1.name, spec.axis1.values())]
