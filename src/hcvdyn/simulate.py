@@ -3,7 +3,11 @@
 Two integrators are provided: a classical fixed-step RK4 and an adaptive
 Dormand-Prince 5(4) pair with FSAL reuse and PI-free step control.  Both
 step exactly onto the sample cadence, so CSV output and invariant checks
-see the same time points regardless of method.
+see the same time points regardless of method.  The stepping loops keep the
+state and each stage's slope in scalar locals (T, I, V; aT, aI, aV; ...),
+not tuples built over zip: most of a step's cost was that interpreter
+overhead, and each component repeats the same floating-point operations in
+the same order, so trajectories are bit for bit those of the tuple form.
 
 Invariant monitoring follows the comparison theorems: positivity is checked
 unconditionally, while the T + I and V ceilings are only meaningful when the
@@ -233,8 +237,21 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 
 
-def _finite(y: tuple[float, float, float]) -> bool:
-    return math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])
+def _error_norm(*terms: tuple[float, float]) -> float:
+    """RMS of error / scale over (error, scale) pairs, for when the plain sum raises.
+
+    An error of 0 at scale 0 adds 0.  Any other error at scale 0, or a square
+    beyond the float range, makes the norm infinite, which rejects the step.
+    """
+    total = 0.0
+    for e, sc in terms:
+        if sc == 0.0 and e == 0.0:
+            continue
+        try:
+            total += (e / sc) ** 2
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
+    return math.sqrt(total / 3.0)
 
 
 def integrate(
@@ -247,7 +264,8 @@ def integrate(
 
     The initial state must be componentwise nonnegative (positivity of the
     flow is guaranteed for positive data; the I = V = 0 plane is invariant
-    and admissible).  On step underflow, budget exhaustion, or a non-finite
+    and admissible, also with abs_tol = 0).  On step underflow, budget
+    exhaustion (checked by RK4 before each sample interval), or a non-finite
     state, raises IntegrationError with the partial trajectory attached.
     """
     config = config or IntegratorConfig()
@@ -264,109 +282,108 @@ def integrate(
     f = field_function(params)
     sample_times = _sample_times(config)
     samples: list[tuple[float, float, float]] = []
-    stats = {"taken": 0, "rejected": 0}
 
     def record(t: float, y: tuple[float, float, float]) -> None:
         samples.append(y)
         monitor.observe(t, y)
 
-    def partial() -> Trajectory:
+    def partial(taken: int, rejected: int) -> Trajectory:
         n = len(samples)
         return Trajectory(
             times=np.array(sample_times[:n]),
             states=np.array(samples).reshape(n, 3),
-            steps_taken=stats["taken"],
-            steps_rejected=stats["rejected"],
+            steps_taken=taken,
+            steps_rejected=rejected,
             violation_log=tuple(monitor.violations),
             benign_dips=monitor.benign,
             bounds=bounds,
             initial_inside_omega=inside,
         )
 
-    def fail(message: str) -> IntegrationError:
-        return IntegrationError(message, trajectory=partial())
+    def fail(message: str, taken: int, rejected: int = 0) -> IntegrationError:
+        return IntegrationError(message, trajectory=partial(taken, rejected))
 
-    y = (initial.T, initial.I, initial.V)
-    record(0.0, y)
+    T, I, V = initial.T, initial.I, initial.V
+    record(0.0, (T, I, V))
     t = 0.0
+    taken = rejected = 0
     if config.method == RK4_FIXED:
         for t_next in sample_times[1:]:
             span = t_next - t
-            n_sub = max(1, math.ceil(span / config.step))
+            needed = max(1.0, span / config.step)
+            if needed > config.max_steps - taken:
+                message = f"reaching t = {t_next!r} takes {needed!r} steps of {config.step!r}"
+                raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}: {message}", taken)
+            n_sub = math.ceil(needed)
             h = span / n_sub
+            hh, h6 = 0.5 * h, h / 6.0
             for _ in range(n_sub):
-                k1 = f(t, y)
-                k2 = f(t + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
-                k3 = f(t + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
-                k4 = f(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
-                y = tuple(
-                    yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c_ + d)
-                    for yi, a, b, c_, d in zip(y, k1, k2, k3, k4)
-                )
+                aT, aI, aV = f(t, (T, I, V))
+                bT, bI, bV = f(t + hh, (T + hh * aT, I + hh * aI, V + hh * aV))
+                cT, cI, cV = f(t + hh, (T + hh * bT, I + hh * bI, V + hh * bV))
+                dT, dI, dV = f(t + h, (T + h * cT, I + h * cI, V + h * cV))
+                T = T + h6 * (aT + 2.0 * bT + 2.0 * cT + dT)
+                I = I + h6 * (aI + 2.0 * bI + 2.0 * cI + dI)
+                V = V + h6 * (aV + 2.0 * bV + 2.0 * cV + dV)
                 t += h
-                stats["taken"] += 1
-                if not _finite(y):
-                    raise fail(f"state became non-finite near t = {t!r}")
-                if stats["taken"] > config.max_steps:
-                    raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}")
+                taken += 1
+                if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
+                    raise fail(f"state became non-finite near t = {t!r}", taken)
             t = t_next
-            record(t, y)
-        return partial()
+            record(t, (T, I, V))
+        return partial(taken, 0)
 
     h = min(config.sample_every, config.max_step, 1.0)
-    k1 = f(t, y)
+    aT, aI, aV = f(t, (T, I, V))
     for t_next in sample_times[1:]:
         while t < t_next:
             h_try = min(h, config.max_step, t_next - t)
-            hits_boundary = h_try >= t_next - t
-            y2 = tuple(yi + h_try * _A21 * k for yi, k in zip(y, k1))
-            k2 = f(t + _C2 * h_try, y2)
-            y3 = tuple(yi + h_try * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
-            k3 = f(t + _C3 * h_try, y3)
-            y4 = tuple(
-                yi + h_try * (_A41 * a + _A42 * b + _A43 * c_)
-                for yi, a, b, c_ in zip(y, k1, k2, k3)
-            )
-            k4 = f(t + _C4 * h_try, y4)
-            y5 = tuple(
-                yi + h_try * (_A51 * a + _A52 * b + _A53 * c_ + _A54 * d)
-                for yi, a, b, c_, d in zip(y, k1, k2, k3, k4)
-            )
-            k5 = f(t + _C5 * h_try, y5)
-            y6 = tuple(
-                yi + h_try * (_A61 * a + _A62 * b + _A63 * c_ + _A64 * d + _A65 * e)
-                for yi, a, b, c_, d, e in zip(y, k1, k2, k3, k4, k5)
-            )
-            k6 = f(t + h_try, y6)
-            y_new = tuple(
-                yi + h_try * (_B1 * a + _B3 * c_ + _B4 * d + _B5 * e + _B6 * g)
-                for yi, a, c_, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            )
-            if not _finite(y_new):
-                raise fail(f"state became non-finite near t = {t!r}")
-            k7 = f(t + h_try, y_new)
-            err = 0.0
-            for yi, yn, a, c_, d, e, g, j in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                e_i = h_try * (_E1 * a + _E3 * c_ + _E4 * d + _E5 * e + _E6 * g + _E7 * j)
-                sc = config.abs_tol + config.rel_tol * max(abs(yi), abs(yn))
-                err += (e_i / sc) ** 2
-            err = math.sqrt(err / 3.0)
+            h2 = h_try * _A21
+            bT, bI, bV = f(t + _C2 * h_try, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
+            cT, cI, cV = f(t + _C3 * h_try, (T + h_try * (_A31 * aT + _A32 * bT),
+                                             I + h_try * (_A31 * aI + _A32 * bI),
+                                             V + h_try * (_A31 * aV + _A32 * bV)))
+            dT, dI, dV = f(t + _C4 * h_try, (T + h_try * (_A41 * aT + _A42 * bT + _A43 * cT),
+                                             I + h_try * (_A41 * aI + _A42 * bI + _A43 * cI),
+                                             V + h_try * (_A41 * aV + _A42 * bV + _A43 * cV)))
+            eT, eI, eV = f(t + _C5 * h_try, (T + h_try * (_A51 * aT + _A52 * bT + _A53 * cT + _A54 * dT),
+                                             I + h_try * (_A51 * aI + _A52 * bI + _A53 * cI + _A54 * dI),
+                                             V + h_try * (_A51 * aV + _A52 * bV + _A53 * cV + _A54 * dV)))
+            gT, gI, gV = f(t + h_try, (T + h_try * (_A61 * aT + _A62 * bT + _A63 * cT + _A64 * dT + _A65 * eT),
+                                       I + h_try * (_A61 * aI + _A62 * bI + _A63 * cI + _A64 * dI + _A65 * eI),
+                                       V + h_try * (_A61 * aV + _A62 * bV + _A63 * cV + _A64 * dV + _A65 * eV)))
+            nT = T + h_try * (_B1 * aT + _B3 * cT + _B4 * dT + _B5 * eT + _B6 * gT)
+            nI = I + h_try * (_B1 * aI + _B3 * cI + _B4 * dI + _B5 * eI + _B6 * gI)
+            nV = V + h_try * (_B1 * aV + _B3 * cV + _B4 * dV + _B5 * eV + _B6 * gV)
+            if not (math.isfinite(nT) and math.isfinite(nI) and math.isfinite(nV)):
+                raise fail(f"state became non-finite near t = {t!r}", taken, rejected)
+            kT, kI, kV = f(t + h_try, (nT, nI, nV))
+            xT = h_try * (_E1 * aT + _E3 * cT + _E4 * dT + _E5 * eT + _E6 * gT + _E7 * kT)
+            xI = h_try * (_E1 * aI + _E3 * cI + _E4 * dI + _E5 * eI + _E6 * gI + _E7 * kI)
+            xV = h_try * (_E1 * aV + _E3 * cV + _E4 * dV + _E5 * eV + _E6 * gV + _E7 * kV)
+            sT = config.abs_tol + config.rel_tol * max(abs(T), abs(nT))
+            sI = config.abs_tol + config.rel_tol * max(abs(I), abs(nI))
+            sV = config.abs_tol + config.rel_tol * max(abs(V), abs(nV))
+            try:
+                err = math.sqrt(((xT / sT) ** 2 + (xI / sI) ** 2 + (xV / sV) ** 2) / 3.0)
+            except (ZeroDivisionError, OverflowError):
+                err = _error_norm((xT, sT), (xI, sI), (xV, sV))
             if err <= 1.0:
-                t = t_next if hits_boundary else t + h_try
-                y = y_new
-                k1 = k7
-                stats["taken"] += 1
+                t = t_next if h_try >= t_next - t else t + h_try
+                T, I, V = nT, nI, nV
+                aT, aI, aV = kT, kI, kV
+                taken += 1
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
             else:
-                stats["rejected"] += 1
+                rejected += 1
                 factor = max(0.2, 0.9 * err**-0.2)
             h = h_try * factor
             if h < config.min_step:
-                raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}")
-            if stats["taken"] + stats["rejected"] > config.max_steps:
-                raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}")
-        record(t_next, y)
-    return partial()
+                raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}", taken, rejected)
+            if taken + rejected > config.max_steps:
+                raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}", taken, rejected)
+        record(t_next, (T, I, V))
+    return partial(taken, rejected)
 
 
 def check_invariants(

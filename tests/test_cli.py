@@ -5,6 +5,7 @@ import re
 import pytest
 
 from hcvdyn.cli import main
+from hcvdyn.formats import bundled_scenarios
 
 S1_Q0_LOW_BETA = """
 s = 10.0
@@ -124,6 +125,46 @@ def test_simulate_method_flag(tmp_path):
         ["simulate", "s1", "--out", str(target), "--t-end", "5", "--method", "rk4"]
     ) == 0
     assert len(target.read_text().splitlines()) == 7
+
+
+def _s2_with(**updates):
+    text = bundled_scenarios()["s2"]
+    for key, value in updates.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if n == 0:
+            text += f"{key} = {value}\n"
+    return text
+
+
+def test_simulate_zero_abs_tol_on_the_infection_free_plane(tmp_path, capsys):
+    # The I and V error scales are 0 on the I = V = 0 plane; this used to
+    # end in a ZeroDivisionError traceback.
+    scn = tmp_path / "plane.scn"
+    scn.write_text(_s2_with(I0="0.0", V0="0.0", abs_tol="0.0"))
+    target = tmp_path / "plane.csv"
+    assert main(["simulate", str(scn), "--out", str(target)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    last = target.read_text().splitlines()[-1].split(",")
+    assert last[0] == "1000.0" and last[2:] == ["0.0", "0.0"]
+
+
+@pytest.mark.parametrize("updates, message", [
+    # The error norm's square overflows; this used to raise OverflowError.
+    ({"abs_tol": "0.0", "rel_tol": "1e-300", "t_end": "10.0"}, "step size underflow"),
+    # RK4 substep counts that overflow or exceed the budget; these used to
+    # raise OverflowError or run for minutes.
+    ({"method": "rk4", "step": "1e-320"}, "step budget"),
+    ({"method": "rk4", "step": "1e-9"}, "step budget"),
+], ids=["norm-overflow", "rk4-step-1e-320", "rk4-step-1e-9"])
+def test_simulate_integration_failures_exit_4(tmp_path, capsys, updates, message):
+    scn = tmp_path / "fail.scn"
+    scn.write_text(_s2_with(**updates))
+    target = tmp_path / "fail.csv"
+    assert main(["simulate", str(scn), "--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert target.read_text().splitlines() == ["t,T,I,V", "0.0,1000.0,2.0,1.0"]
 
 
 def test_certify_advisory_exit(capsys):

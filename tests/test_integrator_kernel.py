@@ -1,0 +1,246 @@
+"""The scalar stepping loops of integrate against the tuple-based reference.
+
+reference_integrate keeps the loops that preceded the scalar ones: each stage
+builds its state as a tuple over zip, and the error norm is a Python loop.
+The scalar loops repeat the same floating-point operations in the same
+order, so every sample, step count, benign dip and violation must be equal
+bit for bit.
+"""
+
+import dataclasses
+import math
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import draw_params
+from hcvdyn import (
+    RK4_FIXED,
+    RK45_ADAPTIVE,
+    SCENARIO_S1,
+    SCENARIO_S2,
+    IntegrationError,
+    IntegratorConfig,
+    State,
+    integrate,
+)
+from hcvdyn.model import field_function
+from hcvdyn.simulate import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    _inside_omega,
+    _Monitor,
+    _sample_times,
+    asymptotic_bounds,
+)
+from hcvdyn.tolerances import DEFAULT_TOLERANCES
+
+START = State(1e3, 2.0, 1.0)
+
+
+class Outcome(NamedTuple):
+    times: np.ndarray
+    states: np.ndarray
+    steps_taken: int
+    steps_rejected: int
+    benign_dips: int
+    violation_log: tuple
+    error: str | None
+    """Why the run stopped early, or None."""
+
+
+def _finite(y):
+    return math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])
+
+
+def reference_integrate(params, initial, config, tolerances=DEFAULT_TOLERANCES):
+    """The Outcome of the tuple-based loops; error names the failure, if any."""
+    bounds = asymptotic_bounds(params, initial)
+    monitor = _Monitor(
+        bounds,
+        check_bounds=bounds.applicable and _inside_omega(initial, bounds),
+        dip_tol=config.abs_tol,
+        slack=tolerances.bound_slack,
+    )
+    f = field_function(params)
+    sample_times = _sample_times(config)
+    samples = []
+    stats = {"taken": 0, "rejected": 0}
+
+    def record(t, y):
+        samples.append(y)
+        monitor.observe(t, y)
+
+    def result(error=None):
+        n = len(samples)
+        return Outcome(
+            np.array(sample_times[:n]),
+            np.array(samples).reshape(n, 3),
+            stats["taken"],
+            stats["rejected"],
+            monitor.benign,
+            tuple(monitor.violations),
+            error,
+        )
+
+    y = (initial.T, initial.I, initial.V)
+    record(0.0, y)
+    t = 0.0
+    if config.method == RK4_FIXED:
+        for t_next in sample_times[1:]:
+            span = t_next - t
+            n_sub = max(1, math.ceil(span / config.step))
+            h = span / n_sub
+            for _ in range(n_sub):
+                k1 = f(t, y)
+                k2 = f(t + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
+                k3 = f(t + 0.5 * h, tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
+                k4 = f(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
+                y = tuple(
+                    yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c_ + d)
+                    for yi, a, b, c_, d in zip(y, k1, k2, k3, k4)
+                )
+                t += h
+                stats["taken"] += 1
+                if not _finite(y):
+                    return result("non-finite")
+                if stats["taken"] > config.max_steps:
+                    return result("budget")
+            t = t_next
+            record(t, y)
+        return result()
+
+    h = min(config.sample_every, config.max_step, 1.0)
+    k1 = f(t, y)
+    for t_next in sample_times[1:]:
+        while t < t_next:
+            h_try = min(h, config.max_step, t_next - t)
+            hits_boundary = h_try >= t_next - t
+            y2 = tuple(yi + h_try * _A21 * k for yi, k in zip(y, k1))
+            k2 = f(t + _C2 * h_try, y2)
+            y3 = tuple(yi + h_try * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
+            k3 = f(t + _C3 * h_try, y3)
+            y4 = tuple(
+                yi + h_try * (_A41 * a + _A42 * b + _A43 * c_)
+                for yi, a, b, c_ in zip(y, k1, k2, k3)
+            )
+            k4 = f(t + _C4 * h_try, y4)
+            y5 = tuple(
+                yi + h_try * (_A51 * a + _A52 * b + _A53 * c_ + _A54 * d)
+                for yi, a, b, c_, d in zip(y, k1, k2, k3, k4)
+            )
+            k5 = f(t + _C5 * h_try, y5)
+            y6 = tuple(
+                yi + h_try * (_A61 * a + _A62 * b + _A63 * c_ + _A64 * d + _A65 * e)
+                for yi, a, b, c_, d, e in zip(y, k1, k2, k3, k4, k5)
+            )
+            k6 = f(t + h_try, y6)
+            y_new = tuple(
+                yi + h_try * (_B1 * a + _B3 * c_ + _B4 * d + _B5 * e + _B6 * g)
+                for yi, a, c_, d, e, g in zip(y, k1, k3, k4, k5, k6)
+            )
+            if not _finite(y_new):
+                return result("non-finite")
+            k7 = f(t + h_try, y_new)
+            err = 0.0
+            for yi, yn, a, c_, d, e, g, j in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                e_i = h_try * (_E1 * a + _E3 * c_ + _E4 * d + _E5 * e + _E6 * g + _E7 * j)
+                sc = config.abs_tol + config.rel_tol * max(abs(yi), abs(yn))
+                err += (e_i / sc) ** 2
+            err = math.sqrt(err / 3.0)
+            if err <= 1.0:
+                t = t_next if hits_boundary else t + h_try
+                y = y_new
+                k1 = k7
+                stats["taken"] += 1
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            else:
+                stats["rejected"] += 1
+                factor = max(0.2, 0.9 * err**-0.2)
+            h = h_try * factor
+            if h < config.min_step:
+                return result("underflow")
+            if stats["taken"] + stats["rejected"] > config.max_steps:
+                return result("budget")
+        record(t_next, y)
+    return result()
+
+
+def run(params, initial, config):
+    """The Outcome of integrate; error is the IntegrationError's message, if any."""
+    try:
+        traj, error = integrate(params, initial, config), None
+    except IntegrationError as exc:
+        traj, error = exc.trajectory, str(exc)
+    return Outcome(
+        traj.times,
+        traj.states,
+        traj.steps_taken,
+        traj.steps_rejected,
+        traj.benign_dips,
+        traj.violation_log,
+        error,
+    )
+
+
+def assert_same_samples(got, want):
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.benign_dips == want.benign_dips
+    assert got.violation_log == want.violation_log
+
+
+def assert_identical(got, want):
+    assert_same_samples(got, want)
+    assert (got.steps_taken, got.steps_rejected) == (want.steps_taken, want.steps_rejected)
+    assert (got.error is None) == (want.error is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    u_c=st.floats(0.0, 1.0),
+    method=st.sampled_from([RK45_ADAPTIVE, RK4_FIXED]),
+    dense=st.booleans(),
+)
+def test_scalar_loops_equal_the_reference(seed, u_c, method, dense):
+    params = dataclasses.replace(draw_params(np.random.default_rng(seed)), c=0.8 * (22.0 / 0.8) ** u_c)
+    t_end = 100.0
+    config = IntegratorConfig(method=method, t_end=t_end, sample_every=1.0 if dense else t_end, step=0.05)
+    assert_identical(run(params, START, config), reference_integrate(params, START, config))
+
+
+@pytest.mark.parametrize("params, c", [(SCENARIO_S1, None), (SCENARIO_S2, 0.8), (SCENARIO_S2, 22.0)])
+@pytest.mark.parametrize("every", [1.0, 1000.0])
+def test_long_runs_equal_the_reference(params, c, every):
+    if c is not None:
+        params = dataclasses.replace(params, c=c)
+    config = IntegratorConfig(t_end=1000.0, sample_every=every)
+    got = run(params, START, config)
+    assert got.error is None
+    assert_identical(got, reference_integrate(params, START, config))
+
+
+def test_exhausted_budget_attaches_the_reference_partial_trajectory():
+    config = IntegratorConfig(t_end=100.0, max_steps=60)
+    got = run(SCENARIO_S2, START, config)
+    want = reference_integrate(SCENARIO_S2, START, config)
+    assert got.error.startswith("step budget 60 exhausted") and want.error == "budget"
+    assert_identical(got, want)
+    assert len(got.times) > 1
+
+
+def test_rk4_budget_fails_before_the_interval_with_the_reference_samples():
+    # RK4 checks the budget before stepping through a sample interval, so it
+    # stops short of the reference's count but keeps the same samples.
+    config = IntegratorConfig(method=RK4_FIXED, t_end=10.0, step=0.01, max_steps=450)
+    got = run(SCENARIO_S2, START, config)
+    want = reference_integrate(SCENARIO_S2, START, config)
+    assert got.error.startswith("step budget 450 exhausted") and want.error == "budget"
+    assert_same_samples(got, want)
+    assert len(got.times) == 5
+    assert got.steps_taken == 400 and want.steps_taken == 451

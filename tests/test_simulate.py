@@ -1,6 +1,8 @@
 """Time integration, invariant monitoring, and convergence checks."""
 
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hcvdyn import (
     integrate,
     uninfected_equilibrium,
 )
+from hcvdyn.cli import main
 
 START = State(1e3, 2.0, 1.0)
 
@@ -194,3 +197,48 @@ def test_rk4_substep_count_honours_step():
     )
     # ceil(1.0 / 0.3) = 4 substeps per unit sample interval.
     assert traj.steps_taken == 8
+
+
+def test_zero_abs_tol_keeps_the_infection_free_plane():
+    # With abs_tol = 0 the I and V error scales are 0 on the I = V = 0 plane;
+    # their error estimates are 0 too, so they add nothing to the norm.
+    config = IntegratorConfig(t_end=1000.0, abs_tol=0.0)
+    traj = integrate(SCENARIO_S2, State(1e3, 0.0, 0.0), config)
+    assert not traj.states[:, 1:].any()
+    T0 = uninfected_equilibrium(SCENARIO_S2).state.T
+    assert traj.final_state.T == pytest.approx(T0, rel=1e-9)
+
+
+def test_overflowing_error_norm_rejects_until_the_step_underflows():
+    # (e / sc) ** 2 leaves the float range when sc is about 1e-300.
+    config = IntegratorConfig(t_end=10.0, abs_tol=0.0, rel_tol=1e-300)
+    with pytest.raises(IntegrationError, match="step size underflow") as info:
+        integrate(SCENARIO_S1, START, config)
+    partial = info.value.trajectory
+    assert partial.times.tolist() == [0.0]
+    assert partial.steps_taken == 0 and partial.steps_rejected > 0
+
+
+@pytest.mark.parametrize("step", [1e-320, 1e-9])
+def test_rk4_step_beyond_the_budget_fails_at_once(step):
+    # 1 / 1e-320 substeps overflow; 1e-9 asks for 1e12 over 1000 d.
+    config = IntegratorConfig(method=RK4_FIXED, t_end=1000.0, step=step)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="step budget 50000000 exhausted at t = 0.0"):
+        integrate(SCENARIO_S2, START, config)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["s1"], "1cf91f32b74263b3c3d585467d673fd27a7c4a7cd344b0d29db24e46650ccf36"),
+    (["s2"], "2c810d8409fa30f943868e1faf0cefbaf4ffee0b0704e0d313021a5c7eeae0e8"),
+    (["s1", "--method", "rk4", "--t-end", "50"],
+     "0e96e6d19a99df21ae55a8b82026cc8b4b45203cb1ac36361f82777b63b95f37"),
+    (["s2", "--method", "rk4", "--t-end", "50"],
+     "b8fe3332d8ec548228e9d3d805011c7a42d2bc7cc3e30b67781f16e54e335bd3"),
+], ids=["s1", "s2", "s1-rk4", "s2-rk4"])
+def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    # SHA-256 of the CSV before the stepping loops moved to scalar locals.
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
