@@ -21,6 +21,7 @@ Exit statuses are a stable contract:
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from pathlib import Path
 from typing import IO, NoReturn
@@ -161,6 +162,13 @@ def _analysis_pairs(scenario: Scenario, machine: bool) -> list[tuple[str, object
         ]
     flags = report.consistency_flags
     pairs.append(("consistency_flags", "; ".join(flags) if flags else "none"))
+    # A value beyond the float range is an error, not a result to print.
+    eigenvalues = [("e0_eigenvalues", z) for z in report.e0.eigenvalues]
+    if report.estar_present:
+        eigenvalues += [("estar_eigenvalues", z) for z in report.estar_local.eigenvalues]
+    for key, value in pairs + eigenvalues:
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise DomainError(f"{key} is not finite: {_fmt(value)}")
     return pairs
 
 

@@ -294,6 +294,8 @@ def existence_regime(
     T0 = e0.state.T
     cons = derive_constants(params)
     R0 = r0_from_T0(params, T0)
+    if not math.isfinite(R0):
+        raise DomainError(f"reproduction number is not finite: {R0!r}")
     exists = report.regime == REGIME_UNIQUE
 
     criteria = {

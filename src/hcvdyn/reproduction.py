@@ -101,16 +101,20 @@ def _next_generation(
             [-(1.0 - params.epsilon) * params.p / (params.c * delta), -1.0 / params.c],
         ]
     )
-    K = -DF @ DV_inv
-
-    trace = K[0, 0] + K[1, 1]
-    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
-    disc = trace * trace - 4.0 * det
+    # Overflow and NaN here end in the finiteness check on rho below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = -DF @ DV_inv
+        trace = K[0, 0] + K[1, 1]
+        det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+        disc = trace * trace - 4.0 * det
     if disc >= 0.0:
         sq = math.sqrt(disc)
         rho = max(abs(0.5 * (trace + sq)), abs(0.5 * (trace - sq)))
     else:
         rho = math.hypot(0.5 * trace, 0.5 * math.sqrt(-disc))
+    # A NaN would also slip past the cross-check below.
+    if not math.isfinite(rho):
+        raise DomainError(f"next-generation spectral radius is not finite: {float(rho)!r}")
 
     if DF[0, 0] >= 0.0 and DF[0, 1] >= 0.0:
         closed = r0_from_T0(params, T0)

@@ -75,8 +75,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in (RK4_FIXED, RK45_ADAPTIVE):
             raise ParameterError(f"unknown integration method {self.method!r}")
-        if not self.t_end >= 0:
-            raise ParameterError(f"t_end must be nonnegative, got {self.t_end!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ParameterError(f"t_end must be finite and nonnegative, got {self.t_end!r}")
         if not self.sample_every > 0:
             raise ParameterError(f"sample_every must be positive, got {self.sample_every!r}")
         if not self.step > 0:
@@ -212,6 +212,13 @@ class _Monitor:
                 )
 
 
+# Sample intervals above which a run that cannot finish is refused before
+# its sample list is built (see integrate).  Below it, such a run still
+# steps out its budget and returns its partial trajectory; above it, the
+# list alone would take tens of megabytes or, for t_end = 1e15, all memory.
+_SAMPLE_LIST_LIMIT = 1 << 20
+
+
 def _sample_times(config: IntegratorConfig) -> list[float]:
     times = [0.0]
     k = 1
@@ -267,6 +274,11 @@ def integrate(
     and admissible, also with abs_tol = 0).  On step underflow, budget
     exhaustion (checked by RK4 before each sample interval), or a non-finite
     state, raises IntegrationError with the partial trajectory attached.
+    Each sample interval takes at least one step, so a run with more sample
+    intervals (t_end / sample_every) than max_steps cannot finish.  It
+    still steps out its budget, unless it also has more than 2**20
+    intervals: then it raises before the first step, without building its
+    list of sample times.
     """
     config = config or IntegratorConfig()
     if not initial.nonnegative:
@@ -280,7 +292,7 @@ def integrate(
         slack=tolerances.bound_slack,
     )
     f = field_function(params)
-    sample_times = _sample_times(config)
+    sample_times = [0.0]
     samples: list[tuple[float, float, float]] = []
 
     def record(t: float, y: tuple[float, float, float]) -> None:
@@ -305,6 +317,11 @@ def integrate(
 
     T, I, V = initial.T, initial.I, initial.V
     record(0.0, (T, I, V))
+    intervals = config.t_end / config.sample_every
+    if intervals > max(config.max_steps, _SAMPLE_LIST_LIMIT):
+        raise fail(f"step budget {config.max_steps} exhausted at t = 0.0: "
+                   f"{intervals!r} sample intervals up to t = {config.t_end!r}", 0)
+    sample_times = _sample_times(config)
     t = 0.0
     taken = rejected = 0
     if config.method == RK4_FIXED:

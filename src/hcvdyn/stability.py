@@ -206,6 +206,8 @@ def _uninfected_local(params: ModelParameters, T0: float, tolerances: Tolerances
     disc = trace2 * trace2 - 4.0 * det2
     sq = cmath.sqrt(disc)
     eigs = (complex(lam1), 0.5 * (trace2 + sq), 0.5 * (trace2 - sq))
+    if not all(cmath.isfinite(z) for z in eigs):
+        raise DomainError(f"E0 eigenvalues are not finite: {eigs!r}")
     classification = _classify(
         negatives=(lam1, trace2), positives=(det2,), band=tolerances.marginal_band
     )
@@ -217,9 +219,12 @@ def _check_jacobian_agreement(
 ) -> None:
     # Entries that are pure cancellation (both routes far below the matrix
     # scale) are compared against that scale instead of their own magnitude.
+    # A non-finite entry gives a NaN here, which the caller's finiteness
+    # checks report.
     scale = np.max(np.abs(general))
     denom = np.maximum(np.abs(general), 1e-6 * scale)
-    rel = np.max(np.abs(closed - general) / denom)
+    with np.errstate(invalid="ignore"):
+        rel = np.max(np.abs(closed - general) / denom)
     if rel > tolerances.jacobian_agreement:
         raise IntegrityError(
             f"specialised J({label}) deviates from the general Jacobian by "
@@ -492,7 +497,8 @@ def lyapunov_uninfected(
     is evaluated twice, as gradient-dot-field and as the collected algebraic
     form; the two must agree to the lyapunov_agreement tolerance.  Returns
     (L, dL/dt) with the gradient route as the reported value.  A value
-    beyond the float range raises DomainError.
+    beyond the float range, or a state so small that T/T0 or T*T0
+    underflows to 0, raises DomainError.
     """
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
@@ -501,6 +507,9 @@ def lyapunov_uninfected(
     T0 = e0.T
     if T0 <= 0:
         raise DomainError("Lyapunov function is undefined for T0 = 0")
+    # ln(T/T0) and the collected route's s/(T T0) need both to stay nonzero.
+    if T / T0 == 0.0 or T * T0 == 0.0:
+        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
     L = T - T0 - T0 * math.log(T / T0) + I + _lyapunov_weight(params, "E0", e0) * V
     grad_route, term_scale = _lyapunov_rate(params, "E0", e0, T, I, V)
 
@@ -542,7 +551,8 @@ def lyapunov_infected(
     (Korobeinikov 2004, Bull. Math. Biol. 66:879-883).  Only the
     gradient-dot-field derivative is evaluated; there is no trustworthy
     independent collected form for this function.  A value beyond the float
-    range raises DomainError.
+    range, or a state so small that a ratio to E* underflows to 0, raises
+    DomainError.
     """
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
@@ -550,6 +560,8 @@ def lyapunov_infected(
     st = _as_state(estar)
     if st.I <= 0 or st.T <= 0 or st.V <= 0:
         raise DomainError("infected-equilibrium Lyapunov function needs positive (T*, I*, V*)")
+    if 0.0 in (T / st.T, I / st.I, V / st.V):
+        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
     w = _lyapunov_weight(params, "Estar", st)
     L = (
         T - st.T - st.T * math.log(T / st.T)
@@ -595,6 +607,12 @@ def certify_global(
     grid under failed preconditions is an advisory result, and violations
     under met preconditions would contradict the theorem.  A grid on which
     a term of the derivative leaves the float range raises DomainError.
+
+    The grid is evaluated in blocks of whole T-slices, so working memory is
+    bounded by one block (about 2**14 points, or one N**2 slice once that
+    is larger) plus the violations found.  Each block masks its (T, I)
+    pairs and evaluates them against the V axis by broadcasting: terms of T
+    and I alone are computed once per pair, not once per grid point.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -652,24 +670,21 @@ def certify_global(
     kept = []
     for start in range(0, grid_points, rows):
         if grid_points == 1:
-            T, I, V = (np.array([x]) for x in anchor)
+            T, I, V = np.array([[anchor.T]]), np.array([[anchor.I]]), np.array([anchor.V])
         else:
-            T, I, V = (
-                g.ravel()
-                for g in np.meshgrid(axis_T[start : start + rows], axis_I, axis_V, indexing="ij")
-            )
+            T, I = np.meshgrid(axis_T[start : start + rows], axis_I, indexing="ij")
             keep = T + I <= bound_TI * (1.0 + 1e-12)
-            T, I, V = T[keep], I[keep], V[keep]
+            T, I, V = T[keep][:, None], I[keep][:, None], axis_V
         with np.errstate(over="ignore", invalid="ignore"):
             dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
-        points += T.size
+        points += dLdt.size
         peak = np.maximum(peak, np.max(dLdt, initial=-math.inf))
         scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
         if not np.isfinite(scale_peak):
             raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
         tolerance = margin * max(1.0, float(scale_peak))
-        hit = dLdt > tolerance
-        kept.append((T[hit], I[hit], V[hit], dLdt[hit]))
+        pair, v = np.nonzero(dLdt > tolerance)
+        kept.append((T[pair, 0], I[pair, 0], V[v], dLdt[pair, v]))
     violations = []
     for T, I, V, dLdt in kept:
         hit = dLdt > tolerance

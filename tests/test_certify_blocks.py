@@ -6,6 +6,7 @@ evaluation must give the same report bit for bit: points sampled, worst
 margin, tolerance, and the violations with their order.
 """
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -29,6 +30,7 @@ from hcvdyn import (
     uninfected_equilibrium,
 )
 from hcvdyn import model, stability
+from hcvdyn.cli import main
 from hcvdyn.equilibria import REGIME_UNIQUE
 from hcvdyn.model import PLAUSIBLE_RANGES, _field
 from hcvdyn.stability import CertificateReport, _grid_axis
@@ -239,3 +241,34 @@ def test_certificate_memory_is_bounded_by_a_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# (scenario, target, grid) -> (exit code, SHA-256 of stdout) of hcvdyn certify,
+# recorded before each block evaluated its (T, I) pairs against the V axis
+# by broadcasting.  --machine does not change the output.
+CLI_PINS = {
+    ("s1", "e0", 1): (3, "c422af4dd979fe169a2d9e9c8dfa3b5b4f2b54530707a3b363caf77cbc321b63"),
+    ("s1", "e0", 2): (3, "83a03cac10d085eaae20621509f9bd59e74d1773799439a80b3bb3d1e3ea5f60"),
+    ("s1", "e0", 40): (3, "82d841508e2bc9215175b724418fd7925216caea3e24ed9b5568106d5670d1a6"),
+    ("s1", "e0", 129): (3, "cc0fdb6e6a2ba79545b520e30898a838b5ff014507a013d4dda7dd991ac05969"),
+    ("s1", "estar", 1): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s1", "estar", 2): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s1", "estar", 40): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s1", "estar", 129): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("s2", "e0", 1): (3, "153a49ef681bae988ad904c01765c749d3b76c1e10f378ab433fc9517b47fdc6"),
+    ("s2", "e0", 2): (3, "4ac21c4831bec4def05c7ae48cc823714a1dbf6cc92f8a621ebf479b0174ae36"),
+    ("s2", "e0", 40): (2, "6c1747b85c94c8809f5117152e19b2f6f889ea40d562aaca63b35798351b57cf"),
+    ("s2", "e0", 129): (2, "6b9912ebdee77fe61e901e7189d8a7d3c40c3784fc733e25529ffdb18aaf1392"),
+    ("s2", "estar", 1): (3, "9f91987e02c80d7556af60e9dfc347dcb3c68a3a04dcac59c498b6fed5e371d6"),
+    ("s2", "estar", 2): (3, "eb52e6b522d9d594eeca6a81237b8d4a356a85b7a7b1424391d7af2bda4f136a"),
+    ("s2", "estar", 40): (3, "5750e19c9631fe3f4cfb9aab4b304a8d1eeb0231996234f46560d8cc3b63658e"),
+    ("s2", "estar", 129): (3, "d1cb1439f2c2dfdda116a64dc0da9b785b9fc147ad5ed8da6ff2876f2f678fa5"),
+}
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["plain", "machine"])
+@pytest.mark.parametrize("scenario, target, grid", list(CLI_PINS))
+def test_certify_cli_output_is_pinned(capsys, scenario, target, grid, machine):
+    code = main(["certify", scenario, "--target", target, "--grid", str(grid), *machine])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_PINS[scenario, target, grid]

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, file emission, exit-status contract."""
 
 import re
+import time
 
 import pytest
 
@@ -167,6 +168,24 @@ def test_simulate_integration_failures_exit_4(tmp_path, capsys, updates, message
     assert target.read_text().splitlines() == ["t,T,I,V", "0.0,1000.0,2.0,1.0"]
 
 
+@pytest.mark.parametrize("argv, updates, code, message", [
+    (["--t-end", "inf"], {}, 1, "t_end must be finite"),
+    ([], {"t_end": "1e15"}, 4, "step budget 50000000 exhausted at t = 0.0"),
+], ids=["t-end-inf", "t-end-1e15"])
+def test_unreachable_horizon_exits_at_once(tmp_path, capsys, argv, updates, code, message):
+    # Both used to build a sample list until memory ran out.
+    scn = tmp_path / "far.scn"
+    scn.write_text(_s2_with(**updates))
+    target = tmp_path / "far.csv"
+    start = time.perf_counter()
+    assert main(["simulate", str(scn), "--out", str(target), *argv]) == code
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_certify_advisory_exit(capsys):
     assert main(["certify", "s1"]) == 3
     out = capsys.readouterr().out
@@ -263,6 +282,12 @@ S1 = S1_Q0_LOW_BETA.replace("beta = 1e-9", "beta = 1e-7").replace("q = 0.0", "q 
     # r_I r_T H underflows to 0 although H does not.
     (["analyze"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
     (["certify", "--target", "estar"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
+    # This used to exit 0 printing r0_spectral = nan and E0 eigenvalues inf+nanj.
+    (["analyze", "--machine"], {
+        "s": "4.0e75", "r_T": "0.1416", "r_I": "1.0", "d_T": "2.6e-241", "d_I": "3.5e192",
+        "T_max": "1.0", "beta": "0.0", "p": "0.0", "c": "5e-324", "q": "0.0", "eta": "0.0",
+        "epsilon": "0.0",
+    }),
 ])
 def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command, updates):
     text = S1

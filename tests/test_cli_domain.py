@@ -1,5 +1,6 @@
 """Every CLI command over the whole parameter domain exits with a documented
-code and raises nothing.
+code and raises nothing, and an analyze that exits 0 prints only finite
+values.
 
 Scenario files are drawn far outside the plausible ranges: each rate is
 log-uniform over [1e-300, 1e300], or exactly 0 where the model allows it,
@@ -10,6 +11,7 @@ the fastest rate.
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from hcvdyn.formats import Scenario, render_scenario
 RATES = ("s", "r_T", "r_I", "d_T", "d_I", "T_max", "beta", "p", "c", "q")
 # ModelParameters requires these to be positive; every other rate may be 0.
 POSITIVE = ("T_max", "c")
+# A printed value beyond the float range: repr's nan, inf or -inf.
+NON_FINITE = re.compile(r"\b(nan|inf)\b")
 
 COMMANDS = (
     ["validate"],
@@ -57,3 +61,5 @@ def test_every_command_exits_with_a_documented_code(scenario):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command[0], str(path), *command[1:]])
             assert code in range(5), (command, code)
+            if command == ["analyze"] and code == 0:
+                assert not NON_FINITE.search(out.getvalue()), out.getvalue()

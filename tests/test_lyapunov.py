@@ -213,3 +213,29 @@ def test_lyapunov_rejects_non_finite_states(bad):
             lyapunov_uninfected(SCENARIO_S1, state)
         with pytest.raises(DomainError):
             lyapunov_infected(SCENARIO_S2, state, estar)
+
+
+def test_uninfected_lyapunov_where_t_over_t0_underflows_raises():
+    # ln(T / T0) used to raise ValueError: T / T0 rounds to 0.
+    with pytest.raises(DomainError, match="underflows"):
+        lyapunov_uninfected(SCENARIO_S1, (5e-324, 1.0, 1.0))
+
+
+def test_uninfected_lyapunov_where_t_times_t0_underflows_raises():
+    # T / T0 stays positive, but the collected route's s / (T T0) used to
+    # raise ZeroDivisionError.
+    params = replace(SCENARIO_S1, s=1e-3, r_T=1.0, d_T=0.999, T_max=1e-300)
+    T0 = uninfected_equilibrium(params).state.T
+    assert 5e-324 / T0 > 0.0 and 5e-324 * T0 == 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        lyapunov_uninfected(params, (5e-324, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("component", [0, 1, 2], ids=["T", "I", "V"])
+def test_infected_lyapunov_where_a_ratio_to_estar_underflows_raises(component):
+    # ln(x / x*) used to raise ValueError: x / x* rounds to 0.
+    estar = infected_equilibrium(SCENARIO_S2).candidates[0]
+    state = list(estar.state)
+    state[component] = 5e-324
+    with pytest.raises(DomainError, match="underflows"):
+        lyapunov_infected(SCENARIO_S2, tuple(state), estar)

@@ -11,6 +11,8 @@ from hcvdyn import (
     SCENARIO_S1,
     SCENARIO_S2,
     DomainError,
+    ModelParameters,
+    existence_regime,
     r0,
     r0_from_T0,
     r0_spectral,
@@ -72,3 +74,24 @@ def test_underflowing_c_delta_raises_domain_error(route):
     # c (d_I + q) = 5e-324 * 0.1 rounds to 0, and both routes divide by it.
     with pytest.raises(DomainError, match="c \\(d_I \\+ q\\)"):
         route(replace(SCENARIO_S1, c=5e-324, q=0.0))
+
+
+def test_non_finite_r0_raises_domain_error():
+    # r0's proliferation term overflows to -inf.  analyze used to print it.
+    params = ModelParameters(
+        s=2.5e221, r_T=2.5e-169, r_I=7.4e-50, d_T=0.0, d_I=8.8e-161, T_max=4.3e-108,
+        beta=2.3e-177, p=1.2e-121, c=3.7e-115, q=0.0, eta=0.0, epsilon=0.0,
+    )
+    with pytest.raises(DomainError, match="reproduction number is not finite: -inf"):
+        existence_regime(params)
+
+
+def test_non_finite_spectral_radius_raises_domain_error():
+    # 1/c overflows, and 0 * inf makes the next-generation matrix NaN, which
+    # used to pass the cross-check against the closed form.
+    params = ModelParameters(
+        s=5e-324, r_T=2.7e-62, r_I=2.8e104, d_T=9e-44, d_I=4.9e-92, T_max=9.8e-05,
+        beta=0.0, p=5e-324, c=5e-324, q=7e46, eta=0.0, epsilon=0.0,
+    )
+    with pytest.raises(DomainError, match="spectral radius is not finite: nan"):
+        r0_spectral(params)

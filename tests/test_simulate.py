@@ -37,6 +37,10 @@ def test_config_validation():
         IntegratorConfig(method="euler")
     with pytest.raises(ParameterError):
         IntegratorConfig(t_end=-1.0)
+    # An infinite horizon used to build its sample list until memory ran out.
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            IntegratorConfig(t_end=t_end)
     with pytest.raises(ParameterError):
         IntegratorConfig(sample_every=0.0)
     with pytest.raises(ParameterError):
@@ -227,6 +231,27 @@ def test_rk4_step_beyond_the_budget_fails_at_once(step):
     with pytest.raises(IntegrationError, match="step budget 50000000 exhausted at t = 0.0"):
         integrate(SCENARIO_S2, START, config)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("t_end, max_steps", [(1e15, 50_000_000), (2.0**20 + 1.0, 1000)])
+def test_many_more_sample_intervals_than_steps_fail_before_the_run(t_end, max_steps):
+    # Each sample interval takes at least one step.  1e15 daily samples used
+    # to build a list until memory ran out.
+    config = IntegratorConfig(t_end=t_end, max_steps=max_steps)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="exhausted at t = 0.0: .* sample intervals") as info:
+        integrate(SCENARIO_S1, START, config)
+    assert time.perf_counter() - start < 0.5
+    partial = info.value.trajectory
+    assert partial.times.tolist() == [0.0] and partial.steps_taken == 0
+
+
+def test_few_more_sample_intervals_than_steps_step_out_the_budget():
+    config = IntegratorConfig(t_end=2.0**20, max_steps=1000)
+    with pytest.raises(IntegrationError, match="step budget 1000 exhausted") as info:
+        integrate(SCENARIO_S1, START, config)
+    assert "sample intervals" not in str(info.value)
+    assert info.value.trajectory.times[-1] > 0.0
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -211,3 +211,13 @@ def test_stability_report_assembles_everything():
     assert subcritical.coefficients is None
     assert subcritical.e0.classification == STABLE
     assert subcritical.consistency_flags == ()
+
+
+def test_non_finite_e0_eigenvalues_raise_domain_error():
+    # The infected block's discriminant overflows, so its eigenvalues are NaN.
+    params = ModelParameters(
+        s=5.6e-21, r_T=3.5e-89, r_I=6.6e142, d_T=2.2e-264, d_I=9.6e277, T_max=6.1e-27,
+        beta=1e-108, p=4e-113, c=2.4e57, q=2e-74, eta=0.0, epsilon=0.0,
+    )
+    with pytest.raises(DomainError, match="E0 eigenvalues are not finite"):
+        uninfected_local(params)
