@@ -22,7 +22,7 @@ from .model import (
     positive_logistic_root,
     residual_norm,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "EquilibriumPoint",
@@ -85,9 +85,7 @@ class ExistenceReport:
     existence_regime."""
 
 
-def uninfected_equilibrium(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> EquilibriumPoint:
+def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     """Infection-free steady state (T0, 0, 0).
 
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
@@ -105,10 +103,10 @@ def uninfected_equilibrium(
         raise DomainError("no uninfected steady state: r_T = 0, d_T = 0 and s > 0")
     point = EquilibriumPoint(kind="uninfected", state=State(T0, 0.0, 0.0),
                              residual_norm=residual_norm(params, (T0, 0.0, 0.0)))
-    if point.residual_norm > tolerances.uninfected_residual:
+    if point.residual_norm > DEFAULT_TOLERANCES.uninfected_residual:
         raise IntegrityError(
             f"uninfected equilibrium residual {point.residual_norm!r} exceeds "
-            f"{tolerances.uninfected_residual!r}"
+            f"{DEFAULT_TOLERANCES.uninfected_residual!r}"
         )
     return point
 
@@ -183,9 +181,7 @@ def _radical(params, cons):
     return ratio, ratio * ratio + cons.F + 4.0 * params.s * params.T_max / (params.r_T * cons.H)
 
 
-def infected_equilibrium(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> ExistenceReport:
+def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     """Locate and verify infected steady states.
 
     Roots of the elimination quadratic are kept only inside (0, T_max],
@@ -222,7 +218,7 @@ def infected_equilibrium(
             continue
         state = State(T, I, V)
         res = residual_norm(params, state)
-        if res > tolerances.equilibrium_residual:
+        if res > DEFAULT_TOLERANCES.equilibrium_residual:
             rejected.append(T)
             continue
         candidates.append(EquilibriumPoint(kind="infected", state=state, residual_norm=res))
@@ -258,7 +254,7 @@ def infected_equilibrium(
             # branch, -D/H - closed_T; ties keep the +sqrt branch.
             closed_T = min(closed_T, -cons.D / cons.H - closed_T, key=lambda x: abs(x - T_star))
             closed_diff = abs(closed_T - T_star) / max(abs(T_star), 1e-300)
-            if closed_diff > tolerances.t_star_radical:
+            if closed_diff > DEFAULT_TOLERANCES.t_star_radical:
                 raise IntegrityError(
                     f"radical T* {closed_T!r} deviates from quadratic root "
                     f"{T_star!r} by relative {closed_diff!r}"
@@ -275,27 +271,29 @@ def infected_equilibrium(
     )
 
 
-def existence_regime(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> ExistenceReport:
+def existence_regime(params: ModelParameters) -> ExistenceReport:
     """Existence analysis annotated with every published criterion verdict.
 
     Each criterion is evaluated as stated by its source, without checking
     the source's own standing assumptions, and compared against the verified
     root count; contradictions are listed in disagreements rather than
     raised, because reproducing them is part of this package's contract.
-    E0 is computed once, with the caller's tolerances, and returned in
-    e0_point.
+    E0 is computed once and returned in e0_point.  Raises DomainError when
+    r0, existence_condition, threshold_T or the radical route is not finite.
     """
     from .reproduction import r0_from_T0
 
-    report = infected_equilibrium(params, tolerances)
-    e0 = uninfected_equilibrium(params, tolerances)
+    report = infected_equilibrium(params)
+    e0 = uninfected_equilibrium(params)
     T0 = e0.state.T
     cons = derive_constants(params)
     R0 = r0_from_T0(params, T0)
     if not math.isfinite(R0):
         raise DomainError(f"reproduction number is not finite: {R0!r}")
+    for name in ("existence_condition", "threshold_T", "closed_form_T", "closed_form_rel_diff"):
+        value = getattr(report, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} is not finite: {value!r}")
     exists = report.regime == REGIME_UNIQUE
 
     criteria = {

@@ -396,10 +396,11 @@ def residual_norm(params: ModelParameters, state: State | np.ndarray) -> float:
 
     Each component of f is scaled by the sum of the magnitudes of the terms
     entering it, so the norm measures cancellation quality rather than raw
-    size.  A component whose terms are all zero contributes zero.
+    size.  A component whose terms are all zero contributes zero.  It runs
+    on Python floats, so an overflowing term gives no numpy warning.
     """
     T, I, V = (float(x) for x in state)
-    f = vector_field(params, (T, I, V))
+    f = vector_field(params, (T, I, V)).tolist()
     worst = 0.0
     for value, scale in zip(f, _term_scales(params, T, I, V)):
         if scale > 0.0:

@@ -21,7 +21,7 @@ import numpy as np
 from .equilibria import uninfected_equilibrium
 from .errors import DomainError, IntegrityError
 from .model import ModelParameters
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = ["NextGenDecomposition", "r0_from_T0", "r0", "r0_spectral"]
 
@@ -66,9 +66,7 @@ def r0(params: ModelParameters) -> float:
     return r0_from_T0(params, uninfected_equilibrium(params).state.T)
 
 
-def r0_spectral(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> NextGenDecomposition:
+def r0_spectral(params: ModelParameters) -> NextGenDecomposition:
     """Next-generation decomposition with its spectral radius.
 
     The 2x2 eigenvalues come from the closed characteristic quadratic, not an
@@ -76,13 +74,11 @@ def r0_spectral(
     splitting (DF entrywise nonnegative), rho is checked against the closed
     form r0(params); a disagreement beyond tolerance raises IntegrityError.
     """
-    T0 = uninfected_equilibrium(params, tolerances).state.T
-    return _next_generation(params, T0, tolerances)
+    T0 = uninfected_equilibrium(params).state.T
+    return _next_generation(params, T0)
 
 
-def _next_generation(
-    params: ModelParameters, T0: float, tolerances: Tolerances
-) -> NextGenDecomposition:
+def _next_generation(params: ModelParameters, T0: float) -> NextGenDecomposition:
     """r0_spectral at a given infection-free level T0."""
     delta = params.d_I + params.q
     if params.c * delta == 0:
@@ -118,7 +114,7 @@ def _next_generation(
 
     if DF[0, 0] >= 0.0 and DF[0, 1] >= 0.0:
         closed = r0_from_T0(params, T0)
-        if abs(closed - rho) > tolerances.r0_agreement * max(1.0, abs(closed)):
+        if abs(closed - rho) > DEFAULT_TOLERANCES.r0_agreement * max(1.0, abs(closed)):
             raise IntegrityError(
                 f"spectral radius {rho!r} disagrees with closed-form r0 {closed!r}"
             )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, ParameterError
 from .model import ModelParameters, State, field_function, positive_logistic_root
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "IntegratorConfig",
@@ -261,12 +261,7 @@ def _error_norm(*terms: tuple[float, float]) -> float:
     return math.sqrt(total / 3.0)
 
 
-def integrate(
-    params: ModelParameters,
-    initial: State,
-    config: IntegratorConfig | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> Trajectory:
+def integrate(params: ModelParameters, initial: State, config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the model and monitor invariants at every sample.
 
     The initial state must be componentwise nonnegative (positivity of the
@@ -289,7 +284,7 @@ def integrate(
         bounds,
         check_bounds=bounds.applicable and inside,
         dip_tol=config.abs_tol,
-        slack=tolerances.bound_slack,
+        slack=DEFAULT_TOLERANCES.bound_slack,
     )
     f = field_function(params)
     sample_times = [0.0]
@@ -404,10 +399,7 @@ def integrate(
 
 
 def check_invariants(
-    trajectory: Trajectory,
-    bounds: Bounds | None = None,
-    dip_tol: float = 1e-10,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    trajectory: Trajectory, bounds: Bounds | None = None, dip_tol: float = 1e-10
 ) -> InvariantSummary:
     """Re-scan a trajectory's samples against the invariant checks.
 
@@ -421,7 +413,7 @@ def check_invariants(
         bounds,
         check_bounds=bounds.applicable and _inside_omega(first, bounds),
         dip_tol=dip_tol,
-        slack=tolerances.bound_slack,
+        slack=DEFAULT_TOLERANCES.bound_slack,
     )
     for t, row in zip(trajectory.times, trajectory.states):
         monitor.observe(float(t), (float(row[0]), float(row[1]), float(row[2])))
@@ -439,12 +431,12 @@ def check_invariants(
 
 
 def convergence_report(
-    params: ModelParameters,
-    trajectory: Trajectory,
-    rel_tol: float | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    params: ModelParameters, trajectory: Trajectory, rel_tol: float | None = None
 ) -> ConvergenceReport:
     """Distance of the final sample from the attractor predicted by R0.
+
+    A run whose first sample has I = V = 0 stays on that invariant plane, so
+    it is compared with the uninfected equilibrium whatever R0 is.
 
     For the uninfected equilibrium, T is compared relative to T0 while I and
     V are compared against 1e-3 rel_tol T0 (they vanish at the attractor, so
@@ -454,11 +446,12 @@ def convergence_report(
     from .equilibria import REGIME_UNIQUE, infected_equilibrium, uninfected_equilibrium
     from .reproduction import r0_from_T0
 
-    e0 = uninfected_equilibrium(params, tolerances).state
+    e0 = uninfected_equilibrium(params).state
     R0 = r0_from_T0(params, e0.T)
     final = trajectory.final_state
-    if R0 > 1.0:
-        report = infected_equilibrium(params, tolerances)
+    _, I0, V0 = trajectory.states[0]
+    if R0 > 1.0 and (I0 != 0.0 or V0 != 0.0):
+        report = infected_equilibrium(params)
         if report.regime == REGIME_UNIQUE:
             ref = report.candidates[0].state
             tol = 1e-2 if rel_tol is None else rel_tol

@@ -34,7 +34,7 @@ from .model import (
     jacobian,
 )
 from .reproduction import _next_generation, r0_from_T0
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
     "LocalReport",
@@ -167,9 +167,7 @@ def _classify(negatives: tuple[float, ...], positives: tuple[float, ...], band: 
     return STABLE
 
 
-def uninfected_local(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> LocalReport:
+def uninfected_local(params: ModelParameters) -> LocalReport:
     """Linearisation at the uninfected equilibrium.
 
     The Jacobian is built from the steady-state identities (entry (1,1) is
@@ -177,11 +175,11 @@ def uninfected_local(
     One eigenvalue is that diagonal entry; the others solve the quadratic of
     the infected 2x2 block, whose determinant equals c delta (1 - R0).
     """
-    T0 = uninfected_equilibrium(params, tolerances).state.T
-    return _uninfected_local(params, T0, tolerances)
+    T0 = uninfected_equilibrium(params).state.T
+    return _uninfected_local(params, T0)
 
 
-def _uninfected_local(params: ModelParameters, T0: float, tolerances: Tolerances) -> LocalReport:
+def _uninfected_local(params: ModelParameters, T0: float) -> LocalReport:
     """uninfected_local at a given infection-free level T0."""
     if T0 <= 0:
         raise DomainError("local analysis requires a positive uninfected level T0")
@@ -198,7 +196,7 @@ def _uninfected_local(params: ModelParameters, T0: float, tolerances: Tolerances
             [0.0, p_eff, -params.c],
         ]
     )
-    _check_jacobian_agreement(J, jacobian(params, (T0, 0.0, 0.0)), tolerances, "E0")
+    _check_jacobian_agreement(J, jacobian(params, (T0, 0.0, 0.0)), "E0")
 
     lam1 = J[0, 0]
     trace2 = block_11 - params.c
@@ -209,14 +207,12 @@ def _uninfected_local(params: ModelParameters, T0: float, tolerances: Tolerances
     if not all(cmath.isfinite(z) for z in eigs):
         raise DomainError(f"E0 eigenvalues are not finite: {eigs!r}")
     classification = _classify(
-        negatives=(lam1, trace2), positives=(det2,), band=tolerances.marginal_band
+        negatives=(lam1, trace2), positives=(det2,), band=DEFAULT_TOLERANCES.marginal_band
     )
     return LocalReport(jacobian=J, eigenvalues=eigs, classification=classification)
 
 
-def _check_jacobian_agreement(
-    closed: np.ndarray, general: np.ndarray, tolerances: Tolerances, label: str
-) -> None:
+def _check_jacobian_agreement(closed: np.ndarray, general: np.ndarray, label: str) -> None:
     # Entries that are pure cancellation (both routes far below the matrix
     # scale) are compared against that scale instead of their own magnitude.
     # A non-finite entry gives a NaN here, which the caller's finiteness
@@ -225,18 +221,14 @@ def _check_jacobian_agreement(
     denom = np.maximum(np.abs(general), 1e-6 * scale)
     with np.errstate(invalid="ignore"):
         rel = np.max(np.abs(closed - general) / denom)
-    if rel > tolerances.jacobian_agreement:
+    if rel > DEFAULT_TOLERANCES.jacobian_agreement:
         raise IntegrityError(
             f"specialised J({label}) deviates from the general Jacobian by "
             f"relative {float(rel)!r}"
         )
 
 
-def infected_jacobian(
-    params: ModelParameters,
-    estar: State | EquilibriumPoint,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def infected_jacobian(params: ModelParameters, estar: State | EquilibriumPoint) -> np.ndarray:
     """Jacobian at the infected equilibrium via the steady-state identities.
 
     Uses the equilibrium relations to eliminate d_T, d_I and beta V* from the
@@ -260,7 +252,7 @@ def infected_jacobian(
             [0.0, p_eff, -params.c],
         ]
     )
-    _check_jacobian_agreement(J, jacobian(params, st), tolerances, "Estar")
+    _check_jacobian_agreement(J, jacobian(params, st), "Estar")
     return J
 
 
@@ -281,9 +273,7 @@ def _principal_minors(J: np.ndarray) -> tuple[float, float, float]:
 
 
 def characteristic_coefficients(
-    params: ModelParameters,
-    estar: State | EquilibriumPoint,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    params: ModelParameters, estar: State | EquilibriumPoint
 ) -> CharacteristicCoefficients:
     """Closed-form characteristic coefficients at the infected equilibrium.
 
@@ -298,13 +288,16 @@ def characteristic_coefficients(
     if not (0.0 < _squared(params.T_max) < math.inf and st.T * params.T_max > 0.0):
         raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
-    m1, m2, m3 = _principal_minors(jacobian(params, st))
-    rel = max(
-        abs(a1 - m1) / max(abs(m1), 1e-300),
-        abs(a2 - m2) / max(abs(m2), 1e-300),
-        abs(a3 - m3) / max(abs(m3), 1e-300),
-    )
-    if rel > tolerances.char_coeff_integrity:
+    # The minors are numpy scalars: overflow here prints no RuntimeWarning,
+    # and the values are the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2, m3 = _principal_minors(jacobian(params, st))
+        rel = max(
+            abs(a1 - m1) / max(abs(m1), 1e-300),
+            abs(a2 - m2) / max(abs(m2), 1e-300),
+            abs(a3 - m3) / max(abs(m3), 1e-300),
+        )
+    if rel > DEFAULT_TOLERANCES.char_coeff_integrity:
         raise IntegrityError(
             f"closed-form characteristic coefficients deviate from the minor "
             f"expansion by relative {float(rel)!r}"
@@ -404,9 +397,7 @@ def cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, comp
     )
 
 
-def routh_hurwitz(
-    a1: float, a2: float, a3: float, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> RouthHurwitzReport:
+def routh_hurwitz(a1: float, a2: float, a3: float) -> RouthHurwitzReport:
     """Routh-Hurwitz verdict for lambda^3 + a1 lambda^2 + a2 lambda + a3.
 
     All roots have negative real parts iff a1 > 0, a3 > 0 and
@@ -416,7 +407,7 @@ def routh_hurwitz(
     where an exact root sits on the imaginary axis.
     """
     delta2 = a1 * a2 - a3
-    band = tolerances.marginal_band
+    band = DEFAULT_TOLERANCES.marginal_band
     margins = (
         (a1, band * max(1.0, abs(a1))),
         (a3, band * max(1.0, abs(a3))),
@@ -433,29 +424,25 @@ def routh_hurwitz(
     return RouthHurwitzReport(a1=a1, a2=a2, a3=a3, delta2=delta2, classification=classification)
 
 
-def infected_local(
-    params: ModelParameters,
-    estar: State | EquilibriumPoint,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> LocalReport:
+def infected_local(params: ModelParameters, estar: State | EquilibriumPoint) -> LocalReport:
     """Linearisation at the infected equilibrium.
 
     Eigenvalues come from the closed cubic solver applied to the verified
     characteristic coefficients; the classification is the Routh-Hurwitz
     verdict on the same coefficients.
     """
-    return _infected_local(params, estar, tolerances)[2]
+    return _infected_local(params, estar)[2]
 
 
 def _infected_local(
-    params: ModelParameters, estar: State | EquilibriumPoint, tolerances: Tolerances
+    params: ModelParameters, estar: State | EquilibriumPoint
 ) -> tuple[CharacteristicCoefficients, RouthHurwitzReport, LocalReport]:
     """infected_local together with the coefficients and verdict behind it."""
-    coeffs = characteristic_coefficients(params, estar, tolerances)
+    coeffs = characteristic_coefficients(params, estar)
     eigs = cubic_roots(coeffs.a1, coeffs.a2, coeffs.a3)
-    verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3, tolerances)
+    verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3)
     local = LocalReport(
-        jacobian=infected_jacobian(params, estar, tolerances),
+        jacobian=infected_jacobian(params, estar),
         eigenvalues=eigs,
         classification=verdict.classification,
     )
@@ -487,9 +474,7 @@ def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V)
 
 
 def lyapunov_uninfected(
-    params: ModelParameters,
-    state: State | tuple[float, float, float],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    params: ModelParameters, state: State | tuple[float, float, float]
 ) -> tuple[float, float]:
     """Lyapunov function for the uninfected equilibrium and its derivative.
 
@@ -503,7 +488,7 @@ def lyapunov_uninfected(
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
         raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
-    e0 = uninfected_equilibrium(params, tolerances).state
+    e0 = uninfected_equilibrium(params).state
     T0 = e0.T
     if T0 <= 0:
         raise DomainError("Lyapunov function is undefined for T0 = 0")
@@ -530,7 +515,7 @@ def lyapunov_uninfected(
     if not all(math.isfinite(x) for x in (L, grad_route, collected)):
         raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
     diff = abs(grad_route - collected)
-    if diff > tolerances.lyapunov_agreement * max(abs(grad_route), abs(collected)) and diff > 64.0 * np.finfo(float).eps * term_scale:
+    if diff > DEFAULT_TOLERANCES.lyapunov_agreement * max(abs(grad_route), abs(collected)) and diff > 64.0 * np.finfo(float).eps * term_scale:
         raise IntegrityError(
             f"Lyapunov derivative routes disagree: gradient {grad_route!r} vs "
             f"collected {collected!r}"
@@ -539,10 +524,7 @@ def lyapunov_uninfected(
 
 
 def lyapunov_infected(
-    params: ModelParameters,
-    state: State | tuple[float, float, float],
-    estar: State | EquilibriumPoint,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    params: ModelParameters, state: State | tuple[float, float, float], estar: State | EquilibriumPoint
 ) -> tuple[float, float]:
     """Volterra-type Lyapunov function for the infected equilibrium.
 
@@ -588,12 +570,7 @@ def _grid_axis(bound: float, n: int) -> np.ndarray:
     return np.logspace(math.log10(low), math.log10(bound), n)
 
 
-def certify_global(
-    params: ModelParameters,
-    target: str = "E0",
-    grid_points: int = 20,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> CertificateReport:
+def certify_global(params: ModelParameters, target: str = "E0", grid_points: int = 20) -> CertificateReport:
     """Sample a Lyapunov derivative over the invariant region.
 
     The grid is log-uniform over [1e-6 b, b] in each coordinate (b = T-tilde0
@@ -623,7 +600,7 @@ def certify_global(
         raise DomainError("certificate region is degenerate for this parameter set")
     bound_TI = cons.t_tilde0
     bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
-    e0 = uninfected_equilibrium(params, tolerances).state
+    e0 = uninfected_equilibrium(params).state
     R0 = r0_from_T0(params, e0.T)
 
     notes: list[str] = []
@@ -637,7 +614,7 @@ def certify_global(
             preconditions_met = False
             notes.append("hypothesis undefined: delta = 0")
     else:
-        report = infected_equilibrium(params, tolerances)
+        report = infected_equilibrium(params)
         if report.regime != REGIME_UNIQUE:
             raise DomainError(
                 f"Estar certificate needs a unique infected equilibrium, regime is {report.regime}"
@@ -663,7 +640,7 @@ def certify_global(
     # points above the tolerance the running scale maximum gives.  A term
     # scale beyond the float range raises, so that tolerance only grows and
     # the points kept hold every violation of the final one.
-    margin = tolerances.certificate_margin
+    margin = DEFAULT_TOLERANCES.certificate_margin
     peak = np.float64(-math.inf)
     scale_peak = np.float64(0.0)
     points = 0
@@ -673,7 +650,8 @@ def certify_global(
             T, I, V = np.array([[anchor.T]]), np.array([[anchor.I]]), np.array([anchor.V])
         else:
             T, I = np.meshgrid(axis_T[start : start + rows], axis_I, indexing="ij")
-            keep = T + I <= bound_TI * (1.0 + 1e-12)
+            with np.errstate(over="ignore"):  # T + I may pass the float maximum
+                keep = T + I <= bound_TI * (1.0 + 1e-12)
             T, I, V = T[keep][:, None], I[keep][:, None], axis_V
         with np.errstate(over="ignore", invalid="ignore"):
             dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
@@ -703,25 +681,23 @@ def certify_global(
     )
 
 
-def stability_report(
-    params: ModelParameters, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> StabilityReport:
+def stability_report(params: ModelParameters) -> StabilityReport:
     """Assemble the full local-stability picture for one parameter set.
 
     One pass: existence_regime computes E0 once, and its T0 feeds the local
     analysis at E0 and the spectral r0.
     """
-    existence = existence_regime(params, tolerances)
+    existence = existence_regime(params)
     T0 = existence.e0_point.state.T
-    e0 = _uninfected_local(params, T0, tolerances)
+    e0 = _uninfected_local(params, T0)
     flags = list(existence.disagreements)
 
     estar = coeffs = verdict = estar_local_report = None
     if existence.regime == REGIME_UNIQUE:
         estar = existence.candidates[0]
-        coeffs, verdict, estar_local_report = _infected_local(params, estar, tolerances)
+        coeffs, verdict, estar_local_report = _infected_local(params, estar)
         max_re = max(z.real for z in estar_local_report.eigenvalues)
-        if abs(max_re) > tolerances.marginal_band and verdict.classification != MARGINAL:
+        if abs(max_re) > DEFAULT_TOLERANCES.marginal_band and verdict.classification != MARGINAL:
             eig_class = STABLE if max_re < 0 else UNSTABLE
             if eig_class != verdict.classification:
                 flags.append("routh_hurwitz_vs_eigenvalues")
@@ -736,5 +712,5 @@ def stability_report(
         routh_hurwitz=verdict,
         estar_local=estar_local_report,
         consistency_flags=tuple(flags),
-        r0_spectral=_next_generation(params, T0, tolerances).rho,
+        r0_spectral=_next_generation(params, T0).rho,
     )

@@ -44,7 +44,7 @@ from .model import (
 )
 from .reproduction import _r0_closed_form, r0_from_T0
 from .stability import CharacteristicCoefficients, _closed_coefficients, _principal_minors
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 # perfbench/tracing.py wraps these names in this module; keep them bound.
 from .equilibria import infected_equilibrium  # noqa: F401
@@ -248,7 +248,7 @@ def _quadratic_roots(a, b, d):
     return lo, hi, count
 
 
-def _infected_candidate(params, cons, a, b, d, root, present, tolerances):
+def _infected_candidate(params, cons, a, b, d, root, present):
     """One quadratic root through infected_equilibrium's polish and filters.
 
     Returns (T, I, V, accepted, raises); raises marks cells whose non-finite
@@ -266,7 +266,7 @@ def _infected_candidate(params, cons, a, b, d, root, present, tolerances):
     I, V = _infected_from_T(params, cons, T)
     ok &= ~(I <= 0.0) & ~(V <= 0.0)
     raises = ok & ~(np.isfinite(I) & np.isfinite(V))
-    ok &= ~raises & ~(_residual(params, T, I, V) > tolerances.equilibrium_residual)
+    ok &= ~raises & ~(_residual(params, T, I, V) > DEFAULT_TOLERANCES.equilibrium_residual)
     return T, I, V, ok, raises
 
 
@@ -279,7 +279,7 @@ def _column(values, shown: np.ndarray) -> list:
 
 
 def _evaluate_grid(
-    params: SimpleNamespace, valid: np.ndarray, outputs: tuple[str, ...], tolerances: Tolerances
+    params: SimpleNamespace, valid: np.ndarray, outputs: tuple[str, ...]
 ) -> tuple[dict[str, list], list[str]]:
     """The requested outputs and the status of every grid cell at once.
 
@@ -300,7 +300,7 @@ def _evaluate_grid(
         )
         ok = valid & ~(proliferating & (k <= 0))
         ok &= proliferating | (params.d_T > 0) | (params.s == 0)
-        ok &= np.isfinite(T0) & ~(_residual(params, T0, 0.0, 0.0) > tolerances.uninfected_residual)
+        ok &= np.isfinite(T0) & ~(_residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual)
         ok &= ~(T0 <= 0) & (params.c * (params.d_I + params.q) != 0)
         R0 = _r0_closed_form(params, T0)
 
@@ -322,10 +322,8 @@ def _evaluate_grid(
             # infected_equilibrium
             a, b, d = equilibrium_quadratic(params, cons)
             lo, hi, count = _quadratic_roots(a, b, d)
-            T_lo, I_lo, V_lo, lo_ok, lo_raises = _infected_candidate(
-                params, cons, a, b, d, lo, count >= 1, tolerances)
-            T_hi, I_hi, V_hi, hi_ok, hi_raises = _infected_candidate(
-                params, cons, a, b, d, hi, count == 2, tolerances)
+            T_lo, I_lo, V_lo, lo_ok, lo_raises = _infected_candidate(params, cons, a, b, d, lo, count >= 1)
+            T_hi, I_hi, V_hi, hi_ok, hi_raises = _infected_candidate(params, cons, a, b, d, hi, count == 2)
             duplicate = lo_ok & hi_ok & (abs(T_hi - T_lo) <= 1e-9 * _pymax(abs(T_lo), 1.0))
             found = lo_ok.astype(int) + (hi_ok & ~duplicate)
             unique = found == 1
@@ -342,7 +340,7 @@ def _evaluate_grid(
             nearer = np.where(abs(other - T) < abs(closed - T), other, closed)
             closed_diff = abs(nearer - T) / _pymax(abs(T), 1e-300)
             radical_raises = unique & (H != 0.0) & ~(radicand < 0.0)
-            radical_raises &= closed_diff > tolerances.t_star_radical
+            radical_raises &= closed_diff > DEFAULT_TOLERANCES.t_star_radical
             ok &= ~lo_raises & ~hi_raises & ~radical_raises
             unique = ok & unique
 
@@ -358,7 +356,7 @@ def _evaluate_grid(
                 abs(a - m) / _pymax(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))
             )
             rel = _pymax(_pymax(d1, d2), d3)
-            coefficients_ok = ~(rel > tolerances.char_coeff_integrity)
+            coefficients_ok = ~(rel > DEFAULT_TOLERANCES.char_coeff_integrity)
             T_max2 = _squared(params.T_max)
             coefficients_ok &= (0.0 < T_max2) & (T_max2 < math.inf) & (T * params.T_max > 0.0)
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2
@@ -377,7 +375,7 @@ def _evaluate_grid(
     return {name: _column(*columns[name]) for name in outputs}, status.tolist()
 
 
-def run_sweep(spec: SweepSpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepGrid:
+def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate every cell of the sweep grid, row-major with axis1 fastest."""
     axis1_values = spec.axis1.values()
     axis2_values = spec.axis2.values() if spec.axis2 is not None else None
@@ -385,7 +383,7 @@ def run_sweep(spec: SweepSpec, tolerances: Tolerances = DEFAULT_TOLERANCES) -> S
     if axis2_values is not None:
         axes.append((spec.axis2.name, axis2_values))
     params, valid = _grid_parameters(spec.base, axes)
-    columns, status = _evaluate_grid(params, valid, spec.outputs, tolerances)
+    columns, status = _evaluate_grid(params, valid, spec.outputs)
     return SweepGrid(spec, axis1_values, axis2_values, columns, status)
 
 
@@ -396,19 +394,14 @@ def _threshold_level(params, target: str):
     return 1.0 - params.q / (params.d_I + params.q)
 
 
-def _target_gap(params: ModelParameters, target: str, tolerances: Tolerances) -> float:
+def _target_gap(params: ModelParameters, target: str) -> float:
     """Signed distance of r0 from the requested threshold at this set."""
-    T0 = uninfected_equilibrium(params, tolerances).state.T
+    T0 = uninfected_equilibrium(params).state.T
     R0 = r0_from_T0(params, T0)
     return R0 - _threshold_level(params, target)
 
 
-def threshold_locate(
-    base: ModelParameters,
-    axis: Axis,
-    target: str = "r0_eq_1",
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ThresholdResult:
+def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1") -> ThresholdResult:
     """Locate an axis value where r0 crosses the named threshold.
 
     Scans the axis grid for the first sign change, then bisects (in log
@@ -423,11 +416,11 @@ def threshold_locate(
         raise SweepError(f"unknown target {target!r}; choose from {THRESHOLD_TARGETS}")
 
     def gap_at(x: float) -> float:
-        return _target_gap(replace(base, **{axis.name: x}), target, tolerances)
+        return _target_gap(replace(base, **{axis.name: x}), target)
 
     grid = axis.values()
     params, valid = _grid_parameters(base, [(axis.name, grid)])
-    columns, status = _evaluate_grid(params, valid, ("r0",), tolerances)
+    columns, status = _evaluate_grid(params, valid, ("r0",))
     with np.errstate(all="ignore"):
         gaps = (np.array(columns["r0"]) - _threshold_level(params, target)).tolist()
     points = grid.tolist()
@@ -469,7 +462,7 @@ def threshold_locate(
                 (lo, g_lo), hi = previous, x
                 break
             if g == 0.0:
-                return ThresholdResult(target, True, x, _r0_at(base, axis, x, tolerances), (x, x))
+                return ThresholdResult(target, True, x, _r0_at(base, axis, x), (x, x))
         previous = point
     else:
         return ThresholdResult(target, False, None, None, None)
@@ -492,11 +485,11 @@ def threshold_locate(
         target=target,
         found=True,
         axis_value=value,
-        r0_at_value=_r0_at(base, axis, value, tolerances),
+        r0_at_value=_r0_at(base, axis, value),
         bracket=(lo, hi),
     )
 
 
-def _r0_at(base: ModelParameters, axis: Axis, x: float, tolerances: Tolerances) -> float:
+def _r0_at(base: ModelParameters, axis: Axis, x: float) -> float:
     params = replace(base, **{axis.name: x})
-    return r0_from_T0(params, uninfected_equilibrium(params, tolerances).state.T)
+    return r0_from_T0(params, uninfected_equilibrium(params).state.T)

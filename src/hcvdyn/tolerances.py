@@ -14,9 +14,8 @@ from dataclasses import dataclass
 class Tolerances:
     """Repo-wide numerical tolerances.
 
-    Instances are immutable; pass a modified copy (dataclasses.replace) to
-    individual operations when an analysis genuinely needs looser or tighter
-    thresholds.
+    Every check reads DEFAULT_TOLERANCES when it runs; no operation takes
+    its own thresholds.
     """
 
     equilibrium_residual: float = 1e-8

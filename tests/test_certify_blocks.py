@@ -45,7 +45,7 @@ SLICE_PARAMS = replace(
 )
 
 
-def reference_certificate(params, target="E0", grid_points=20, tolerances=DEFAULT_TOLERANCES):
+def reference_certificate(params, target="E0", grid_points=20):
     """certify_global's report, evaluated over the whole grid at once."""
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -56,7 +56,7 @@ def reference_certificate(params, target="E0", grid_points=20, tolerances=DEFAUL
         raise DomainError("certificate region is degenerate for this parameter set")
     bound_TI = cons.t_tilde0
     bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
-    e0 = uninfected_equilibrium(params, tolerances).state
+    e0 = uninfected_equilibrium(params).state
     R0 = r0_from_T0(params, e0.T)
 
     notes: list[str] = []
@@ -70,7 +70,7 @@ def reference_certificate(params, target="E0", grid_points=20, tolerances=DEFAUL
             preconditions_met = False
             notes.append("hypothesis undefined: delta = 0")
     else:
-        report = infected_equilibrium(params, tolerances)
+        report = infected_equilibrium(params)
         if report.regime != REGIME_UNIQUE:
             raise DomainError(
                 f"Estar certificate needs a unique infected equilibrium, regime is {report.regime}"
@@ -112,7 +112,7 @@ def reference_certificate(params, target="E0", grid_points=20, tolerances=DEFAUL
     dLdt = g_T * f0 + g_I * f1 + g_V * f2
 
     term_scale = np.abs(g_T * f0) + np.abs(g_I * f1) + np.abs(g_V * f2)
-    tolerance = tolerances.certificate_margin * max(1.0, float(np.max(term_scale, initial=0.0)))
+    tolerance = DEFAULT_TOLERANCES.certificate_margin * max(1.0, float(np.max(term_scale, initial=0.0)))
     min_margin = float(np.max(dLdt, initial=-math.inf))
     bad = np.flatnonzero(dLdt > tolerance)
     violations = tuple(
@@ -166,7 +166,7 @@ def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
     # the overflow with NaN in dT/dt on one slice of the last block: the
     # certificate raises instead of reporting a tolerance the NaN lowered.
     params = replace(SCENARIO_S1, q=0.0)
-    tolerances = replace(DEFAULT_TOLERANCES, certificate_margin=1e-2)
+    monkeypatch.setattr(stability, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, certificate_margin=1e-2))
     n = 60
     nan_slice = _grid_axis(derive_constants(params).t_tilde0, n)[-2]
 
@@ -176,7 +176,7 @@ def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
 
     monkeypatch.setattr(stability, "_field", overflowing_field)
     with pytest.raises(DomainError, match="float range"):
-        certify_global(params, "E0", n, tolerances)
+        certify_global(params, "E0", n)
 
 
 def test_overflowing_field_on_the_grid_raises():

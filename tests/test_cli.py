@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 
 import pytest
 
@@ -144,9 +145,14 @@ def test_simulate_zero_abs_tol_on_the_infection_free_plane(tmp_path, capsys):
     scn.write_text(_s2_with(I0="0.0", V0="0.0", abs_tol="0.0"))
     target = tmp_path / "plane.csv"
     assert main(["simulate", str(scn), "--out", str(target)]) == 0
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
     last = target.read_text().splitlines()[-1].split(",")
     assert last[0] == "1000.0" and last[2:] == ["0.0", "0.0"]
+    # s2 is supercritical, but the run stays on the plane and ends at E0;
+    # it used to print attractor = Estar and converged = false.
+    summary = captured.out.splitlines()
+    assert "attractor = E0" in summary and "converged = true" in summary
 
 
 @pytest.mark.parametrize("updates, message", [
@@ -270,6 +276,36 @@ def test_sweep_past_the_float_range_of_t_max_squared(tmp_path, capsys):
 
 S1 = S1_Q0_LOW_BETA.replace("beta = 1e-9", "beta = 1e-7").replace("q = 0.0", "q = 0.5")
 
+# residual_norm divided numpy scalars inf / inf here, so a RuntimeWarning
+# used to precede the error line.
+INF_OVER_INF = {
+    "s": "7.775145337375735e-107", "r_T": "1.0732927412698947e134", "r_I": "1.2082069445728576e217",
+    "d_T": "1.208684962335591e40", "d_I": "8.500655517705868e-36", "T_max": "2.8400311450361502e200",
+    "beta": "5.476784478792699e-155", "p": "0", "c": "4.096951146138325e-12",
+    "q": "2.430769372323158e-75", "eta": "0.31253195236107967", "epsilon": "0.3059631440117525",
+}
+# The principal minors of J(E*) overflow; numpy used to warn about it.
+OVERFLOWING_MINORS = {
+    "s": "7185279323429804.0", "r_T": "2.3087838254430722e-45", "r_I": "3.5627608317084783e-22",
+    "d_T": "4.7362281747125076e-157", "d_I": "6.618809129841355e-50", "T_max": "1.102761058134422e-34",
+    "beta": "1.5828113398756662e+22", "p": "1.5335940461523477e+204", "c": "5.903998246723914e+108",
+    "q": "5e-324", "eta": "0.15444422251938714", "epsilon": "0.38739835578406456",
+}
+# T + I overflows in the certificate's region mask; numpy used to warn about it.
+OVERFLOWING_REGION_MASK = {
+    "s": "1.234210004894301e+37", "r_T": "4.878078517193004e+88", "r_I": "8.0793235049216e-292",
+    "d_T": "1.6308333013868833e-285", "d_I": "9.462271156896241e-203", "T_max": "2.0568069766764265e-72",
+    "beta": "4.503900841667006e-255", "p": "1.4542933404974727e-220", "c": "1.947961548790704e+199",
+    "q": "6.512960630525431e-253", "eta": "0.892241916140536", "epsilon": "0.08722129978085853",
+}
+# The constant term of the E* quadratic overflows to -inf.
+NON_FINITE_CONSTANT_TERM = {
+    "s": "1.2347665649844455e-204", "r_T": "2.392675980102134e-66", "r_I": "2.900723132772846e-199",
+    "d_T": "4.852563583907121e49", "d_I": "5e-324", "T_max": "9.321163987036603e-107",
+    "beta": "3.412293370689695e122", "p": "0", "c": "6.383049461704197e32",
+    "q": "2.0161862133766807e119", "eta": "0.6388294271130139", "epsilon": "0.6129433763761614",
+}
+
 
 @pytest.mark.parametrize("command, updates", [
     # The field overflows on the grid; this used to print a clean certificate.
@@ -288,6 +324,13 @@ S1 = S1_Q0_LOW_BETA.replace("beta = 1e-9", "beta = 1e-7").replace("q = 0.0", "q 
         "T_max": "1.0", "beta": "0.0", "p": "0.0", "c": "5e-324", "q": "0.0", "eta": "0.0",
         "epsilon": "0.0",
     }),
+    (["analyze"], INF_OVER_INF),
+    (["certify", "--grid", "5", "--target", "e0"], INF_OVER_INF),
+    (["certify", "--grid", "5", "--target", "estar"], INF_OVER_INF),
+    (["analyze"], OVERFLOWING_MINORS),
+    (["certify", "--grid", "5", "--target", "e0"], OVERFLOWING_REGION_MASK),
+    # existence_regime used to return this; the CLI refused it.
+    (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),
 ])
 def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command, updates):
     text = S1
@@ -297,11 +340,15 @@ def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command,
     scn.write_text(text)
     assert main(["validate", str(scn)]) == 0
     capsys.readouterr()
-    assert main([command[0], str(scn), *command[1:]]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command[0], str(scn), *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    # A warning would print on stderr before the error line.
+    assert [str(w.message) for w in caught] == []
 
 
 def test_sweep_where_c_delta_underflows_marks_the_cell_invalid(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Every CLI command over the whole parameter domain exits with a documented
-code and raises nothing, and an analyze that exits 0 prints only finite
-values.
+code, raises nothing and emits no RuntimeWarning, and an analyze that exits
+0 prints only finite values.
 
 Scenario files are drawn far outside the plausible ranges: each rate is
 log-uniform over [1e-300, 1e300], or exactly 0 where the model allows it,
@@ -13,6 +13,7 @@ import contextlib
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -58,8 +59,14 @@ def test_every_command_exits_with_a_documented_code(scenario):
         path.write_text(render_scenario(scenario))
         for command in COMMANDS:
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with (
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+                warnings.catch_warnings(record=True) as caught,
+            ):
+                warnings.simplefilter("always")
                 code = main([command[0], str(path), *command[1:]])
             assert code in range(5), (command, code)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (command, caught)
             if command == ["analyze"] and code == 0:
                 assert not NON_FINITE.search(out.getvalue()), out.getvalue()

@@ -1,5 +1,6 @@
 """Uninfected and infected equilibria: closed forms, roots, regimes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +149,20 @@ def test_existence_regime_reports_criteria_and_disagreements():
     assert subcritical.regime == REGIME_NONE
     assert subcritical.criteria["r0_above_one"] is False
     assert "r0_above_one" not in subcritical.disagreements
+
+
+def test_existence_regime_refuses_a_non_finite_constant_term():
+    # The constant term of the E* quadratic overflows; existence_regime used
+    # to return existence_condition = -inf.
+    params = ModelParameters(
+        s=1.2347665649844455e-204, r_T=2.392675980102134e-66, r_I=2.900723132772846e-199,
+        d_T=4.852563583907121e49, d_I=5e-324, T_max=9.321163987036603e-107,
+        beta=3.412293370689695e122, p=0.0, c=6.383049461704197e32, q=2.0161862133766807e119,
+        eta=0.6388294271130139, epsilon=0.6129433763761614,
+    )
+    assert infected_equilibrium(params).existence_condition == -math.inf
+    with pytest.raises(DomainError, match="existence_condition is not finite: -inf"):
+        existence_regime(params)
 
 
 def test_rejected_roots_are_reported():

@@ -3,10 +3,12 @@
 import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hcvdyn import equilibria
 from hcvdyn import (
     RK4_FIXED,
     RK45_ADAPTIVE,
@@ -19,7 +21,6 @@ from hcvdyn import (
     ModelParameters,
     ParameterError,
     State,
-    Tolerances,
     asymptotic_bounds,
     check_invariants,
     convergence_report,
@@ -28,6 +29,7 @@ from hcvdyn import (
     uninfected_equilibrium,
 )
 from hcvdyn.cli import main
+from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 START = State(1e3, 2.0, 1.0)
 
@@ -125,10 +127,24 @@ def test_convergence_report_keeps_zero_rel_tol_without_equilibrium():
     assert report.rel_tol == 0.0
 
 
-def test_convergence_report_honours_tolerances():
+def test_convergence_report_honours_tolerances(monkeypatch):
     traj = integrate(SCENARIO_S2, START, IntegratorConfig(t_end=1.0))
-    with pytest.raises(IntegrityError):
-        convergence_report(SCENARIO_S2, traj, tolerances=Tolerances(uninfected_residual=-1.0))
+    monkeypatch.setattr(equilibria, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, uninfected_residual=-1.0))
+    with pytest.raises(IntegrityError, match="uninfected equilibrium residual"):
+        convergence_report(SCENARIO_S2, traj)
+
+
+def test_convergence_report_predicts_e0_on_the_infection_free_plane():
+    # I = V = 0 is invariant, so a supercritical run started there ends at
+    # E0, not E*.
+    traj = integrate(SCENARIO_S2, State(1e3, 0.0, 0.0), IntegratorConfig(t_end=1000.0))
+    assert traj.final_state.I == 0.0 and traj.final_state.V == 0.0
+    report = convergence_report(SCENARIO_S2, traj)
+    assert report.attractor == "E0" and report.converged
+    assert report.reference == uninfected_equilibrium(SCENARIO_S2).state
+    # One infected cell leaves the plane, and E* is the attractor again.
+    traj = integrate(SCENARIO_S2, State(1e3, 1.0, 0.0), IntegratorConfig(t_end=1000.0))
+    assert convergence_report(SCENARIO_S2, traj).attractor == "Estar"
 
 
 def test_fixed_step_agrees_with_adaptive():

@@ -20,7 +20,6 @@ from hcvdyn import (
     write_sweep_csv,
 )
 from hcvdyn.sweep import STATUS_INVALID, STATUS_NO_EQUILIBRIUM, STATUS_OK, _target_gap
-from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 
 def test_axis_validation():
@@ -244,4 +243,4 @@ def test_threshold_gap_is_undefined_without_delta():
     params = replace(SCENARIO_S1, d_I=0.0, q=0.0)
     for target in ("r0_eq_1", "r0_eq_1_minus_q_over_delta"):
         with pytest.raises(DomainError, match="d_I \\+ q = 0"):
-            _target_gap(params, target, DEFAULT_TOLERANCES)
+            _target_gap(params, target)

@@ -44,13 +44,12 @@ from hcvdyn.sweep import (
     _evaluate_grid,
     _grid_parameters,
 )
-from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 # PLAUSIBLE_RANGES has no range for r_I, eta and epsilon.
 RANGES = dict(PLAUSIBLE_RANGES, r_I=(1e-3, 3.4), eta=(0.0, 0.99), epsilon=(0.0, 0.99))
 
 
-def reference_cell(base, updates, outputs, tolerances=DEFAULT_TOLERANCES):
+def reference_cell(base, updates, outputs):
     """(values, status) of one cell, one scalar call after another."""
     values = {name: math.nan for name in outputs}
     try:
@@ -60,9 +59,9 @@ def reference_cell(base, updates, outputs, tolerances=DEFAULT_TOLERANCES):
 
     needs_estar = "estar_T" in outputs or "delta2" in outputs or "regime" in outputs
     try:
-        T0 = uninfected_equilibrium(params, tolerances).state.T
+        T0 = uninfected_equilibrium(params).state.T
         R0 = r0_from_T0(params, T0)
-        report = infected_equilibrium(params, tolerances) if needs_estar else None
+        report = infected_equilibrium(params) if needs_estar else None
     except ModelError:
         return values, STATUS_INVALID
 
@@ -81,7 +80,7 @@ def reference_cell(base, updates, outputs, tolerances=DEFAULT_TOLERANCES):
                 values["estar_T"] = estar.state.T
             if "delta2" in outputs:
                 try:
-                    values["delta2"] = characteristic_coefficients(params, estar, tolerances).delta2
+                    values["delta2"] = characteristic_coefficients(params, estar).delta2
                 except ModelError:
                     status = STATUS_INVALID
         else:
@@ -209,13 +208,13 @@ def test_sweep_where_the_coefficient_denominators_underflow_matches_scalar_route
     assert grid.status == [STATUS_INVALID] * 3 + [STATUS_NO_EQUILIBRIUM]
 
 
-def reference_cells(spec, tolerances=DEFAULT_TOLERANCES):
+def reference_cells(spec):
     """The cells as run_sweep built them row by row from the kernel's columns."""
     axes = [(spec.axis1.name, spec.axis1.values())]
     if spec.axis2 is not None:
         axes.append((spec.axis2.name, spec.axis2.values()))
     params, valid = _grid_parameters(spec.base, axes)
-    columns, status = _evaluate_grid(params, valid, spec.outputs, tolerances)
+    columns, status = _evaluate_grid(params, valid, spec.outputs)
 
     indices = product(*(range(len(values)) for _, values in reversed(axes)))
     axis_values = zip(*(getattr(params, name).tolist() for name, _ in axes))
