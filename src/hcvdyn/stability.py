@@ -288,19 +288,15 @@ def characteristic_coefficients(
     if not (0.0 < _squared(params.T_max) < math.inf and st.T * params.T_max > 0.0):
         raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
-    # The minors are numpy scalars: overflow here prints no RuntimeWarning,
-    # and the values are the same.
+    # The minors come from numpy: overflow there prints no RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2, m3 = _principal_minors(jacobian(params, st))
-        rel = max(
-            abs(a1 - m1) / max(abs(m1), 1e-300),
-            abs(a2 - m2) / max(abs(m2), 1e-300),
-            abs(a3 - m3) / max(abs(m3), 1e-300),
-        )
-    if rel > DEFAULT_TOLERANCES.char_coeff_integrity:
+        m1, m2, m3 = map(float, _principal_minors(jacobian(params, st)))
+    # An overflowing minor gives a NaN difference; np.max keeps it and it fails.
+    rel = float(np.max([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))]))
+    if not rel <= DEFAULT_TOLERANCES.char_coeff_integrity:
         raise IntegrityError(
             f"closed-form characteristic coefficients deviate from the minor "
-            f"expansion by relative {float(rel)!r}"
+            f"expansion by relative {rel!r}"
         )
     return CharacteristicCoefficients(
         a1=a1, a2=a2, a3=a3, minor_a1=m1, minor_a2=m2, minor_a3=m3, max_rel_diff=rel

@@ -30,12 +30,13 @@ from .equilibria import (
     equilibrium_quadratic,
     uninfected_equilibrium,
 )
-from .errors import ModelError, SweepError
+from .errors import ModelError, ParameterError, SweepError
 from .model import (
     PARAMETER_NAMES,
     DerivedConstants,
     ModelParameters,
     _constant_F,
+    _check_field,
     _constants,
     _field,
     _jacobian_entries,
@@ -172,10 +173,10 @@ class ThresholdResult:
     bracket: tuple[float, float] | None
 
 
-def _is_valid(base: ModelParameters, name: str, value: float) -> bool:
+def _is_valid(name: str, value: float) -> bool:
     try:
-        replace(base, **{name: value})
-    except ModelError:
+        _check_field(name, value)
+    except ParameterError:
         return False
     return True
 
@@ -189,7 +190,7 @@ def _grid_parameters(
     values become numpy scalars (so a division by zero in a masked-out cell
     yields inf, not an exception) and each axis parameter an array.  Every
     validation rule of ModelParameters is per field, so a cell is valid
-    exactly when each of its axis values is: one construction per axis value
+    exactly when each of its axis values is: one field check per axis value
     decides the whole grid.
     """
     size = math.prod(len(values) for _, values in axes)
@@ -198,7 +199,7 @@ def _grid_parameters(
     inner = 1
     for name, values in axes:
         outer = size // (inner * len(values))
-        ok = np.array([_is_valid(base, name, v) for v in values.tolist()])
+        ok = np.array([_is_valid(name, v) for v in values.tolist()])
         setattr(params, name, np.tile(np.repeat(values, inner), outer))
         valid &= np.tile(np.repeat(ok, inner), outer)
         inner *= len(values)
@@ -355,8 +356,8 @@ def _evaluate_grid(
             d1, d2, d3 = (
                 abs(a - m) / _pymax(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))
             )
-            rel = _pymax(_pymax(d1, d2), d3)
-            coefficients_ok = ~(rel > DEFAULT_TOLERANCES.char_coeff_integrity)
+            rel = np.maximum(np.maximum(d1, d2), d3)
+            coefficients_ok = rel <= DEFAULT_TOLERANCES.char_coeff_integrity
             T_max2 = _squared(params.T_max)
             coefficients_ok &= (0.0 < T_max2) & (T_max2 < math.inf) & (T * params.T_max > 0.0)
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2

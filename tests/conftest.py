@@ -24,6 +24,15 @@ from hcvdyn import (
     vector_field,
 )
 
+# A valid set with a unique infected equilibrium whose minor a3 overflows to
+# inf; the values are strings, as a scenario file holds them.
+OVERFLOWING_MINORS = {
+    "s": "7185279323429804.0", "r_T": "2.3087838254430722e-45", "r_I": "3.5627608317084783e-22",
+    "d_T": "4.7362281747125076e-157", "d_I": "6.618809129841355e-50", "T_max": "1.102761058134422e-34",
+    "beta": "1.5828113398756662e+22", "p": "1.5335940461523477e+204", "c": "5.903998246723914e+108",
+    "q": "5e-324", "eta": "0.15444422251938714", "epsilon": "0.38739835578406456",
+}
+
 # One verdict line per acceptance criterion, printed after the run so the
 # lines survive pytest's output capture.
 CRITERION_LINES: dict[int, str] = {}

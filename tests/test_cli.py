@@ -6,6 +6,9 @@ import warnings
 
 import pytest
 
+from conftest import OVERFLOWING_MINORS
+
+from hcvdyn import cli
 from hcvdyn.cli import main
 from hcvdyn.formats import bundled_scenarios
 
@@ -284,13 +287,6 @@ INF_OVER_INF = {
     "beta": "5.476784478792699e-155", "p": "0", "c": "4.096951146138325e-12",
     "q": "2.430769372323158e-75", "eta": "0.31253195236107967", "epsilon": "0.3059631440117525",
 }
-# The principal minors of J(E*) overflow; numpy used to warn about it.
-OVERFLOWING_MINORS = {
-    "s": "7185279323429804.0", "r_T": "2.3087838254430722e-45", "r_I": "3.5627608317084783e-22",
-    "d_T": "4.7362281747125076e-157", "d_I": "6.618809129841355e-50", "T_max": "1.102761058134422e-34",
-    "beta": "1.5828113398756662e+22", "p": "1.5335940461523477e+204", "c": "5.903998246723914e+108",
-    "q": "5e-324", "eta": "0.15444422251938714", "epsilon": "0.38739835578406456",
-}
 # T + I overflows in the certificate's region mask; numpy used to warn about it.
 OVERFLOWING_REGION_MASK = {
     "s": "1.234210004894301e+37", "r_T": "4.878078517193004e+88", "r_I": "8.0793235049216e-292",
@@ -327,7 +323,6 @@ NON_FINITE_CONSTANT_TERM = {
     (["analyze"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "e0"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "estar"], INF_OVER_INF),
-    (["analyze"], OVERFLOWING_MINORS),
     (["certify", "--grid", "5", "--target", "e0"], OVERFLOWING_REGION_MASK),
     # existence_regime used to return this; the CLI refused it.
     (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),
@@ -348,6 +343,26 @@ def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command,
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     # A warning would print on stderr before the error line.
+    assert [str(w.message) for w in caught] == []
+
+
+def test_overflowing_minor_fails_the_coefficient_cross_check(tmp_path, capsys):
+    # minor_a3 overflows to inf, so its relative difference is NaN, which
+    # fails the check before the CLI reaches the non-finite spectral r0.
+    text = S1
+    for key, value in OVERFLOWING_MINORS.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    scn = tmp_path / "edge.scn"
+    scn.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", str(scn)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: closed-form characteristic coefficients deviate from the minor "
+        "expansion by relative nan\n"
+    )
     assert [str(w.message) for w in caught] == []
 
 
@@ -392,3 +407,55 @@ def test_usage_errors_exit_1():
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "hcvdyn":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for _ in range(20):
+        assert main(["validate", "s1"]) == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+    capsys.readouterr()
+    # Zero if an earlier test in this process already built it.
+    assert len(built) <= 1
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# Successes, usage errors from argparse and from main, and an advisory exit.
+REUSE_SEQUENCE = [
+    (["analyze", "s2", "--machine"], 0),
+    (["simulate", "s1", "--svg"], 1),
+    (["validate", "s1", "--no-such-option"], 1),
+    ([], 1),
+    (["certify", "s1", "--grid", "5"], 3),
+    (["validate", "s1"], 0),
+]
+
+
+def test_each_call_on_the_shared_parser_repeats_its_first_outcome(capsys):
+    first = {}
+    for argv, code in REUSE_SEQUENCE:
+        first[tuple(argv)] = _outcome(argv, capsys)
+        assert first[tuple(argv)][0] == code, argv
+    assert "--svg requires --out" in first[("simulate", "s1", "--svg")][2]
+    assert "unrecognized arguments: --no-such-option" in first[("validate", "s1", "--no-such-option")][2]
+    assert "the following arguments are required: command" in first[()][2]
+    interleaved = [argv for argv, _ in REUSE_SEQUENCE[::-1] + REUSE_SEQUENCE[1::2] + REUSE_SEQUENCE[::2]]
+    for argv in interleaved:
+        assert _outcome(argv, capsys) == first[tuple(argv)], argv

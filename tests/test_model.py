@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_params, fd_jacobian
 
@@ -28,6 +30,7 @@ from hcvdyn.model import (
     positive_logistic_root,
     validate,
 )
+from hcvdyn.sweep import _is_valid
 
 
 def replace(params, **kw):
@@ -51,6 +54,51 @@ def test_parameter_validation_rejects_bad_values():
         replace(SCENARIO_S1, beta=math.nan)
     with pytest.raises(ParameterError):
         replace(SCENARIO_S1, p=math.inf)
+
+
+# Zeros of both signs, subnormals, the rounding edge below 1, the float
+# range's ends and the non-finite values.
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-300, 1.0 - 2.0**-53, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308,
+)
+
+
+def _constructs(name, value):
+    try:
+        replace(SCENARIO_S2, **{name: value})
+    except ParameterError:
+        return False
+    return True
+
+
+def test_field_check_agrees_with_construction_on_edge_values():
+    for name in PARAMETER_NAMES:
+        for value in EDGE_VALUES:
+            assert _is_valid(name, value) is _constructs(name, value), (name, value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(PARAMETER_NAMES), value=st.floats())
+def test_field_check_agrees_with_construction(name, value):
+    assert _is_valid(name, value) is _constructs(name, value)
+
+
+@pytest.mark.parametrize("updates, message", [
+    # Every field is finite before any range rule runs.
+    ({"beta": math.nan, "s": -1.0}, "beta must be finite, got nan"),
+    ({"s": -1.0, "p": "x"}, "p must be a real number, got 'x'"),
+    # The nonnegative rates come first, then T_max, c > 0 and the efficacies.
+    ({"T_max": 0.0, "q": -1.0}, "q must be nonnegative, got -1.0"),
+    ({"T_max": 0.0, "c": -1.0}, "c must be nonnegative, got -1.0"),
+    ({"T_max": 0.0, "c": 0.0}, "T_max must be positive, got 0.0"),
+    ({"c": -0.0, "eta": 1.0}, "c must be positive, got -0.0"),
+    ({"epsilon": -0.5, "eta": 1.0}, "eta must lie in [0, 1), got 1.0"),
+])
+def test_first_error_of_a_set_with_several_bad_fields(updates, message):
+    with pytest.raises(ParameterError) as excinfo:
+        replace(SCENARIO_S2, **updates)
+    assert str(excinfo.value) == message
 
 
 def test_parameters_coerce_to_float():

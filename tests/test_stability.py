@@ -1,11 +1,11 @@
 """Local stability: Jacobians, characteristic coefficients, Routh-Hurwitz."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import draw_supercritical_params, minor_coefficients
+from conftest import OVERFLOWING_MINORS, draw_supercritical_params, minor_coefficients
 
 from hcvdyn import (
     MARGINAL,
@@ -117,6 +117,20 @@ def test_characteristic_coefficients_raise_when_the_denominators_underflow():
     estar = infected_equilibrium(TINY_LIVER).candidates[0]
     with pytest.raises(DomainError, match="within the float range"):
         characteristic_coefficients(TINY_LIVER, estar)
+
+
+def test_characteristic_coefficients_raise_when_a_minor_overflows():
+    # minor_a3 is inf, so its relative difference is inf / inf = NaN, which
+    # used to lose to the other two in max() and pass the check.
+    params = ModelParameters(**OVERFLOWING_MINORS)
+    estar = infected_equilibrium(params).candidates[0]
+    with pytest.raises(IntegrityError, match="by relative nan$"):
+        characteristic_coefficients(params, estar)
+
+
+def test_characteristic_coefficients_are_plain_floats():
+    coeffs = characteristic_coefficients(SCENARIO_S2, s2_equilibrium())
+    assert [type(getattr(coeffs, f.name)) for f in fields(coeffs)] == [float] * 7
 
 
 def test_characteristic_coefficients_match_minor_expansion():

@@ -18,6 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import OVERFLOWING_MINORS
+
 from hcvdyn import (
     PARAMETER_NAMES,
     SCENARIO_S2,
@@ -206,6 +208,19 @@ def test_sweep_where_the_coefficient_denominators_underflow_matches_scalar_route
     spec = SweepSpec(base, Axis("d_I", 0.05, 0.5, 4, "linear"), outputs=("estar_T", "delta2"))
     grid = assert_cells_match_reference(spec)
     assert grid.status == [STATUS_INVALID] * 3 + [STATUS_NO_EQUILIBRIUM]
+
+
+def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():
+    # characteristic_coefficients raises IntegrityError on the NaN relative
+    # difference of the overflowing minor, so the one cell is invalid_params.
+    base = ModelParameters(**OVERFLOWING_MINORS)
+    outputs = ("estar_T", "delta2")
+    params, valid = _grid_parameters(base, [("q", np.array([base.q]))])
+    columns, status = _evaluate_grid(params, valid, outputs)
+    values, expected = reference_cell(base, {"q": base.q}, outputs)
+    assert status == [expected] == [STATUS_INVALID]
+    assert repr(columns) == repr({name: [values[name]] for name in outputs})
+    assert math.isnan(columns["delta2"][0])
 
 
 def reference_cells(spec):
