@@ -323,6 +323,8 @@ NON_FINITE_CONSTANT_TERM = {
     (["analyze"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "e0"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "estar"], INF_OVER_INF),
+    # The E0 Jacobian overflows, so its eigenvalues are inf+nanj.
+    (["analyze"], OVERFLOWING_REGION_MASK),
     (["certify", "--grid", "5", "--target", "e0"], OVERFLOWING_REGION_MASK),
     # existence_regime used to return this; the CLI refused it.
     (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),
