@@ -188,7 +188,9 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     polished by Newton steps on the quadratic, completed to (T*, I*, V*)
     through the exact elimination relations, and accepted only with positive
     I*, V* and a vector-field residual within tolerance.  Finding no
-    candidate is a result (regime no_infected_eq), not an error.
+    candidate is a result (regime no_infected_eq), not an error.  Raises
+    DomainError when existence_condition, threshold_T, a rejected root or
+    the radical route is not finite.
     """
     cons = derive_constants(params)
     a, b, d = equilibrium_quadratic(params, cons)
@@ -260,6 +262,12 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
                     f"{T_star!r} by relative {closed_diff!r}"
                 )
 
+    checked = [("existence_condition", d), ("threshold_T", threshold_T), ("closed_form_T", closed_T)]
+    checked += [("closed_form_rel_diff", closed_diff)] + [("rejected_T_roots", T) for T in rejected]
+    for name, value in checked:
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} is not finite: {value!r}")
+
     return ExistenceReport(
         existence_condition=d,
         threshold_T=threshold_T,
@@ -279,21 +287,20 @@ def existence_regime(params: ModelParameters) -> ExistenceReport:
     root count; contradictions are listed in disagreements rather than
     raised, because reproducing them is part of this package's contract.
     E0 is computed once and returned in e0_point.  Raises DomainError when
-    r0, existence_condition, threshold_T or the radical route is not finite.
+    r0 is not finite, and infected_equilibrium's errors.
     """
     from .reproduction import r0_from_T0
 
-    report = infected_equilibrium(params)
+    # derive_constants (infected_equilibrium's first step) raises first, then
+    # E0 and r0, then the rest of infected_equilibrium: a non-finite r0 is
+    # reported before the report's non-finite fields.
+    cons = derive_constants(params)
     e0 = uninfected_equilibrium(params)
     T0 = e0.state.T
-    cons = derive_constants(params)
     R0 = r0_from_T0(params, T0)
     if not math.isfinite(R0):
         raise DomainError(f"reproduction number is not finite: {R0!r}")
-    for name in ("existence_condition", "threshold_T", "closed_form_T", "closed_form_rel_diff"):
-        value = getattr(report, name)
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} is not finite: {value!r}")
+    report = infected_equilibrium(params)
     exists = report.regime == REGIME_UNIQUE
 
     criteria = {

@@ -3,7 +3,9 @@
 Scenario files are line-oriented `key = value` text with `#` comments.
 Keys are the twelve model parameters, the three initial conditions T0, I0,
 V0, and optional integrator overrides (t_end, method, step, rel_tol,
-abs_tol) plus a free-form name.  Parse errors carry 1-based line numbers.
+abs_tol) plus a free-form name.  A name that starts with a double quote is
+a JSON string, so any name fits on its line.  Parse errors carry 1-based
+line numbers.
 
 Sweep-spec files reuse the same syntax with axis lines
 (`axis1 = <param> <lo> <hi> <n> <linear|log>`) and an optional
@@ -16,6 +18,7 @@ identical.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -141,15 +144,27 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             )
         options["method"] = short[0]
     if "name" in seen:
-        options["name"] = seen["name"][1]
+        lineno, raw = seen["name"]
+        options["name"] = raw
+        if raw.startswith('"'):
+            try:
+                options["name"] = json.loads(raw)
+            except ValueError:
+                raise ScenarioError(f"name: not a JSON string: {raw!r}", line=lineno, source=source) from None
     return Scenario(params=params, initial=initial, **options)
 
 
 def render_scenario(scenario: Scenario) -> str:
     """Render a scenario back to file text; parse(render(s)) == s."""
     lines = []
-    if scenario.name is not None:
-        lines.append(f"name = {scenario.name}")
+    name = scenario.name
+    if name is not None:
+        # As is where the line parses back to the name: one line, no comment,
+        # no surrounding whitespace.  Else quoted, with # escaped.
+        plain = name == name.strip() and "#" not in name and not name.startswith('"')
+        if not plain or len((name + ".").splitlines()) > 1:
+            name = json.dumps(name).replace("#", "\\u0023")
+        lines.append(f"name = {name}")
     for key in PARAMETER_NAMES:
         lines.append(f"{key} = {getattr(scenario.params, key)!r}")
     for key, value in zip(STATE_KEYS, scenario.initial):
@@ -254,8 +269,8 @@ def resolve_scenario_path(argument: str) -> str:
 def write_trajectory_csv(trajectory: Trajectory, fh: IO[str]) -> None:
     """Emit `t,T,I,V` rows; floats use repr for lossless round-trips."""
     fh.write("t,T,I,V\n")
-    for t, row in zip(trajectory.times, trajectory.states):
-        fh.write(f"{float(t)!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+    rows = zip(trajectory.times.tolist(), *trajectory.states.T.tolist())
+    fh.writelines(f"{t!r},{T!r},{I!r},{V!r}\n" for t, T, I, V in rows)
 
 
 def write_sweep_csv(grid, fh: IO[str]) -> None:

@@ -120,6 +120,16 @@ def _check_field(name: str, value) -> float:
     return value
 
 
+def _replace_field(params: ModelParameters, name: str, value) -> ModelParameters:
+    """replace(params, **{name: value}) that checks only the changed field;
+    the other fields of a valid set still hold, as every rule is per field."""
+    out = object.__new__(ModelParameters)
+    values = out.__dict__
+    values.update(params.__dict__)
+    values[name] = _check_field(name, value)
+    return out
+
+
 PLAUSIBLE_RANGES: dict[str, tuple[float, float]] = {
     "s": (1.0, 1.8e5),
     "r_T": (2e-3, 3.4),

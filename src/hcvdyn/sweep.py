@@ -14,8 +14,8 @@ and bisects it to relative precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from types import SimpleNamespace
 
@@ -40,6 +40,7 @@ from .model import (
     _constants,
     _field,
     _jacobian_entries,
+    _replace_field,
     _squared,
     _term_scales,
 )
@@ -340,9 +341,15 @@ def _evaluate_grid(
             other = -cons.D / cons.H - closed
             nearer = np.where(abs(other - T) < abs(closed - T), other, closed)
             closed_diff = abs(nearer - T) / _pymax(abs(T), 1e-300)
-            radical_raises = unique & (H != 0.0) & ~(radicand < 0.0)
-            radical_raises &= closed_diff > DEFAULT_TOLERANCES.t_star_radical
-            ok &= ~lo_raises & ~hi_raises & ~radical_raises
+            radical = (H != 0.0) & ~(radicand < 0.0)
+            radical_raises = unique & radical & (closed_diff > DEFAULT_TOLERANCES.t_star_radical)
+            # Report fields that infected_equilibrium refuses when not finite.
+            threshold_T = params.T_max * (delta - params.r_I) / (A - params.r_I)
+            finite = np.isfinite(d) & ((A == params.r_I) | np.isfinite(threshold_T))
+            finite &= ~((count >= 1) & ~np.isfinite(lo)) & ~((count == 2) & ~np.isfinite(hi))
+            finite &= ~radical | np.isfinite(np.where(unique, nearer, closed))
+            finite &= ~(radical & unique) | np.isfinite(closed_diff)
+            ok &= ~lo_raises & ~hi_raises & ~radical_raises & finite
             unique = ok & unique
 
         if "delta2" in outputs:
@@ -395,10 +402,18 @@ def _threshold_level(params, target: str):
     return 1.0 - params.q / (params.d_I + params.q)
 
 
-def _target_gap(params: ModelParameters, target: str) -> float:
+def _uninfected_T(params: ModelParameters, e0s: dict) -> float:
+    """T0 of the set, solved once per distinct (s, r_T, d_T, T_max): the only
+    fields uninfected_equilibrium reads.  e0s holds one search's solutions."""
+    key = (params.s, params.r_T, params.d_T, params.T_max)
+    if key not in e0s:
+        e0s[key] = uninfected_equilibrium(params).state.T
+    return e0s[key]
+
+
+def _target_gap(params: ModelParameters, target: str, e0s: dict) -> float:
     """Signed distance of r0 from the requested threshold at this set."""
-    T0 = uninfected_equilibrium(params).state.T
-    R0 = r0_from_T0(params, T0)
+    R0 = r0_from_T0(params, _uninfected_T(params, e0s))
     return R0 - _threshold_level(params, target)
 
 
@@ -407,34 +422,40 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
 
     Scans the axis grid for the first sign change, then bisects (in log
     space for log axes) until the bracket width shrinks below relative
-    1e-10.  Grid points that run_sweep would mark invalid_params are
-    skipped: a bracket never spans one, but where one borders a valid point
-    the scan also visits the domain's edge between the two, so a crossing
-    inside the domain is found even when the grid steps past that edge.
-    No sign change yields found = False.
+    1e-10.  Every point goes through the scalar route, with E0 solved once
+    per distinct set of the fields it reads.  Grid points where that route
+    raises a ModelError, exactly the cells run_sweep marks invalid_params,
+    are skipped: a bracket never spans one, but where one borders a valid
+    point the scan also visits the domain's edge between the two, so a
+    crossing inside the domain is found even when the grid steps past that
+    edge.  No sign change yields found = False.
     """
     if target not in THRESHOLD_TARGETS:
         raise SweepError(f"unknown target {target!r}; choose from {THRESHOLD_TARGETS}")
+    e0s: dict = {}
 
     def gap_at(x: float) -> float:
-        return _target_gap(replace(base, **{axis.name: x}), target)
+        return _target_gap(_replace_field(base, axis.name, x), target, e0s)
 
-    grid = axis.values()
-    params, valid = _grid_parameters(base, [(axis.name, grid)])
-    columns, status = _evaluate_grid(params, valid, ("r0",))
-    with np.errstate(all="ignore"):
-        gaps = (np.array(columns["r0"]) - _threshold_level(params, target)).tolist()
-    points = grid.tolist()
-    live = [cell_status != STATUS_INVALID for cell_status in status]
+    points = axis.values().tolist()
 
-    def domain_edge(k: int, outside: float) -> tuple[float, float]:
+    @cache
+    def grid_gap(k: int) -> float | None:
+        """The gap at grid point k, or None where the point is not live."""
+        try:
+            return gap_at(points[k])
+        except ModelError:
+            return None
+
+    def domain_edge(inside: float, g: float, outside: float) -> tuple[float, float]:
         """A valid point within the bisection's relative precision of the
-        domain's edge, and its gap, bisecting from grid point k toward an
-        invalid value; each parameter's domain is an interval."""
-        inside, g = points[k], gaps[k]
+        domain's edge, and its gap, bisecting from a live grid point toward
+        an invalid value; each parameter's domain is an interval."""
         width = 1e-10 * max(abs(inside), abs(outside))
         while abs(outside - inside) > width:
             mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                break  # no float lies between the two
             try:
                 g_mid = gap_at(mid)
             except ModelError:
@@ -446,14 +467,15 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
     def scan():
         """(x, gap) along the axis; None where the domain is interrupted."""
         for k, x in enumerate(points):
-            if not live[k]:
+            g = grid_gap(k)
+            if g is None:
                 yield None
                 continue
-            if k > 0 and not live[k - 1]:
-                yield domain_edge(k, points[k - 1])
-            yield x, gaps[k]
-            if k + 1 < len(points) and not live[k + 1]:
-                yield domain_edge(k, points[k + 1])
+            if k > 0 and grid_gap(k - 1) is None:
+                yield domain_edge(x, g, points[k - 1])
+            yield x, g
+            if k + 1 < len(points) and grid_gap(k + 1) is None:
+                yield domain_edge(x, g, points[k + 1])
 
     previous = None
     for point in scan():
@@ -463,7 +485,7 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
                 (lo, g_lo), hi = previous, x
                 break
             if g == 0.0:
-                return ThresholdResult(target, True, x, _r0_at(base, axis, x), (x, x))
+                return ThresholdResult(target, True, x, _r0_at(base, axis, x, e0s), (x, x))
         previous = point
     else:
         return ThresholdResult(target, False, None, None, None)
@@ -486,11 +508,11 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
         target=target,
         found=True,
         axis_value=value,
-        r0_at_value=_r0_at(base, axis, value),
+        r0_at_value=_r0_at(base, axis, value, e0s),
         bracket=(lo, hi),
     )
 
 
-def _r0_at(base: ModelParameters, axis: Axis, x: float) -> float:
-    params = replace(base, **{axis.name: x})
-    return r0_from_T0(params, uninfected_equilibrium(params).state.T)
+def _r0_at(base: ModelParameters, axis: Axis, x: float, e0s: dict) -> float:
+    params = _replace_field(base, axis.name, x)
+    return r0_from_T0(params, _uninfected_T(params, e0s))

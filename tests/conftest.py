@@ -1,7 +1,8 @@
 """Shared samplers and independent oracles for the test suite.
 
 Samplers draw log-uniform parameter sets; all tests seed their own
-numpy Generator so runs are reproducible.  Oracles recompute quantities by
+numpy Generator so runs are reproducible.  any_value is the hypothesis
+strategy for one field over its whole domain.  Oracles recompute quantities by
 an independent route (bisection, finite differences, numpy eigensolvers)
 so the closed forms in the package are checked against something they do
 not share code with.
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hcvdyn import (
     REGIME_UNIQUE,
@@ -31,6 +33,15 @@ OVERFLOWING_MINORS = {
     "d_T": "4.7362281747125076e-157", "d_I": "6.618809129841355e-50", "T_max": "1.102761058134422e-34",
     "beta": "1.5828113398756662e+22", "p": "1.5335940461523477e+204", "c": "5.903998246723914e+108",
     "q": "5e-324", "eta": "0.15444422251938714", "epsilon": "0.38739835578406456",
+}
+
+# A valid set whose E* quadratic has a constant term (existence_condition)
+# that overflows to -inf, and a rejected root at inf.
+OVERFLOWING_CONSTANT_TERM = {
+    "s": 1.2347665649844455e-204, "r_T": 2.392675980102134e-66, "r_I": 2.900723132772846e-199,
+    "d_T": 4.852563583907121e49, "d_I": 5e-324, "T_max": 9.321163987036603e-107,
+    "beta": 3.412293370689695e122, "p": 0.0, "c": 6.383049461704197e32,
+    "q": 2.0161862133766807e119, "eta": 0.6388294271130139, "epsilon": 0.6129433763761614,
 }
 
 # One verdict line per acceptance criterion, printed after the run so the
@@ -66,6 +77,16 @@ def pytest_terminal_summary(terminalreporter):
 def pow10(rng: np.random.Generator, lo: float, hi: float) -> float:
     """10**U(lo, hi): log-uniform over [10**lo, 10**hi]."""
     return float(10.0 ** rng.uniform(lo, hi))
+
+
+def any_value(name: str) -> st.SearchStrategy[float]:
+    """A valid value of the field anywhere in its domain: log-uniform over
+    [1e-300, 1e300], exactly 0 where allowed, or the smallest subnormal."""
+    if name in ("eta", "epsilon"):
+        return st.floats(0.0, 1.0, exclude_max=True)
+    log_uniform = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
+    special = [5e-324] if name in ("T_max", "c") else [0.0, 5e-324]
+    return st.one_of(log_uniform, st.sampled_from(special))
 
 
 def draw_params(rng: np.random.Generator) -> ModelParameters:

@@ -1,12 +1,11 @@
 """Uninfected and infected equilibria: closed forms, roots, regimes."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import bisect_root, draw_supercritical_params
+from conftest import OVERFLOWING_CONSTANT_TERM, bisect_root, draw_supercritical_params
 
 from hcvdyn import (
     REGIME_NONE,
@@ -152,17 +151,12 @@ def test_existence_regime_reports_criteria_and_disagreements():
 
 
 def test_existence_regime_refuses_a_non_finite_constant_term():
-    # The constant term of the E* quadratic overflows; existence_regime used
-    # to return existence_condition = -inf.
-    params = ModelParameters(
-        s=1.2347665649844455e-204, r_T=2.392675980102134e-66, r_I=2.900723132772846e-199,
-        d_T=4.852563583907121e49, d_I=5e-324, T_max=9.321163987036603e-107,
-        beta=3.412293370689695e122, p=0.0, c=6.383049461704197e32, q=2.0161862133766807e119,
-        eta=0.6388294271130139, epsilon=0.6129433763761614,
-    )
-    assert infected_equilibrium(params).existence_condition == -math.inf
-    with pytest.raises(DomainError, match="existence_condition is not finite: -inf"):
-        existence_regime(params)
+    # The constant term of the E* quadratic overflows; infected_equilibrium
+    # used to return existence_condition = -inf and rejected_T_roots = (inf,).
+    params = ModelParameters(**OVERFLOWING_CONSTANT_TERM)
+    for route in (infected_equilibrium, existence_regime):
+        with pytest.raises(DomainError, match="existence_condition is not finite: -inf"):
+            route(params)
 
 
 def test_rejected_roots_are_reported():

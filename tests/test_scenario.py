@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcvdyn import (
+    PARAMETER_NAMES,
     SCENARIO_S1,
     SCENARIO_S2,
     IntegratorConfig,
+    ModelParameters,
     Scenario,
     ScenarioError,
     State,
@@ -21,7 +25,7 @@ from hcvdyn import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from hcvdyn.formats import bundled_scenarios, resolve_scenario_path
+from hcvdyn.formats import METHOD_TOKENS, bundled_scenarios, resolve_scenario_path
 
 MINIMAL = """
 s = 10.0
@@ -141,6 +145,50 @@ def test_render_parse_round_trip():
     for name, text in bundled_scenarios().items():
         scenario = parse_scenario(text, source=name)
         assert parse_scenario(render_scenario(scenario), source=name) == scenario
+
+
+def test_names_that_do_not_fit_a_line_are_quoted():
+    scenario = Scenario(SCENARIO_S1, State(1e3, 2.0, 1.0), name=" run #2\n")
+    text = render_scenario(scenario)
+    assert text.startswith('name = " run \\u00232\\n"\n')
+    assert parse_scenario(text) == scenario
+    assert parse_scenario(MINIMAL + 'name = "s1"  # quoted\n').name == "s1"
+    with pytest.raises(ScenarioError, match=":17: name: not a JSON string"):
+        parse_scenario(MINIMAL + 'name = "unterminated\n')
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _parameter(name):
+    """Any value ModelParameters accepts for the field."""
+    if name in ("eta", "epsilon"):
+        return st.floats(0.0, 1.0, exclude_max=True)
+    if name in ("T_max", "c"):
+        return st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return st.floats(0.0, allow_infinity=False)
+
+
+optional = st.none() | finite
+scenarios = st.builds(
+    Scenario,
+    params=st.fixed_dictionaries({name: _parameter(name) for name in PARAMETER_NAMES}).map(
+        lambda fields: ModelParameters(**fields)
+    ),
+    initial=st.builds(State, finite, finite, finite),
+    t_end=optional,
+    method=st.none() | st.sampled_from(sorted(METHOD_TOKENS)),
+    step=optional,
+    rel_tol=optional,
+    abs_tol=optional,
+    name=st.none() | st.text(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario=scenarios)
+def test_render_parse_round_trip_over_the_whole_domain(scenario):
+    assert parse_scenario(render_scenario(scenario)) == scenario
 
 
 def test_resolve_scenario_accepts_bundled_names_and_paths(tmp_path):

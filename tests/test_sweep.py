@@ -199,6 +199,12 @@ def test_threshold_skips_grid_points_outside_the_domain(base, lo, hi):
     assert lo < result.bracket[0] <= result.axis_value <= result.bracket[1] < hi
 
 
+def test_threshold_edge_search_ends_between_adjacent_floats():
+    # The edge between s = -5e-324 and s = 0 has no float inside it.
+    result = threshold_locate(SCENARIO_S2, Axis("s", -5e-324, 5e-324, 2))
+    assert not result.found
+
+
 def test_threshold_reports_no_crossing_across_an_invalid_stretch():
     # q < 0 is invalid; r0 stays above 1 on the valid part of the axis.
     result = threshold_locate(replace(SCENARIO_S2, beta=1e-6), Axis("q", -1.0, 1.0, 11))
@@ -224,6 +230,19 @@ def test_threshold_reports_no_crossing_across_an_invalid_stretch():
             SCENARIO_S2, Axis("p", 0.01, 1.0, 9, "log"), "r0_eq_1_minus_q_over_delta",
             (0.15050241307448803, 0.3749999999997837, (0.15050241306944515, 0.1505024130795309)),
         ),
+        # Axes that move E0: T0 changes at every step of the search.
+        (
+            SCENARIO_S1, Axis("T_max", 1e6, 1e8, 15, "log"), "r0_eq_1",
+            (12199015.010582253, 1.0000000000276228, (12199015.010115108, 12199015.0110494)),
+        ),
+        (
+            SCENARIO_S1, Axis("T_max", 1e6, 1e8, 15, "log"), "r0_eq_1_minus_q_over_delta",
+            (1995127.8168609082, 0.16666666667197833, (1995127.8167845074, 1995127.8169373092)),
+        ),
+        (
+            SCENARIO_S2, Axis("r_T", 0.0, 1.0, 11), "r0_eq_1",
+            (0.015730927856202465, 0.9999999999339446, (0.01573092785547487, 0.01573092785693006)),
+        ),
     ],
 )
 def test_threshold_results_are_pinned(base, axis, target, expected):
@@ -243,4 +262,4 @@ def test_threshold_gap_is_undefined_without_delta():
     params = replace(SCENARIO_S1, d_I=0.0, q=0.0)
     for target in ("r0_eq_1", "r0_eq_1_minus_q_over_delta"):
         with pytest.raises(DomainError, match="d_I \\+ q = 0"):
-            _target_gap(params, target)
+            _target_gap(params, target, {})

@@ -15,16 +15,18 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OVERFLOWING_MINORS
+from conftest import OVERFLOWING_CONSTANT_TERM, OVERFLOWING_MINORS, any_value
 
 from hcvdyn import (
     PARAMETER_NAMES,
     SCENARIO_S2,
     SWEEP_OUTPUTS,
     Axis,
+    DomainError,
     IntegrityError,
     ModelError,
     ModelParameters,
@@ -141,6 +143,30 @@ def test_batched_sweep_matches_scalar_route(base, sweep_axes, wanted):
     assert_cells_match_reference(spec)
 
 
+whole_domain_bases = st.fixed_dictionaries({name: any_value(name) for name in PARAMETER_NAMES}).map(
+    lambda fields: ModelParameters(**fields)
+)
+
+
+@st.composite
+def whole_domain_axes(draw):
+    """One or two distinct axes with ends anywhere in the domain."""
+    names = draw(st.lists(st.sampled_from(PARAMETER_NAMES), min_size=2, max_size=2, unique=True))
+    out = []
+    for name in names[: draw(st.integers(1, 2))]:
+        lo, hi = sorted(draw(st.lists(any_value(name), min_size=2, max_size=2, unique=True)))
+        scale = draw(st.sampled_from(("linear", "log"))) if lo > 0.0 else "linear"
+        out.append(Axis(name, lo, hi, draw(st.integers(2, 7)), scale))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=whole_domain_bases, sweep_axes=whole_domain_axes(), wanted=outputs)
+def test_batched_sweep_matches_scalar_route_over_the_whole_domain(base, sweep_axes, wanted):
+    # Overflow, underflow and NaN live here, outside the plausible ranges.
+    assert_cells_match_reference(SweepSpec(base, *sweep_axes, outputs=wanted))
+
+
 def test_batched_sweep_matches_scalar_route_on_plausible_supercritical_cells():
     rng = np.random.default_rng(20190601)
     supercritical = 0
@@ -221,6 +247,52 @@ def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():
     assert status == [expected] == [STATUS_INVALID]
     assert repr(columns) == repr({name: [values[name]] for name in outputs})
     assert math.isnan(columns["delta2"][0])
+
+
+# Valid sets with a finite r0 where one field of infected_equilibrium's
+# report overflows.
+NON_FINITE_REPORTS = [
+    # The constant term overflows to -inf, and a rejected root to inf.
+    ("existence_condition", OVERFLOWING_CONSTANT_TERM),
+    # The constant term overflows to -inf; every other field is finite.
+    ("existence_condition", dict(
+        s=7.120591659983533e51, r_T=5.718772526511484e-31, r_I=1.4312412400700386e-253,
+        d_T=2.263682128868353e124, d_I=1.5809932278854285e-109, T_max=1.3415149618799017e56,
+        beta=1.1936108976184211e-59, p=1.3791401580908866e61, c=1.588524084945412e92,
+        q=1.8570390831415015e-97, eta=0.7387230689996682, epsilon=0.8603898946707123,
+    )),
+    ("rejected_T_roots", dict(
+        s=3.3954026870206856e277, r_T=9.265571810035262e-101, r_I=33930914393141.97,
+        d_T=1.7347898008374468e-279, d_I=1.881539026933329e21, T_max=5.700178162832545e146,
+        beta=3.4867523318467566e-181, p=6.229406621905951e-156, c=9.55133206665211e-259, q=5e-324,
+        eta=0.35531156730358926, epsilon=0.5269131948044142,
+    )),
+    ("closed_form_T", dict(
+        s=5.808416457538508e83, r_T=1.1536278212632302e-56, r_I=2.2125511563748815e-16,
+        d_T=1.4800907220980345e-227, d_I=2.4079659434682037e111, T_max=1.1170742289303628e33,
+        beta=1.0360263853378529e263, p=5.057072768322029e-150, c=2.5147568576328087e298,
+        q=4.1994626153980043e-187, eta=0.7660715206488092, epsilon=0.05695979755531344,
+    )),
+    ("threshold_T", dict(
+        s=5.60712468212781e-60, r_T=8.334659418910591e142, r_I=3.495967479094066e223,
+        d_T=5.104701853134149e143, d_I=1465134132776.543, T_max=1.2333635671548774e212,
+        beta=2.2592605198014633e-206, p=5e-324, c=3.0788582601600406e189, q=0.0,
+        eta=0.8508787365120284, epsilon=0.7568716805547588,
+    )),
+]
+
+
+@pytest.mark.parametrize("field, fields", NON_FINITE_REPORTS)
+def test_sweep_cell_where_a_report_field_is_not_finite_matches_scalar_route(field, fields):
+    # regime, estar_T and delta2 need E*; r0 alone leaves the cell ok.
+    base = ModelParameters(**fields)
+    with pytest.raises(DomainError, match=f"{field} is not finite"):
+        infected_equilibrium(base)
+    axis = Axis("eta", base.eta, 0.99, 2)
+    cases = ((("r0", "regime"), STATUS_INVALID), (SWEEP_OUTPUTS, STATUS_INVALID), (("r0",), STATUS_OK))
+    for outputs, status in cases:
+        grid = assert_cells_match_reference(SweepSpec(base, axis, outputs=outputs))
+        assert grid.status[0] == status, outputs
 
 
 def reference_cells(spec):
