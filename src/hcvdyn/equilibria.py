@@ -298,8 +298,6 @@ def existence_regime(params: ModelParameters) -> ExistenceReport:
     e0 = uninfected_equilibrium(params)
     T0 = e0.state.T
     R0 = r0_from_T0(params, T0)
-    if not math.isfinite(R0):
-        raise DomainError(f"reproduction number is not finite: {R0!r}")
     report = infected_equilibrium(params)
     exists = report.regime == REGIME_UNIQUE
 

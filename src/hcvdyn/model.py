@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -108,14 +110,16 @@ _RANGE_RULES = (
     *((name, "be positive", lambda v: v > 0) for name in ("T_max", "c")),
     *((name, "lie in [0, 1)", lambda v: 0.0 <= v < 1.0) for name in ("eta", "epsilon")),
 )
+# Each field's (requirement, test) rules, in the table's order.
+_FIELD_RULES = {name: [rule[1:] for rule in _RANGE_RULES if rule[0] == name] for name in PARAMETER_NAMES}
 
 
 def _check_field(name: str, value) -> float:
     """value as field `name` of ModelParameters holds it; raises as construction
     would.  Replacing one field of a valid set is valid exactly when this passes."""
     value = _require_finite_float(name, value)
-    for rule_name, requirement, test in _RANGE_RULES:
-        if rule_name == name and not test(value):
+    for requirement, test in _FIELD_RULES[name]:
+        if not test(value):
             raise ParameterError(f"{name} must {requirement}, got {value!r}")
     return value
 
@@ -330,15 +334,41 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
     return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F, t_tilde0=t_tilde0)
 
 
-def _field(params: ModelParameters, T, I, V):
-    """(dT/dt, dI/dt, dV/dt) at (T, I, V); broadcasts over floats and arrays."""
+def _field_terms(params, T, I, V):
+    """Each field component's terms, unsigned, in the module docstring's order."""
     crowding = 1.0 - (T + I) / params.T_max
     infection = (1.0 - params.eta) * params.beta * V * T
+    cure = params.q * I
     return (
-        params.s + params.r_T * T * crowding - params.d_T * T - infection + params.q * I,
-        params.r_I * I * crowding - params.d_I * I + infection - params.q * I,
-        (1.0 - params.epsilon) * params.p * I - params.c * V,
+        (params.s, params.r_T * T * crowding, params.d_T * T, infection, cure),
+        (params.r_I * I * crowding, params.d_I * I, infection, cure),
+        ((1.0 - params.epsilon) * params.p * I, params.c * V),
     )
+
+
+def _signed(dT, dI, dV):
+    """The field from its _field_terms, with the equations' signs, left to right."""
+    return dT[0] + dT[1] - dT[2] - dT[3] + dT[4], dI[0] - dI[1] + dI[2] - dI[3], dV[0] - dV[1]
+
+
+def _field(params: ModelParameters, T, I, V):
+    """(dT/dt, dI/dt, dV/dt) at (T, I, V); broadcasts over floats and arrays."""
+    return _signed(*_field_terms(params, T, I, V))
+
+
+def _field_and_scales(params, T, I, V):
+    """(field component, sum of its terms' magnitudes) pairs; the builtin sum()
+    compensates from Python 3.12 on, so the magnitudes add left to right."""
+    terms = _field_terms(params, T, I, V)
+    return zip(_signed(*terms), (reduce(add, map(abs, component)) for component in terms))
+
+
+def _finite_state(state) -> tuple[float, float, float]:
+    """(T, I, V) of a state as floats; raises DomainError unless all are finite."""
+    T, I, V = (float(x) for x in state)
+    if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
+        raise DomainError(f"state must be finite, got ({T!r}, {I!r}, {V!r})")
+    return T, I, V
 
 
 def vector_field(params: ModelParameters, state: State | np.ndarray) -> np.ndarray:
@@ -348,11 +378,7 @@ def vector_field(params: ModelParameters, state: State | np.ndarray) -> np.ndarr
     The field is polynomial, so negative coordinates are admissible (useful
     for finite-difference probes around the axes).
     """
-    T, I, V = state
-    T, I, V = float(T), float(I), float(V)
-    if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
-        raise DomainError(f"state must be finite, got ({T!r}, {I!r}, {V!r})")
-    return np.array(_field(params, T, I, V), dtype=float)
+    return np.array(_field(params, *_finite_state(state)), dtype=float)
 
 
 def field_function(params: ModelParameters):
@@ -361,8 +387,8 @@ def field_function(params: ModelParameters):
     Binds every coefficient into locals once; the hot loop then runs on
     plain floats with no attribute lookups or array allocation.  It keeps
     this closure rather than calling _field: that costs about 4-7 % per
-    RK45 step, and multiplying by 1/T_max where _field divides by T_max
-    rounds differently, which moves trajectories and their benign dips.
+    RK45 step, and multiplying by 1/T_max where _field_terms divides by
+    T_max rounds differently, which moves trajectories and their benign dips.
     """
     s, r_T, r_I = params.s, params.r_T, params.r_I
     d_T, d_I, q, c = params.d_T, params.d_I, params.q, params.c
@@ -385,10 +411,7 @@ def field_function(params: ModelParameters):
 
 def jacobian(params: ModelParameters, state: State | np.ndarray) -> np.ndarray:
     """Jacobian matrix of the vector field at a state."""
-    T, I, V = (float(x) for x in state)
-    if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
-        raise DomainError(f"state must be finite, got ({T!r}, {I!r}, {V!r})")
-    return np.array(_jacobian_entries(params, T, I, V), dtype=float)
+    return np.array(_jacobian_entries(params, *_finite_state(state)), dtype=float)
 
 
 def _jacobian_entries(params, T, I, V):
@@ -419,27 +442,13 @@ def residual_norm(params: ModelParameters, state: State | np.ndarray) -> float:
     size.  A component whose terms are all zero contributes zero.  It runs
     on Python floats, so an overflowing term gives no numpy warning.
     """
-    T, I, V = (float(x) for x in state)
-    f = vector_field(params, (T, I, V)).tolist()
     worst = 0.0
-    for value, scale in zip(f, _term_scales(params, T, I, V)):
+    for value, scale in _field_and_scales(params, *_finite_state(state)):
         if scale > 0.0:
             worst = max(worst, abs(value) / scale)
         elif value != 0.0:
             worst = math.inf
-    return float(worst)
-
-
-def _term_scales(params, T, I, V):
-    """Sum of the magnitudes of the terms entering each field component;
-    broadcasts over floats and arrays."""
-    crowding = 1.0 - (T + I) / params.T_max
-    infection = abs((1.0 - params.eta) * params.beta * V * T)
-    return (
-        params.s + abs(params.r_T * T * crowding) + abs(params.d_T * T) + infection + abs(params.q * I),
-        abs(params.r_I * I * crowding) + abs(params.d_I * I) + infection + abs(params.q * I),
-        abs((1.0 - params.epsilon) * params.p * I) + abs(params.c * V),
-    )
+    return worst
 
 
 SCENARIO_S1 = ModelParameters(

@@ -44,12 +44,16 @@ def r0_from_T0(params: ModelParameters, T0: float) -> float:
     """Closed-form reproduction number at an infection-free level T0.
 
     R0 = (r_I/delta)(1 - T0/T_max) + (1 - theta) beta T0 p / (c delta).
+    Raises DomainError when T0 <= 0, or when R0 is undefined or not finite.
     """
     if T0 <= 0:
         raise DomainError(f"T0 must be positive, got {T0!r}")
     if params.c * (params.d_I + params.q) == 0:
         raise DomainError("reproduction number is undefined when d_I + q = 0 or c (d_I + q) underflows to 0")
-    return _r0_closed_form(params, T0)
+    R0 = _r0_closed_form(params, T0)
+    if not math.isfinite(R0):
+        raise DomainError(f"reproduction number is not finite: {R0!r}")
+    return R0
 
 
 def _r0_closed_form(params, T0):

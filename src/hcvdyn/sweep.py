@@ -38,11 +38,10 @@ from .model import (
     _constant_F,
     _check_field,
     _constants,
-    _field,
+    _field_and_scales,
     _jacobian_entries,
     _replace_field,
     _squared,
-    _term_scales,
 )
 from .reproduction import _r0_closed_form, r0_from_T0
 from .stability import CharacteristicCoefficients, _closed_coefficients, _principal_minors
@@ -226,7 +225,7 @@ def _logistic_root(s, g, k):
 def _residual(params, T, I, V):
     """residual_norm over arrays."""
     worst = 0.0
-    for value, scale in zip(_field(params, T, I, V), _term_scales(params, T, I, V)):
+    for value, scale in _field_and_scales(params, T, I, V):
         ratio = np.where(scale > 0.0, abs(value) / scale, np.where(value != 0.0, np.inf, 0.0))
         worst = _pymax(worst, ratio)
     return worst
@@ -305,6 +304,7 @@ def _evaluate_grid(
         ok &= np.isfinite(T0) & ~(_residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual)
         ok &= ~(T0 <= 0) & (params.c * (params.d_I + params.q) != 0)
         R0 = _r0_closed_form(params, T0)
+        ok &= np.isfinite(R0)
 
         wants_estar = "estar_T" in outputs or "delta2" in outputs
         regime = T = delta2 = math.nan

@@ -279,6 +279,14 @@ def test_sweep_past_the_float_range_of_t_max_squared(tmp_path, capsys):
 
 S1 = S1_Q0_LOW_BETA.replace("beta = 1e-9", "beta = 1e-7").replace("q = 0.0", "q = 0.5")
 
+
+def _with(text, updates):
+    """text with each key's line set to the updated value."""
+    for key, value in updates.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
 # residual_norm divided numpy scalars inf / inf here, so a RuntimeWarning
 # used to precede the error line.
 INF_OVER_INF = {
@@ -330,11 +338,8 @@ NON_FINITE_CONSTANT_TERM = {
     (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),
 ])
 def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command, updates):
-    text = S1
-    for key, value in updates.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     scn = tmp_path / "edge.scn"
-    scn.write_text(text)
+    scn.write_text(_with(S1, updates))
     assert main(["validate", str(scn)]) == 0
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -351,11 +356,8 @@ def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command,
 def test_overflowing_minor_fails_the_coefficient_cross_check(tmp_path, capsys):
     # minor_a3 overflows to inf, so its relative difference is NaN, which
     # fails the check before the CLI reaches the non-finite spectral r0.
-    text = S1
-    for key, value in OVERFLOWING_MINORS.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     scn = tmp_path / "edge.scn"
-    scn.write_text(text)
+    scn.write_text(_with(S1, OVERFLOWING_MINORS))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["analyze", str(scn)]) == 4
@@ -366,6 +368,45 @@ def test_overflowing_minor_fails_the_coefficient_cross_check(tmp_path, capsys):
         "expansion by relative nan\n"
     )
     assert [str(w.message) for w in caught] == []
+
+
+# r_I / delta overflows, so r0 is inf.  certify used to print r0 = inf and
+# exit 3, and sweep to write inf as an ok cell.
+NON_FINITE_R0 = {
+    "s": "5e-324", "r_T": "1.0", "r_I": "4.463186123660912e139", "d_T": "1.0", "d_I": "5e-324",
+    "T_max": "1.0", "beta": "1.0", "p": "1.0", "c": "1.0", "q": "5e-324", "eta": "1e-4",
+    "epsilon": "0.17793376369126435",
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["certify"], ["certify", "--target", "estar"]])
+def test_non_finite_r0_exits_1(tmp_path, capsys, command):
+    scn = tmp_path / "edge.scn"
+    scn.write_text(_with(S1, NON_FINITE_R0))
+    assert main([command[0], str(scn), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reproduction number is not finite: inf\n"
+
+
+def test_simulate_summary_ends_in_the_non_finite_r0_error(tmp_path, capsys):
+    # The run rests at E0, so the integration succeeds and the summary fails.
+    scn = tmp_path / "edge.scn"
+    scn.write_text(_with(S1, dict(NON_FINITE_R0, T0="1e-162", I0="0.0", V0="0.0")))
+    assert main(["simulate", str(scn), "--t-end", "1", "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reproduction number is not finite: inf\n"
+    assert (tmp_path / "out.csv").read_text().count("\n") == 3
+
+
+def test_sweep_marks_non_finite_r0_cells_invalid(tmp_path, capsys):
+    spec = tmp_path / "edge.swp"
+    spec.write_text(_with(SWEEP_SPEC, NON_FINITE_R0))
+    assert main(["sweep", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # eta = 1.0 is outside the domain.
+    assert lines[1:] == ["0.0,nan,invalid_params", "0.5,nan,invalid_params", "1.0,nan,invalid_params"]
 
 
 def test_sweep_where_c_delta_underflows_marks_the_cell_invalid(tmp_path, capsys):

@@ -86,6 +86,18 @@ def test_non_finite_r0_raises_domain_error():
         existence_regime(params)
 
 
+def test_r0_beyond_the_float_range_raises_domain_error():
+    # r_I / delta overflows, so r0 is inf.  r0 used to return it.
+    params = ModelParameters(
+        s=5e-324, r_T=1.0, r_I=4.463186123660912e139, d_T=1.0, d_I=5e-324, T_max=1.0,
+        beta=1.0, p=1.0, c=1.0, q=5e-324, eta=1e-4, epsilon=0.17793376369126435,
+    )
+    with pytest.raises(DomainError, match="reproduction number is not finite: inf"):
+        r0(params)
+    with pytest.raises(DomainError, match="reproduction number is not finite: inf"):
+        r0_from_T0(params, 0.5)
+
+
 def test_non_finite_spectral_radius_raises_domain_error():
     # 1/c overflows, and 0 * inf makes the next-generation matrix NaN, which
     # used to pass the cross-check against the closed form.

@@ -249,8 +249,16 @@ def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():
     assert math.isnan(columns["delta2"][0])
 
 
-# Valid sets with a finite r0 where one field of infected_equilibrium's
-# report overflows.
+# A valid set whose radical route overflows and whose r0 is nan.
+NAN_R0_CLOSED_FORM = dict(
+    s=5.808416457538508e83, r_T=1.1536278212632302e-56, r_I=2.2125511563748815e-16,
+    d_T=1.4800907220980345e-227, d_I=2.4079659434682037e111, T_max=1.1170742289303628e33,
+    beta=1.0360263853378529e263, p=5.057072768322029e-150, c=2.5147568576328087e298,
+    q=4.1994626153980043e-187, eta=0.7660715206488092, epsilon=0.05695979755531344,
+)
+
+# Valid sets where one field of infected_equilibrium's report overflows; r0
+# is finite on each but NAN_R0_CLOSED_FORM.
 NON_FINITE_REPORTS = [
     # The constant term overflows to -inf, and a rejected root to inf.
     ("existence_condition", OVERFLOWING_CONSTANT_TERM),
@@ -267,29 +275,33 @@ NON_FINITE_REPORTS = [
         beta=3.4867523318467566e-181, p=6.229406621905951e-156, c=9.55133206665211e-259, q=5e-324,
         eta=0.35531156730358926, epsilon=0.5269131948044142,
     )),
-    ("closed_form_T", dict(
-        s=5.808416457538508e83, r_T=1.1536278212632302e-56, r_I=2.2125511563748815e-16,
-        d_T=1.4800907220980345e-227, d_I=2.4079659434682037e111, T_max=1.1170742289303628e33,
-        beta=1.0360263853378529e263, p=5.057072768322029e-150, c=2.5147568576328087e298,
-        q=4.1994626153980043e-187, eta=0.7660715206488092, epsilon=0.05695979755531344,
-    )),
+    ("closed_form_T", NAN_R0_CLOSED_FORM),
     ("threshold_T", dict(
         s=5.60712468212781e-60, r_T=8.334659418910591e142, r_I=3.495967479094066e223,
         d_T=5.104701853134149e143, d_I=1465134132776.543, T_max=1.2333635671548774e212,
         beta=2.2592605198014633e-206, p=5e-324, c=3.0788582601600406e189, q=0.0,
         eta=0.8508787365120284, epsilon=0.7568716805547588,
     )),
+    # With a finite r0, the kernel's own closed_form_T check decides the cell.
+    ("closed_form_T", dict(
+        s=5.519233380703292e91, r_T=1.220732060367949e-34, r_I=2.866155776756261e88,
+        d_T=9599.317987841374, d_I=1.839765457596709e-92, T_max=1.0483301970551499e111,
+        beta=1.3017553610227383e51, p=2.6084551803824415e-163, c=1.326191553942486e266,
+        q=1.986096302743149e-247, eta=0.9502427175770068, epsilon=0.023269264026362646,
+    )),
 ]
 
 
 @pytest.mark.parametrize("field, fields", NON_FINITE_REPORTS)
 def test_sweep_cell_where_a_report_field_is_not_finite_matches_scalar_route(field, fields):
-    # regime, estar_T and delta2 need E*; r0 alone leaves the cell ok.
+    # regime, estar_T and delta2 need E*; r0 alone leaves the cell ok,
+    # unless r0 itself is not finite.
     base = ModelParameters(**fields)
     with pytest.raises(DomainError, match=f"{field} is not finite"):
         infected_equilibrium(base)
     axis = Axis("eta", base.eta, 0.99, 2)
-    cases = ((("r0", "regime"), STATUS_INVALID), (SWEEP_OUTPUTS, STATUS_INVALID), (("r0",), STATUS_OK))
+    r0_only = STATUS_INVALID if fields is NAN_R0_CLOSED_FORM else STATUS_OK
+    cases = ((("r0", "regime"), STATUS_INVALID), (SWEEP_OUTPUTS, STATUS_INVALID), (("r0",), r0_only))
     for outputs, status in cases:
         grid = assert_cells_match_reference(SweepSpec(base, axis, outputs=outputs))
         assert grid.status[0] == status, outputs
