@@ -307,10 +307,16 @@ def render_line_svg(
     width: int = 800,
     height: int = 500,
 ) -> str:
-    """Single-polyline SVG chart with min/max labels on both axes."""
+    """Single-polyline SVG chart with min/max labels on both axes.
+
+    width and height must exceed twice the 70 px margin, or the plot area
+    would be empty or mirrored; otherwise raises ParameterError.
+    """
+    margin = 70
+    if not (width > 2 * margin and height > 2 * margin):
+        raise ParameterError(f"SVG width and height must exceed {2 * margin} px, got {width!r} x {height!r}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    margin = 70
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     x_span = x_hi - x_lo or 1.0

@@ -57,9 +57,9 @@ VIOLATION_KINDS = (NEGATIVITY, T_PLUS_I_BOUND, V_BOUND)
 class IntegratorConfig:
     """Integration settings.
 
-    step applies to the fixed-step method; rel_tol, abs_tol, min_step and
-    max_step to the adaptive one.  Samples are recorded every sample_every
-    days and at t_end.  t_end = 0 yields just the initial sample.
+    step applies to the fixed-step method; rel_tol and abs_tol to the
+    adaptive one.  Samples are recorded every sample_every days and at
+    t_end.  t_end = 0 yields just the initial sample.
     """
 
     method: str = RK45_ADAPTIVE
@@ -68,8 +68,6 @@ class IntegratorConfig:
     step: float = 0.01
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    min_step: float = 1e-12
-    max_step: float = math.inf
     max_steps: int = 50_000_000
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class IntegratorConfig:
             raise ParameterError(f"step must be positive, got {self.step!r}")
         if not self.rel_tol > 0 or not self.abs_tol >= 0:
             raise ParameterError("rel_tol must be positive and abs_tol nonnegative")
-        if not 0 < self.min_step <= self.max_step:
-            raise ParameterError("need 0 < min_step <= max_step")
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class InvariantSummary:
-    """Re-scan of a trajectory against the invariant checks."""
+    """A trajectory's violation log counted by kind, with its benign dips."""
 
     counts: dict[str, int]
     worst: dict[str, float]
@@ -185,11 +181,11 @@ def _inside_omega(state: State, bounds: Bounds) -> bool:
 class _Monitor:
     """Collects violations and benign dips at sample points."""
 
-    def __init__(self, bounds: Bounds, check_bounds: bool, dip_tol: float, slack: float):
+    def __init__(self, bounds: Bounds, check_bounds: bool, dip_tol: float):
         self.bounds = bounds
         self.check_bounds = check_bounds and math.isfinite(bounds.t_tilde0)
         self.dip_tol = dip_tol
-        self.slack = slack
+        self.slack = DEFAULT_TOLERANCES.bound_slack
         self.violations: list[Violation] = []
         self.benign = 0
 
@@ -211,6 +207,9 @@ class _Monitor:
                     Violation(time=t, kind=V_BOUND, magnitude=y[2] - self.bounds.lambda0)
                 )
 
+
+# Smallest adaptive step; a step size below it fails the run.
+_MIN_STEP = 1e-12
 
 # Sample intervals above which a run that cannot finish is refused before
 # its sample list is built (see integrate).  Below it, such a run still
@@ -280,12 +279,7 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
         raise DomainError(f"initial state must be nonnegative, got {initial}")
     bounds = asymptotic_bounds(params, initial)
     inside = _inside_omega(initial, bounds)
-    monitor = _Monitor(
-        bounds,
-        check_bounds=bounds.applicable and inside,
-        dip_tol=config.abs_tol,
-        slack=DEFAULT_TOLERANCES.bound_slack,
-    )
+    monitor = _Monitor(bounds, check_bounds=bounds.applicable and inside, dip_tol=config.abs_tol)
     f = field_function(params)
     sample_times = [0.0]
     samples: list[tuple[float, float, float]] = []
@@ -345,11 +339,11 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
             record(t, (T, I, V))
         return partial(taken, 0)
 
-    h = min(config.sample_every, config.max_step, 1.0)
+    h = min(config.sample_every, 1.0)
     aT, aI, aV = f(t, (T, I, V))
     for t_next in sample_times[1:]:
         while t < t_next:
-            h_try = min(h, config.max_step, t_next - t)
+            h_try = min(h, t_next - t)
             h2 = h_try * _A21
             bT, bI, bV = f(t + _C2 * h_try, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
             cT, cI, cV = f(t + _C3 * h_try, (T + h_try * (_A31 * aT + _A32 * bT),
@@ -390,7 +384,7 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
                 rejected += 1
                 factor = max(0.2, 0.9 * err**-0.2)
             h = h_try * factor
-            if h < config.min_step:
+            if h < _MIN_STEP:
                 raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}", taken, rejected)
             if taken + rejected > config.max_steps:
                 raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}", taken, rejected)
@@ -398,41 +392,27 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
     return partial(taken, rejected)
 
 
-def check_invariants(
-    trajectory: Trajectory, bounds: Bounds | None = None, dip_tol: float = 1e-10
-) -> InvariantSummary:
-    """Re-scan a trajectory's samples against the invariant checks.
+def check_invariants(trajectory: Trajectory) -> InvariantSummary:
+    """Count a trajectory's own violation log by kind, with its benign dips.
 
-    Pure function of its inputs: positivity is always checked; the two
-    ceiling checks run only when bounds.applicable and the first sample lies
-    inside the region (mirroring the theorem hypotheses).
+    integrate's monitor checked every sample as it was recorded, with the
+    run's abs_tol as the benign-dip tolerance, so the summary agrees with
+    the run whatever tolerance it used.
     """
-    bounds = bounds if bounds is not None else trajectory.bounds
-    first = State(*(float(x) for x in trajectory.states[0]))
-    monitor = _Monitor(
-        bounds,
-        check_bounds=bounds.applicable and _inside_omega(first, bounds),
-        dip_tol=dip_tol,
-        slack=DEFAULT_TOLERANCES.bound_slack,
-    )
-    for t, row in zip(trajectory.times, trajectory.states):
-        monitor.observe(float(t), (float(row[0]), float(row[1]), float(row[2])))
     counts = {kind: 0 for kind in VIOLATION_KINDS}
     worst = {kind: 0.0 for kind in VIOLATION_KINDS}
-    for v in monitor.violations:
+    for v in trajectory.violation_log:
         counts[v.kind] += 1
         worst[v.kind] = max(worst[v.kind], v.magnitude)
     return InvariantSummary(
         counts=counts,
         worst=worst,
-        benign_dips=monitor.benign,
-        violations=tuple(monitor.violations),
+        benign_dips=trajectory.benign_dips,
+        violations=trajectory.violation_log,
     )
 
 
-def convergence_report(
-    params: ModelParameters, trajectory: Trajectory, rel_tol: float | None = None
-) -> ConvergenceReport:
+def convergence_report(params: ModelParameters, trajectory: Trajectory) -> ConvergenceReport:
     """Distance of the final sample from the attractor predicted by R0.
 
     A run whose first sample has I = V = 0 stays on that invariant plane, so
@@ -441,7 +421,8 @@ def convergence_report(
     For the uninfected equilibrium, T is compared relative to T0 while I and
     V are compared against 1e-3 rel_tol T0 (they vanish at the attractor, so
     a relative measure is meaningless).  For the infected equilibrium every
-    component is compared relative to its own equilibrium value.
+    component is compared relative to its own equilibrium value.  rel_tol
+    is the matching *_convergence tolerance, or NaN without an attractor.
     """
     from .equilibria import REGIME_UNIQUE, infected_equilibrium, uninfected_equilibrium
     from .reproduction import r0_from_T0
@@ -454,17 +435,16 @@ def convergence_report(
         report = infected_equilibrium(params)
         if report.regime == REGIME_UNIQUE:
             ref = report.candidates[0].state
-            tol = 1e-2 if rel_tol is None else rel_tol
+            tol = DEFAULT_TOLERANCES.infected_convergence
             dist = max(
                 abs(final.T - ref.T) / ref.T,
                 abs(final.I - ref.I) / ref.I,
                 abs(final.V - ref.V) / ref.V,
             )
             return ConvergenceReport("Estar", ref, dist, tol, dist <= tol)
-        tol = math.nan if rel_tol is None else rel_tol
-        return ConvergenceReport(None, None, math.inf, tol, False)
+        return ConvergenceReport(None, None, math.inf, math.nan, False)
     # r0_from_T0 has already rejected T0 <= 0.
-    tol = 1e-3 if rel_tol is None else rel_tol
+    tol = DEFAULT_TOLERANCES.uninfected_convergence
     small = 1e-3 * e0.T
     dist = max(abs(final.T - e0.T) / e0.T, final.I / small, final.V / small)
     return ConvergenceReport("E0", e0, dist, tol, dist <= tol)

@@ -469,6 +469,14 @@ def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V)
     return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
 
 
+def _positive_state(state) -> tuple[float, float, float]:
+    """(T, I, V) of a state as floats; raises DomainError unless each is positive."""
+    T, I, V = (float(x) for x in state)
+    if T <= 0 or I <= 0 or V <= 0:
+        raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
+    return T, I, V
+
+
 def lyapunov_uninfected(
     params: ModelParameters, state: State | tuple[float, float, float]
 ) -> tuple[float, float]:
@@ -481,9 +489,7 @@ def lyapunov_uninfected(
     beyond the float range, or a state so small that T/T0 or T*T0
     underflows to 0, raises DomainError.
     """
-    T, I, V = (float(x) for x in state)
-    if T <= 0 or I <= 0 or V <= 0:
-        raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
+    T, I, V = _positive_state(state)
     e0 = uninfected_equilibrium(params).state
     T0 = e0.T
     if T0 <= 0:
@@ -532,9 +538,7 @@ def lyapunov_infected(
     range, or a state so small that a ratio to E* underflows to 0, raises
     DomainError.
     """
-    T, I, V = (float(x) for x in state)
-    if T <= 0 or I <= 0 or V <= 0:
-        raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
+    T, I, V = _positive_state(state)
     st = _as_state(estar)
     if st.I <= 0 or st.T <= 0 or st.V <= 0:
         raise DomainError("infected-equilibrium Lyapunov function needs positive (T*, I*, V*)")

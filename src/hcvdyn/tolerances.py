@@ -58,5 +58,13 @@ class Tolerances:
     """Relative slack applied to invariant-region bounds during trajectory
     checking."""
 
+    infected_convergence: float = 1e-2
+    """Largest componentwise-relative distance of a run's final sample from
+    E* that convergence_report counts as converged."""
+
+    uninfected_convergence: float = 1e-3
+    """Largest scaled distance of a run's final sample from E0 that
+    convergence_report counts as converged."""
+
 
 DEFAULT_TOLERANCES = Tolerances()

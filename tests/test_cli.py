@@ -336,8 +336,11 @@ NON_FINITE_CONSTANT_TERM = {
     (["certify", "--grid", "5", "--target", "e0"], OVERFLOWING_REGION_MASK),
     # existence_regime used to return this; the CLI refused it.
     (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),
+    # An SVG of 140 px or less has no plot area; this used to write width="0".
+    (["simulate", "--t-end", "5", "--out", "r.csv", "--svg", "--width", "0"], {}),
 ])
-def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command, updates):
+def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, command, updates):
+    monkeypatch.chdir(tmp_path)
     scn = tmp_path / "edge.scn"
     scn.write_text(_with(S1, updates))
     assert main(["validate", str(scn)]) == 0
@@ -351,6 +354,7 @@ def test_out_of_range_sets_exit_1_with_one_error_line(tmp_path, capsys, command,
     assert captured.err.startswith("error: ")
     # A warning would print on stderr before the error line.
     assert [str(w.message) for w in caught] == []
+    assert list(tmp_path.glob("*.svg")) == []
 
 
 def test_overflowing_minor_fails_the_coefficient_cross_check(tmp_path, capsys):

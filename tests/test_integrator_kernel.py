@@ -32,12 +32,12 @@ from hcvdyn.simulate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    _MIN_STEP,
     _inside_omega,
     _Monitor,
     _sample_times,
     asymptotic_bounds,
 )
-from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 START = State(1e3, 2.0, 1.0)
 
@@ -57,14 +57,13 @@ def _finite(y):
     return math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])
 
 
-def reference_integrate(params, initial, config, tolerances=DEFAULT_TOLERANCES):
+def reference_integrate(params, initial, config):
     """The Outcome of the tuple-based loops; error names the failure, if any."""
     bounds = asymptotic_bounds(params, initial)
     monitor = _Monitor(
         bounds,
         check_bounds=bounds.applicable and _inside_omega(initial, bounds),
         dip_tol=config.abs_tol,
-        slack=tolerances.bound_slack,
     )
     f = field_function(params)
     sample_times = _sample_times(config)
@@ -114,11 +113,11 @@ def reference_integrate(params, initial, config, tolerances=DEFAULT_TOLERANCES):
             record(t, y)
         return result()
 
-    h = min(config.sample_every, config.max_step, 1.0)
+    h = min(config.sample_every, 1.0)
     k1 = f(t, y)
     for t_next in sample_times[1:]:
         while t < t_next:
-            h_try = min(h, config.max_step, t_next - t)
+            h_try = min(h, t_next - t)
             hits_boundary = h_try >= t_next - t
             y2 = tuple(yi + h_try * _A21 * k for yi, k in zip(y, k1))
             k2 = f(t + _C2 * h_try, y2)
@@ -162,7 +161,7 @@ def reference_integrate(params, initial, config, tolerances=DEFAULT_TOLERANCES):
                 stats["rejected"] += 1
                 factor = max(0.2, 0.9 * err**-0.2)
             h = h_try * factor
-            if h < config.min_step:
+            if h < _MIN_STEP:
                 return result("underflow")
             if stats["taken"] + stats["rejected"] > config.max_steps:
                 return result("budget")

@@ -14,6 +14,7 @@ from hcvdyn import (
     SCENARIO_S2,
     IntegratorConfig,
     ModelParameters,
+    ParameterError,
     Scenario,
     ScenarioError,
     State,
@@ -277,6 +278,15 @@ def test_svg_renders_a_single_polyline_with_extremes():
     assert 'width="640"' in svg and 'height="400"' in svg
     assert f"{ys.min():.6g}" in svg and f"{ys.max():.6g}" in svg
     assert ">T</text>" in svg
+
+
+@pytest.mark.parametrize("width, height", [(0, 500), (-10, 500), (140, 500), (800, 140), (800, -1)])
+def test_svg_without_a_plot_area_is_refused(width, height):
+    # The plot area is the size less a 70 px margin on each side; at 140 px
+    # or less it is empty or mirrored.
+    with pytest.raises(ParameterError, match="must exceed 140 px"):
+        render_line_svg([0.0, 1.0], [1.0, 2.0], "T", width=width, height=height)
+    assert 'width="141"' in render_line_svg([0.0, 1.0], [1.0, 2.0], "T", width=141, height=141)
 
 
 def test_svg_handles_constant_series():

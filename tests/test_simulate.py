@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hcvdyn import equilibria
+from hcvdyn import equilibria, simulate
 from hcvdyn import (
     RK4_FIXED,
     RK45_ADAPTIVE,
@@ -49,8 +49,6 @@ def test_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(min_step=0.0)
 
 
 def test_asymptotic_bounds_reference_values():
@@ -115,16 +113,31 @@ def test_supercritical_run_settles_at_infected_equilibrium():
     assert traj.violation_log == ()
 
 
-def test_convergence_report_keeps_zero_rel_tol_without_equilibrium():
+def test_convergence_report_has_no_tolerance_without_equilibrium():
     # r0 = 1.26 but no infected equilibrium exists, so there is no attractor.
     params = ModelParameters(
         s=74600.0, r_T=0.0101, r_I=0.0505, d_T=0.00256, d_I=0.0583, T_max=7.79e6,
         beta=1.42e-7, p=4.06, c=7.5, q=0.323, eta=0.199, epsilon=0.261,
     )
     traj = integrate(params, START, IntegratorConfig(t_end=1.0))
-    report = convergence_report(params, traj, rel_tol=0.0)
+    report = convergence_report(params, traj)
     assert report.attractor is None and not report.converged
-    assert report.rel_tol == 0.0
+    assert math.isnan(report.rel_tol)
+
+
+@pytest.mark.parametrize("params, field, attractor", [
+    (SCENARIO_S1, "uninfected_convergence", "E0"),
+    (SCENARIO_S2, "infected_convergence", "Estar"),
+])
+def test_convergence_report_reads_its_threshold_from_the_tolerances(monkeypatch, params, field, attractor):
+    traj = integrate(params, START, IntegratorConfig(t_end=1000.0))
+    report = convergence_report(params, traj)
+    assert report.attractor == attractor and report.converged
+    assert report.rel_tol == getattr(DEFAULT_TOLERANCES, field)
+    tight = replace(DEFAULT_TOLERANCES, **{field: report.rel_distance / 2})
+    monkeypatch.setattr(simulate, "DEFAULT_TOLERANCES", tight)
+    report = convergence_report(params, traj)
+    assert report.rel_tol == getattr(tight, field) and not report.converged
 
 
 def test_convergence_report_honours_tolerances(monkeypatch):
@@ -191,6 +204,18 @@ def test_invariant_rescan_matches_online_log():
     assert summary.violations == traj.violation_log
     assert summary.counts == {kind: 0 for kind in summary.counts}
     assert summary.benign_dips == traj.benign_dips
+
+
+@pytest.mark.parametrize("abs_tol", [1e-10, 1e-8, 1e-6])
+def test_invariant_summary_follows_the_runs_tolerance(abs_tol):
+    # The summary used to re-scan the samples with a fixed dip tolerance of
+    # 1e-10, so at a looser abs_tol it counted the run's benign dips as
+    # negativity violations.
+    params = replace(SCENARIO_S2, c=22.0)
+    traj = integrate(params, START, IntegratorConfig(abs_tol=abs_tol))
+    summary = check_invariants(traj)
+    assert summary.counts["negativity"] == 0
+    assert summary.benign_dips == traj.benign_dips > 0
 
 
 def test_nonnegativity_is_always_monitored():
