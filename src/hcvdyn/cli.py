@@ -38,6 +38,7 @@ from .errors import (
 from .formats import (
     METHOD_TOKENS,
     Scenario,
+    check_svg_size,
     parse_scenario,
     parse_sweep_spec,
     render_line_svg,
@@ -246,6 +247,8 @@ def _write_svg_set(trajectory: Trajectory, args: argparse.Namespace) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     config = _integrator_config(scenario, args)
+    if args.svg:  # refuse the size before the run and its CSV
+        check_svg_size(args.width, args.height)
     exit_code = EXIT_OK
     try:
         trajectory = integrate(scenario.params, scenario.initial, config)

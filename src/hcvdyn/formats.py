@@ -296,8 +296,14 @@ def write_sweep_csv(grid, fh: IO[str]) -> None:
     fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _svg_ticks(lo: float, hi: float) -> tuple[str, str]:
-    return f"{lo:.6g}", f"{hi:.6g}"
+_SVG_MARGIN = 70
+
+
+def check_svg_size(width: int, height: int) -> None:
+    """Raise ParameterError unless width and height exceed twice the 70 px
+    margin, without which the plot area would be empty or mirrored."""
+    if not (width > 2 * _SVG_MARGIN and height > 2 * _SVG_MARGIN):
+        raise ParameterError(f"SVG width and height must exceed {2 * _SVG_MARGIN} px, got {width!r} x {height!r}")
 
 
 def render_line_svg(
@@ -307,14 +313,9 @@ def render_line_svg(
     width: int = 800,
     height: int = 500,
 ) -> str:
-    """Single-polyline SVG chart with min/max labels on both axes.
-
-    width and height must exceed twice the 70 px margin, or the plot area
-    would be empty or mirrored; otherwise raises ParameterError.
-    """
-    margin = 70
-    if not (width > 2 * margin and height > 2 * margin):
-        raise ParameterError(f"SVG width and height must exceed {2 * margin} px, got {width!r} x {height!r}")
+    """Single-polyline SVG chart with min/max labels on both axes, of a size check_svg_size accepts."""
+    check_svg_size(width, height)
+    margin = _SVG_MARGIN
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -329,8 +330,6 @@ def render_line_svg(
         px = margin + (x - x_lo) / x_span * inner_w
         py = height - margin - (y - y_lo) / y_span * inner_h
         points.append(f"{px:.2f},{py:.2f}")
-    x_lo_s, x_hi_s = _svg_ticks(x_lo, x_hi)
-    y_lo_s, y_hi_s = _svg_ticks(y_lo, y_hi)
 
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -342,13 +341,13 @@ def render_line_svg(
         f'stroke="black"/>\n'
         f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="16">{label}</text>\n'
         f'<text x="{margin}" y="{height - margin + 20}" text-anchor="middle" '
-        f'font-size="12">{x_lo_s}</text>\n'
+        f'font-size="12">{x_lo:.6g}</text>\n'
         f'<text x="{width - margin}" y="{height - margin + 20}" text-anchor="middle" '
-        f'font-size="12">{x_hi_s}</text>\n'
+        f'font-size="12">{x_hi:.6g}</text>\n'
         f'<text x="{margin - 8}" y="{height - margin}" text-anchor="end" '
-        f'font-size="12">{y_lo_s}</text>\n'
+        f'font-size="12">{y_lo:.6g}</text>\n'
         f'<text x="{margin - 8}" y="{margin + 4}" text-anchor="end" '
-        f'font-size="12">{y_hi_s}</text>\n'
+        f'font-size="12">{y_hi:.6g}</text>\n'
         f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" '
         f'points="{" ".join(points)}"/>\n'
         "</svg>\n"

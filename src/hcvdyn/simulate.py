@@ -419,8 +419,8 @@ def convergence_report(params: ModelParameters, trajectory: Trajectory) -> Conve
     it is compared with the uninfected equilibrium whatever R0 is.
 
     For the uninfected equilibrium, T is compared relative to T0 while I and
-    V are compared against 1e-3 rel_tol T0 (they vanish at the attractor, so
-    a relative measure is meaningless).  For the infected equilibrium every
+    V are divided by uninfected_component_scale T0 (they vanish at E0, so a
+    relative measure is meaningless).  For the infected equilibrium every
     component is compared relative to its own equilibrium value.  rel_tol
     is the matching *_convergence tolerance, or NaN without an attractor.
     """
@@ -445,6 +445,6 @@ def convergence_report(params: ModelParameters, trajectory: Trajectory) -> Conve
         return ConvergenceReport(None, None, math.inf, math.nan, False)
     # r0_from_T0 has already rejected T0 <= 0.
     tol = DEFAULT_TOLERANCES.uninfected_convergence
-    small = 1e-3 * e0.T
+    small = DEFAULT_TOLERANCES.uninfected_component_scale * e0.T
     dist = max(abs(final.T - e0.T) / e0.T, final.I / small, final.V / small)
     return ConvergenceReport("E0", e0, dist, tol, dist <= tol)

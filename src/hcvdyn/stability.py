@@ -458,15 +458,21 @@ def _lyapunov_weight(params: ModelParameters, target: str, anchor: State) -> flo
 
 def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V):
     """(dL/dt as gradient-dot-field, sum of its three terms' magnitudes) of
-    the target's Lyapunov function; broadcasts over floats and arrays."""
+    the target's Lyapunov function; broadcasts over floats and arrays.  The
+    gradient is multiplied in place into the fresh arrays _field returns."""
     w = _lyapunov_weight(params, target, anchor)
-    f0, f1, f2 = _field(params, T, I, V)
-    g_T = 1.0 - anchor.T / T
+    t0, t1, t2 = _field(params, T, I, V)
+    t0 *= 1.0 - anchor.T / T
     if target == "E0":
-        t0, t1, t2 = g_T * f0, f1, w * f2
+        t2 *= w
     else:
-        t0, t1, t2 = g_T * f0, (1.0 - anchor.I / I) * f1, w * (1.0 - anchor.V / V) * f2
-    return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
+        t1 *= 1.0 - anchor.I / I
+        t2 *= w * (1.0 - anchor.V / V)
+    rate, scale = t0 + t1, abs(t0)
+    rate += t2
+    scale += abs(t1)
+    scale += abs(t2)
+    return rate, scale
 
 
 def _positive_state(state) -> tuple[float, float, float]:
@@ -589,7 +595,8 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     bounded by one block (about 2**14 points, or one N**2 slice once that
     is larger) plus the violations found.  Each block masks its (T, I)
     pairs and evaluates them against the V axis by broadcasting: terms of T
-    and I alone are computed once per pair, not once per grid point.
+    and I alone are computed once per pair, not once per grid point.  A
+    block whose peak is within the running tolerance is not scanned.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -656,15 +663,18 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         with np.errstate(over="ignore", invalid="ignore"):
             dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
         points += dLdt.size
-        peak = np.maximum(peak, np.max(dLdt, initial=-math.inf))
+        block_peak = np.max(dLdt, initial=-math.inf)
+        peak = np.maximum(peak, block_peak)
         scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
         if not np.isfinite(scale_peak):
             raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
         tolerance = margin * max(1.0, float(scale_peak))
-        pair, v = np.nonzero(dLdt > tolerance)
-        kept.append((T[pair, 0], I[pair, 0], V[v], dLdt[pair, v]))
+        if not block_peak <= tolerance:  # a NaN peak is scanned too
+            pair, v = np.nonzero(dLdt > tolerance)
+            kept.append((T[pair, 0], I[pair, 0], V[v], dLdt[pair, v]))
     violations = []
-    for T, I, V, dLdt in kept:
+    while kept:  # each block's arrays are freed once its violations are built
+        T, I, V, dLdt = kept.pop(0)
         hit = dLdt > tolerance
         columns = (T[hit].tolist(), I[hit].tolist(), V[hit].tolist(), dLdt[hit].tolist())
         violations.extend((State(t, i, v), d) for t, i, v, d in zip(*columns))

@@ -66,5 +66,8 @@ class Tolerances:
     """Largest scaled distance of a run's final sample from E0 that
     convergence_report counts as converged."""
 
+    uninfected_component_scale: float = 1e-3
+    """Fraction of T0 that scales I and V, which vanish at E0, in convergence_report."""
+
 
 DEFAULT_TOLERANCES = Tolerances()

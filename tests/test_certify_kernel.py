@@ -1,0 +1,127 @@
+"""The Lyapunov rate kernel and the certificate's block scan.
+
+_lyapunov_rate multiplies the gradient into the arrays _field returns in
+place; on arrays it must give the float route's values point for point and
+leave its inputs alone.  certify_global scans a block for violations only
+when the block's peak is above the running tolerance; the report must still
+equal the whole-grid reference of tests/test_certify_blocks.py.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcvdyn import SCENARIO_S1, SCENARIO_S2, State, certify_global
+from hcvdyn import stability
+from hcvdyn.model import _field
+from hcvdyn.stability import _lyapunov_rate, _lyapunov_weight
+from test_certify_blocks import plausible_params, reference_certificate
+
+# r_I far below r_T: the E0 grid has violations in many T-slices.
+MANY_VIOLATIONS = replace(SCENARIO_S1, r_I=1e-3 * SCENARIO_S1.r_T, q=0.0)
+
+# Its E* grid at N = 40 is clean, but its first blocks hold points above the
+# tolerance their running scale maximum gives.
+EARLY_POINTS = replace(SCENARIO_S2, r_I=1e-4)
+
+positive = st.floats(-6.0, 9.0).map(lambda x: 10.0**x)
+
+
+def plain_rate(params, target, anchor, T, I, V):
+    """_lyapunov_rate as written before its products moved in place."""
+    w = _lyapunov_weight(params, target, anchor)
+    f0, f1, f2 = _field(params, T, I, V)
+    g_T = 1.0 - anchor.T / T
+    if target == "E0":
+        t0, t1, t2 = g_T * f0, f1, w * f2
+    else:
+        t0, t1, t2 = g_T * f0, (1.0 - anchor.I / I) * f1, w * (1.0 - anchor.V / V) * f2
+    return t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=plausible_params(),
+    target=st.sampled_from(["E0", "Estar"]),
+    anchor=st.builds(State, positive, positive, positive),
+    pairs=st.lists(st.tuples(positive, positive), min_size=1, max_size=6),
+    V=st.lists(positive, min_size=1, max_size=6),
+)
+def test_rate_on_broadcast_arrays_equals_the_float_route(params, target, anchor, pairs, V):
+    T = np.array([[t] for t, _ in pairs])
+    I = np.array([[i] for _, i in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate, scale = _lyapunov_rate(params, target, anchor, T, I, np.array(V))
+        plain = plain_rate(params, target, anchor, T, I, np.array(V))
+    assert rate.shape == scale.shape == (len(pairs), len(V))
+    for m, (t, i) in enumerate(pairs):
+        for n, v in enumerate(V):
+            # repr tells -0.0 from 0.0 and compares NaN with itself.
+            got = (repr(float(rate[m, n])), repr(float(scale[m, n])))
+            assert got == tuple(map(repr, _lyapunov_rate(params, target, anchor, t, i, v)))
+            assert got == (repr(float(plain[0][m, n])), repr(float(plain[1][m, n])))
+
+
+def test_rate_leaves_its_inputs_unmodified():
+    anchor = State(4e6, 2e4, 5e4)
+    for T, I, V in [
+        (np.logspace(2, 7, 9)[:, None], np.logspace(1, 6, 9)[:, None], np.logspace(0, 5, 7)),
+        # Inputs already of the full shape, where an in-place product could land.
+        tuple(np.meshgrid(np.logspace(2, 7, 5), np.logspace(1, 6, 4), np.logspace(0, 5, 3), indexing="ij")),
+    ]:
+        before = [x.copy() for x in (T, I, V)]
+        for target in ("E0", "Estar"):
+            _lyapunov_rate(SCENARIO_S2, target, anchor, T, I, V)
+        for x, y in zip((T, I, V), before):
+            assert np.array_equal(x, y)
+
+
+def _recording_rate(monkeypatch):
+    calls = []
+    real = stability._lyapunov_rate
+
+    def rate(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(stability, "_lyapunov_rate", rate)
+    return calls
+
+
+def test_points_above_an_early_running_tolerance_are_not_violations(monkeypatch):
+    ref = reference_certificate(EARLY_POINTS, "Estar", 40)
+    calls = _recording_rate(monkeypatch)
+    got = certify_global(EARLY_POINTS, "Estar", 40)
+    assert repr(got) == repr(ref)
+    assert got.violations == ()
+    # The grid is what the test needs: an early block holds points above its
+    # running tolerance that the final tolerance does not count.
+    scale_peak, early = 1.0, 0
+    for rate, scale in calls[:-1]:
+        scale_peak = max(scale_peak, float(np.max(scale)))
+        early += np.count_nonzero(rate > stability.DEFAULT_TOLERANCES.certificate_margin * scale_peak)
+    assert len(calls) == 4 and early > 0
+
+
+def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
+    # An overflow that made a term scale NaN raises (test_certify_blocks), so
+    # stand in for a NaN derivative at a point that is no violation, in a
+    # block that holds violations.  The NaN is that block's peak; the block
+    # is still scanned.
+    ref = reference_certificate(MANY_VIOLATIONS, "E0", 40)
+    calls = _recording_rate(monkeypatch)
+    real = stability._lyapunov_rate
+
+    def nan_in_second_block(*args):
+        rate, scale = real(*args)
+        if len(calls) == 2:
+            rate[np.unravel_index(np.argmin(rate), rate.shape)] = math.nan
+        return rate, scale
+
+    monkeypatch.setattr(stability, "_lyapunov_rate", nan_in_second_block)
+    got = certify_global(MANY_VIOLATIONS, "E0", 40)
+    assert len(calls) == 4 and np.count_nonzero(calls[1][0] > ref.tolerance) > 0
+    assert repr(got) == repr(replace(ref, min_margin=math.nan))

@@ -124,6 +124,22 @@ def test_simulate_svg_requires_out():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("size", [["--width", "0"], ["--height", "140"]])
+def test_simulate_refuses_an_svg_size_before_the_run(tmp_path, monkeypatch, capsys, size):
+    # This used to integrate and write the whole CSV before refusing the size.
+    def no_run(*args):
+        raise AssertionError("integrated although the SVG size is refused")
+
+    monkeypatch.setattr(cli, "integrate", no_run)
+    target = tmp_path / "r.csv"
+    assert main(["simulate", "s2", "--t-end", "5", "--out", str(target), "--svg", *size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: SVG width and height must exceed 140 px")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_method_flag(tmp_path):
     target = tmp_path / "rk4.csv"
     assert main(

@@ -140,6 +140,23 @@ def test_convergence_report_reads_its_threshold_from_the_tolerances(monkeypatch,
     assert report.rel_tol == getattr(tight, field) and not report.converged
 
 
+def test_convergence_report_scales_i_and_v_at_e0_from_the_tolerances(monkeypatch):
+    traj = integrate(SCENARIO_S1, START, IntegratorConfig(t_end=1000.0))
+    T0 = uninfected_equilibrium(SCENARIO_S1).state.T
+    final = traj.final_state
+
+    def distance(scale):
+        small = scale * T0
+        return max(abs(final.T - T0) / T0, final.I / small, final.V / small)
+
+    assert DEFAULT_TOLERANCES.uninfected_component_scale == 1e-3
+    assert convergence_report(SCENARIO_S1, traj).rel_distance == distance(1e-3)
+    # I and V end near 1e-68, so at this scale they decide the distance.
+    monkeypatch.setattr(simulate, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, uninfected_component_scale=1e-80))
+    report = convergence_report(SCENARIO_S1, traj)
+    assert report.rel_distance == distance(1e-80) > 1.0 > distance(1e-3)
+
+
 def test_convergence_report_honours_tolerances(monkeypatch):
     traj = integrate(SCENARIO_S2, START, IntegratorConfig(t_end=1.0))
     monkeypatch.setattr(equilibria, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, uninfected_residual=-1.0))
