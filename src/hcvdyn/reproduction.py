@@ -1,10 +1,12 @@
 """Basic reproduction number: closed form and next-generation decomposition.
 
 The closed form evaluates R0 directly from a given infection-free hepatocyte
-level.  The spectral route builds the new-infection and transfer matrices of
-the infected subsystem (I, V), forms K = -DF . DV^(-1), and takes its
-spectral radius through the 2x2 characteristic quadratic.  Both routes must
-agree to the r0_agreement tolerance; disagreement raises IntegrityError.
+level.  The spectral route takes the next-generation matrix K = -DF . DV^(-1)
+of the infected subsystem (I, V), built from the new-infection Jacobian DF
+and the transfer Jacobian DV.  Only I receives new infections, so K's second
+row is zero, its eigenvalues are K[0,0] and 0, and its spectral radius is
+|K[0,0]|.  Both routes must agree to the r0_agreement tolerance;
+disagreement raises IntegrityError.
 
 r0_from_T0 exists as a separate entry point so that externally stated
 (T0, R0) reference pairs can be reproduced exactly as published, even where
@@ -16,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibria import uninfected_equilibrium
 from .errors import DomainError, IntegrityError
 from .model import ModelParameters
@@ -28,16 +28,10 @@ __all__ = ["NextGenDecomposition", "r0_from_T0", "r0", "r0_spectral"]
 
 @dataclass(frozen=True)
 class NextGenDecomposition:
-    """Next-generation matrices for the infected subsystem (I, V)."""
+    """Next-generation decomposition of the infected subsystem (I, V)."""
 
-    DF: np.ndarray
-    """Jacobian of the new-infection rates at the infection-free state."""
-    DV: np.ndarray
-    """Jacobian of the transfer (loss) rates at the infection-free state."""
-    K: np.ndarray
-    """Next-generation matrix -DF . DV^(-1)."""
     rho: float
-    """Spectral radius of K."""
+    """Spectral radius of the next-generation matrix K = -DF . DV^(-1)."""
 
 
 def r0_from_T0(params: ModelParameters, T0: float) -> float:
@@ -73,10 +67,10 @@ def r0(params: ModelParameters) -> float:
 def r0_spectral(params: ModelParameters) -> NextGenDecomposition:
     """Next-generation decomposition with its spectral radius.
 
-    The 2x2 eigenvalues come from the closed characteristic quadratic, not an
-    iterative eigensolver.  When the decomposition is a valid next-generation
-    splitting (DF entrywise nonnegative), rho is checked against the closed
-    form r0(params); a disagreement beyond tolerance raises IntegrityError.
+    K's second row is zero, so rho = |K[0,0]|, with no eigensolver.  When the
+    decomposition is a valid next-generation splitting (DF entrywise
+    nonnegative), rho is checked against the closed form r0(params); a
+    disagreement beyond tolerance raises IntegrityError.
     """
     T0 = uninfected_equilibrium(params).state.T
     return _next_generation(params, T0)
@@ -87,39 +81,22 @@ def _next_generation(params: ModelParameters, T0: float) -> NextGenDecomposition
     delta = params.d_I + params.q
     if params.c * delta == 0:
         raise DomainError("transfer matrix is singular when d_I + q = 0 or c (d_I + q) underflows to 0")
-    DF = np.array(
-        [
-            [params.r_I * (1.0 - T0 / params.T_max), (1.0 - params.eta) * params.beta * T0],
-            [0.0, 0.0],
-        ]
-    )
-    DV = np.array([[-delta, 0.0], [(1.0 - params.epsilon) * params.p, -params.c]])
-    # DV is lower triangular, so its inverse is closed-form.
-    DV_inv = np.array(
-        [
-            [-1.0 / delta, 0.0],
-            [-(1.0 - params.epsilon) * params.p / (params.c * delta), -1.0 / params.c],
-        ]
-    )
-    # Overflow and NaN here end in the finiteness check on rho below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = -DF @ DV_inv
-        trace = K[0, 0] + K[1, 1]
-        det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
-        disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        rho = max(abs(0.5 * (trace + sq)), abs(0.5 * (trace - sq)))
-    else:
-        rho = math.hypot(0.5 * trace, 0.5 * math.sqrt(-disc))
-    # A NaN would also slip past the cross-check below.
+    # The first row of DF, and the first column of DV^(-1), which is closed
+    # form because DV = [[-delta, 0], [(1 - epsilon) p, -c]] is triangular.
+    DF_00 = params.r_I * (1.0 - T0 / params.T_max)
+    DF_01 = (1.0 - params.eta) * params.beta * T0
+    DV_inv_00 = -1.0 / delta
+    DV_inv_10 = -(1.0 - params.epsilon) * params.p / (params.c * delta)
+    K_00 = -(DF_00 * DV_inv_00 + DF_01 * DV_inv_10)
+    rho = abs(K_00)
+    # Overflow and NaN end here; a NaN would also slip past the cross-check.
     if not math.isfinite(rho):
-        raise DomainError(f"next-generation spectral radius is not finite: {float(rho)!r}")
+        raise DomainError(f"next-generation spectral radius is not finite: {rho!r}")
 
-    if DF[0, 0] >= 0.0 and DF[0, 1] >= 0.0:
+    if DF_00 >= 0.0 and DF_01 >= 0.0:
         closed = r0_from_T0(params, T0)
         if abs(closed - rho) > DEFAULT_TOLERANCES.r0_agreement * max(1.0, abs(closed)):
             raise IntegrityError(
                 f"spectral radius {rho!r} disagrees with closed-form r0 {closed!r}"
             )
-    return NextGenDecomposition(DF=DF, DV=DV, K=K, rho=float(rho))
+    return NextGenDecomposition(rho=rho)

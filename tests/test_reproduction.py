@@ -16,6 +16,7 @@ from hcvdyn import (
     r0,
     r0_from_T0,
     r0_spectral,
+    uninfected_equilibrium,
 )
 
 
@@ -49,19 +50,49 @@ def test_spectral_route_agrees_with_closed_form():
         assert abs(value - rho) <= 1e-12 * max(1.0, value)
 
 
-def test_next_generation_matrix_structure():
-    decomp = r0_spectral(SCENARIO_S2)
+def _eigensolver_rho(params):
+    """Spectral radius of K = -DF . DV^(-1) by numpy's eigensolver."""
+    T0 = uninfected_equilibrium(params).state.T
+    # dI/dt = r_I I (1 - (T + I)/T_max) + (1 - eta) beta V T - (d_I + q) I
+    # dV/dt = (1 - epsilon) p I - c V, linearised in (I, V) at (T0, 0, 0).
     # New infections feed only the infected-cell row.
-    assert decomp.DF[1, 0] == 0.0 and decomp.DF[1, 1] == 0.0
-    assert np.all(decomp.DF >= 0.0)
-    # Transfer: infected cells are lost at delta, virions produced at
+    DF = np.array(
+        [[params.r_I * (1.0 - T0 / params.T_max), (1.0 - params.eta) * params.beta * T0], [0.0, 0.0]]
+    )
+    # Transfer: infected cells are lost at d_I + q, virions produced at
     # (1 - epsilon) p and cleared at c.
-    delta = SCENARIO_S2.d_I + SCENARIO_S2.q
-    assert decomp.DV[0, 0] == pytest.approx(-delta, rel=1e-15)
-    assert decomp.DV[1, 1] == pytest.approx(-SCENARIO_S2.c, rel=1e-15)
-    # rho is the spectral radius of K by an independent eigensolver.
-    eigs = np.linalg.eigvals(decomp.K)
-    assert decomp.rho == pytest.approx(float(np.abs(eigs).max()), rel=1e-12)
+    DV = np.array([[-(params.d_I + params.q), 0.0], [(1.0 - params.epsilon) * params.p, -params.c]])
+    return float(np.abs(np.linalg.eigvals(-DF @ np.linalg.inv(DV))).max())
+
+
+def test_next_generation_matrix_structure():
+    rng = np.random.default_rng(20261019)
+    for params in [SCENARIO_S1, SCENARIO_S2] + [draw_params(rng) for _ in range(100)]:
+        assert r0_spectral(params).rho == pytest.approx(_eigensolver_rho(params), rel=1e-12, abs=0.0)
+
+
+# rho must not go through K[0,0]'s square, which underflows in the first two
+# sets and overflows in the third, nor through K[0,1], a 0 * inf NaN in the
+# fourth (DV^(-1)'s -1/c entry overflows and beta = 0).
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        (replace(SCENARIO_S1, r_I=1e-200, beta=1e-210), 3.411600401946315e-202),
+        (replace(SCENARIO_S1, r_I=1e-160, beta=1e-175), 3.3299328603018947e-162),
+        (replace(SCENARIO_S1, beta=1e160), 8.166835832800386e166),
+        (
+            ModelParameters(
+                s=5e-324, r_T=2.7e-62, r_I=2.8e104, d_T=9e-44, d_I=4.9e-92, T_max=9.8e-05,
+                beta=0.0, p=5e-324, c=5e-324, q=7e46, eta=0.0, epsilon=0.0,
+            ),
+            4e57,
+        ),
+    ],
+    ids=["square_underflows", "square_subnormal", "square_overflows", "inverse_overflows"],
+)
+def test_spectral_radius_matches_closed_form_at_float_extremes(params, expected):
+    assert r0(params) == expected
+    assert r0_spectral(params).rho == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_r0_monotone_in_infectivity():
@@ -99,11 +130,10 @@ def test_r0_beyond_the_float_range_raises_domain_error():
 
 
 def test_non_finite_spectral_radius_raises_domain_error():
-    # 1/c overflows, and 0 * inf makes the next-generation matrix NaN, which
-    # used to pass the cross-check against the closed form.
-    params = ModelParameters(
-        s=5e-324, r_T=2.7e-62, r_I=2.8e104, d_T=9e-44, d_I=4.9e-92, T_max=9.8e-05,
-        beta=0.0, p=5e-324, c=5e-324, q=7e46, eta=0.0, epsilon=0.0,
-    )
+    # (1 - epsilon) p / (c delta) overflows, and beta = 0 makes K[0,0] a
+    # 0 * inf NaN, which would pass the cross-check against the closed form.
+    # r0 is finite (0.0037...), so this refusal is a false failure that
+    # scaled arithmetic would remove.
+    params = replace(SCENARIO_S1, beta=0.0, p=1e300, c=1e-300)
     with pytest.raises(DomainError, match="spectral radius is not finite: nan"):
         r0_spectral(params)
