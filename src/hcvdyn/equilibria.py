@@ -18,6 +18,7 @@ from .model import (
     DerivedConstants,
     ModelParameters,
     State,
+    _field,
     derive_constants,
     positive_logistic_root,
     residual_norm,
@@ -91,7 +92,9 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
     r_T > 0, and s/d_T in the degenerate non-proliferating case r_T = 0.
     Raises DomainError when no steady state exists (r_T = 0 with d_T = 0 and
-    s > 0: unbounded linear growth).
+    s > 0: unbounded linear growth) or T0 is not finite.  A residual above
+    the tolerance raises IntegrityError unless a root lies within one ulp of
+    T0 (_root_within_an_ulp); the residual is then reported as it is.
     """
     if params.r_T > 0:
         T0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_T / params.T_max)
@@ -101,14 +104,28 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
         T0 = 0.0
     else:
         raise DomainError("no uninfected steady state: r_T = 0, d_T = 0 and s > 0")
-    point = EquilibriumPoint(kind="uninfected", state=State(T0, 0.0, 0.0),
-                             residual_norm=residual_norm(params, (T0, 0.0, 0.0)))
-    if point.residual_norm > DEFAULT_TOLERANCES.uninfected_residual:
+    if not math.isfinite(T0):
+        raise DomainError(f"uninfected equilibrium T0 is not finite: {T0!r}")
+    residual = residual_norm(params, (T0, 0.0, 0.0))
+    if residual > DEFAULT_TOLERANCES.uninfected_residual and not _root_within_an_ulp(
+        params, math.nextafter(T0, -math.inf), math.nextafter(T0, math.inf)
+    ):
         raise IntegrityError(
-            f"uninfected equilibrium residual {point.residual_norm!r} exceeds "
+            f"uninfected equilibrium residual {residual!r} exceeds "
             f"{DEFAULT_TOLERANCES.uninfected_residual!r}"
         )
-    return point
+    return EquilibriumPoint(kind="uninfected", state=State(T0, 0.0, 0.0), residual_norm=residual)
+
+
+def _root_within_an_ulp(params, below, above):
+    """Whether dT/dt at (T, 0, 0) takes both signs, or is 0, at the floats
+    below and above T0: a root then lies within one ulp of T0, where the
+    relative residual can be large because 1 - T/T_max resolves no less than
+    an ulp.  Signs are compared, not their product, which underflows; a NaN
+    never brackets.  Broadcasts over floats and arrays."""
+    lo = _field(params, below, 0.0, 0.0)[0]
+    hi = _field(params, above, 0.0, 0.0)[0]
+    return ((lo <= 0.0) & (hi >= 0.0)) | ((lo >= 0.0) & (hi <= 0.0))
 
 
 def equilibrium_quadratic(

@@ -245,8 +245,6 @@ class DerivedConstants:
     """Linear constant of the radical form (cells/ml)."""
     F: float | None
     """Quadratic constant of the radical form ((cells/ml)^2); None when H = 0."""
-    t_tilde0: float
-    """Ceiling of total hepatocytes T + I under the comparison dynamics (cells/ml)."""
 
 
 def positive_logistic_root(s: float, g: float, k: float) -> float:
@@ -314,7 +312,7 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
 
     Raises DomainError when a constant is undefined or non-finite for the
     given rates: the product of the proliferation rates must be positive
-    for H and the total-hepatocyte ceiling to exist.
+    for H to exist.
     """
     if params.r_I * params.r_T <= 0:
         raise DomainError(
@@ -325,13 +323,28 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
     if H != 0.0 and params.r_I * params.r_T * H == 0.0:
         raise DomainError("radical constant F is undefined: r_I r_T H underflows to 0")
     F = _constant_F(params, delta, H) if H != 0.0 else None
-    t_tilde0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_I / params.T_max)
-    values = (theta, delta, A, H, D, t_tilde0) + ((F,) if F is not None else ())
+    values = (theta, delta, A, H, D) + ((F,) if F is not None else ())
     if not all(math.isfinite(v) for v in values):
         raise DomainError("derived constants are not finite for this parameter set")
-    if t_tilde0 <= 0 and params.s > 0:
-        raise DomainError("total-hepatocyte ceiling must be positive when s > 0")
-    return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F, t_tilde0=t_tilde0)
+    return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)
+
+
+def _region(params: ModelParameters) -> tuple[float, float, bool]:
+    """The invariant region: (ceiling on T + I, ceiling on V, whether the
+    comparison hypotheses r_I <= r_T and r_T - d_T >= r_I - d_I hold).
+
+    The T + I ceiling is the positive root of s + (r_T - d_T) x - (r_I/T_max) x^2;
+    with r_I = 0 it is inf when s > 0 or r_T > d_T, and 0.0 otherwise.
+    """
+    g = params.r_T - params.d_T
+    if params.r_I > 0:
+        ceiling = positive_logistic_root(params.s, g, params.r_I / params.T_max)
+    elif params.s > 0 or g > 0:
+        ceiling = math.inf
+    else:
+        ceiling = 0.0
+    v_ceiling = (1.0 - params.epsilon) * params.p * ceiling / params.c
+    return ceiling, v_ceiling, params.r_I <= params.r_T and g >= params.r_I - params.d_I
 
 
 def _field_terms(params, T, I, V):

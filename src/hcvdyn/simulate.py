@@ -20,13 +20,12 @@ tolerance are counted separately as benign.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError, ParameterError
-from .model import ModelParameters, State, field_function, positive_logistic_root
+from .model import ModelParameters, State, _region, field_function
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = [
@@ -154,24 +153,12 @@ class ConvergenceReport:
 def asymptotic_bounds(params: ModelParameters, initial: State) -> Bounds:
     """Invariant-region ceilings for a run starting at the given state.
 
-    t_tilde0 is the positive root of s + (r_T - d_T) x - (r_I/T_max) x^2.
-    Degenerate sets are reported with a warning rather than an error: r_I = 0
-    gives an unbounded (infinite) ceiling, and s = 0 with r_T <= d_T collapses
-    the region to zero.
+    The ceilings are model._region's; a degenerate set shows in the values,
+    without a warning: r_I = 0 gives an unbounded (infinite) t_tilde0, and
+    s = 0 with r_T <= d_T collapses the region to zero.
     """
-    g = params.r_T - params.d_T
-    if params.r_I > 0:
-        t_tilde0 = positive_logistic_root(params.s, g, params.r_I / params.T_max)
-    elif params.s > 0 or g > 0:
-        t_tilde0 = math.inf
-        warnings.warn("r_I = 0 leaves total hepatocytes unbounded; T-tilde0 is infinite")
-    else:
-        t_tilde0 = 0.0
-    if t_tilde0 == 0.0:
-        warnings.warn("degenerate bound: T-tilde0 = 0, the invariant region is empty")
-    lambda0 = max(initial.V, (1.0 - params.epsilon) * params.p * t_tilde0 / params.c)
-    applicable = params.r_I <= params.r_T and g >= params.r_I - params.d_I
-    return Bounds(t_tilde0=t_tilde0, lambda0=lambda0, applicable=applicable)
+    t_tilde0, v_ceiling, applicable = _region(params)
+    return Bounds(t_tilde0=t_tilde0, lambda0=max(initial.V, v_ceiling), applicable=applicable)
 
 
 def _inside_omega(state: State, bounds: Bounds) -> bool:

@@ -29,6 +29,7 @@ from .model import (
     ModelParameters,
     State,
     _field,
+    _region,
     _squared,
     derive_constants,
     jacobian,
@@ -603,10 +604,9 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     if target not in ("E0", "Estar"):
         raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
     cons = derive_constants(params)
-    if not math.isfinite(cons.t_tilde0) or cons.t_tilde0 <= 0:
+    bound_TI, bound_V, _ = _region(params)
+    if not math.isfinite(bound_TI) or bound_TI <= 0:
         raise DomainError("certificate region is degenerate for this parameter set")
-    bound_TI = cons.t_tilde0
-    bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
     e0 = uninfected_equilibrium(params).state
     R0 = r0_from_T0(params, e0.T)
 

@@ -27,6 +27,7 @@ from .equilibria import (
     REGIME_UNIQUE,
     _infected_from_T,
     _radical,
+    _root_within_an_ulp,
     equilibrium_quadratic,
     uninfected_equilibrium,
 )
@@ -301,7 +302,11 @@ def _evaluate_grid(
         )
         ok = valid & ~(proliferating & (k <= 0))
         ok &= proliferating | (params.d_T > 0) | (params.s == 0)
-        ok &= np.isfinite(T0) & ~(_residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual)
+        residual_fails = _residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual
+        if residual_fails.any():  # plausible grids skip the one-ulp bracket
+            below, above = np.nextafter(T0, -np.inf), np.nextafter(T0, np.inf)
+            residual_fails &= ~_root_within_an_ulp(params, below, above)
+        ok &= np.isfinite(T0) & ~residual_fails
         ok &= ~(T0 <= 0) & (params.c * (params.d_I + params.q) != 0)
         R0 = _r0_closed_form(params, T0)
         ok &= np.isfinite(R0)
@@ -313,13 +318,11 @@ def _evaluate_grid(
             # derive_constants
             theta, delta, A, H, D = _constants(params)
             F = _constant_F(params, delta, H)
-            ceiling_k = params.r_I / params.T_max
-            t_tilde0 = _logistic_root(params.s, params.r_T - params.d_T, ceiling_k)
-            ok &= (params.r_I > 0) & proliferating & ~(ceiling_k <= 0)
-            for value in (theta, delta, A, H, D, t_tilde0):
+            ok &= (params.r_I > 0) & proliferating
+            for value in (theta, delta, A, H, D):
                 ok &= np.isfinite(value)
-            ok &= ((H == 0.0) | np.isfinite(F)) & ~((t_tilde0 <= 0) & (params.s > 0))
-            cons = DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F, t_tilde0=t_tilde0)
+            ok &= (H == 0.0) | np.isfinite(F)
+            cons = DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)
 
             # infected_equilibrium
             a, b, d = equilibrium_quadratic(params, cons)

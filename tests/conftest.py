@@ -44,6 +44,14 @@ OVERFLOWING_CONSTANT_TERM = {
     "q": 2.0161862133766807e119, "eta": 0.6388294271130139, "epsilon": 0.6129433763761614,
 }
 
+# Fields that make s1's E0 root T_max (1 - 2.4e-241), which rounds to T_max.
+# There 1 - T/T_max is exactly 0 and d_T T is the only large term, so the
+# relative residual is 1 although no float lies nearer the root.
+E0_WITHIN_AN_ULP = {
+    "s": 1.3863213939262216e-151, "r_T": 1.7119498222815848e40,
+    "d_T": 4.04288909918404e-201, "T_max": 1.0110488016421182e263,
+}
+
 # One verdict line per acceptance criterion, printed after the run so the
 # lines survive pytest's output capture.
 CRITERION_LINES: dict[int, str] = {}

@@ -52,10 +52,9 @@ def reference_certificate(params, target="E0", grid_points=20):
     if target not in ("E0", "Estar"):
         raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
     cons = derive_constants(params)
-    if not math.isfinite(cons.t_tilde0) or cons.t_tilde0 <= 0:
+    bound_TI, bound_V, _ = model._region(params)
+    if not math.isfinite(bound_TI) or bound_TI <= 0:
         raise DomainError("certificate region is degenerate for this parameter set")
-    bound_TI = cons.t_tilde0
-    bound_V = (1.0 - params.epsilon) * params.p * cons.t_tilde0 / params.c
     e0 = uninfected_equilibrium(params).state
     R0 = r0_from_T0(params, e0.T)
 
@@ -168,7 +167,7 @@ def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
     params = replace(SCENARIO_S1, q=0.0)
     monkeypatch.setattr(stability, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, certificate_margin=1e-2))
     n = 60
-    nan_slice = _grid_axis(derive_constants(params).t_tilde0, n)[-2]
+    nan_slice = _grid_axis(model._region(params)[0], n)[-2]
 
     def overflowing_field(params, T, I, V):
         f0, f1, f2 = model._field(params, T, I, V)

@@ -1,11 +1,12 @@
 """Uninfected and infected equilibria: closed forms, roots, regimes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import OVERFLOWING_CONSTANT_TERM, bisect_root, draw_supercritical_params
+from conftest import E0_WITHIN_AN_ULP, OVERFLOWING_CONSTANT_TERM, bisect_root, draw_supercritical_params
 
 from hcvdyn import (
     REGIME_NONE,
@@ -20,7 +21,7 @@ from hcvdyn import (
     residual_norm,
     uninfected_equilibrium,
 )
-from hcvdyn.equilibria import equilibrium_quadratic
+from hcvdyn.equilibria import _root_within_an_ulp, equilibrium_quadratic
 from hcvdyn.model import derive_constants
 
 
@@ -54,6 +55,31 @@ def test_uninfected_degenerate_branches():
     assert uninfected_equilibrium(empty).state.T == 0.0
     with pytest.raises(DomainError):
         uninfected_equilibrium(replace(SCENARIO_S1, r_T=0.0, d_T=0.0))
+
+
+def test_uninfected_refuses_a_non_finite_t0():
+    # r_T/T_max overflows, so the logistic root is inf/inf = NaN.
+    with pytest.raises(DomainError, match="T0 is not finite"):
+        uninfected_equilibrium(replace(SCENARIO_S1, T_max=5e-324))
+
+
+ULP_ROOT = replace(SCENARIO_S1, **E0_WITHIN_AN_ULP)
+
+
+def test_uninfected_accepts_a_root_within_an_ulp():
+    point = uninfected_equilibrium(ULP_ROOT)
+    assert point.state.T == ULP_ROOT.T_max
+    assert point.residual_norm == 1.0
+
+
+def test_root_bracket_compares_signs():
+    # dT/dt = s = 1e-200 on both sides: their product underflows to 0, but
+    # no sign change brackets a root.
+    flat = replace(SCENARIO_S1, s=1e-200, r_T=0.0, d_T=0.0)
+    assert not _root_within_an_ulp(flat, 1.0, 2.0)
+    assert not _root_within_an_ulp(ULP_ROOT, math.nan, math.nan)
+    T0 = ULP_ROOT.T_max
+    assert _root_within_an_ulp(ULP_ROOT, math.nextafter(T0, 0.0), math.nextafter(T0, math.inf))
 
 
 def test_uninfected_state_is_a_steady_state():

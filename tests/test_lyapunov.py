@@ -14,13 +14,13 @@ from hcvdyn import (
     ModelParameters,
     State,
     certify_global,
-    derive_constants,
     infected_equilibrium,
     lyapunov_infected,
     lyapunov_uninfected,
     r0,
     uninfected_equilibrium,
 )
+from hcvdyn.model import _region
 
 # Modified supercritical set on the theorem slice r_I = r_T, s = d_T T_max,
 # d_I + q = d_T, where the infected equilibrium has a global certificate.
@@ -132,7 +132,7 @@ FAR_R_I_PARAMS = ModelParameters(
 
 def test_certificate_finds_violations_although_the_hypothesis_holds():
     params = FAR_R_I_PARAMS
-    assert derive_constants(params).t_tilde0 > 100.0 * params.T_max
+    assert _region(params)[0] > 100.0 * params.T_max
     report = certify_global(params, target="E0", grid_points=120)
     assert report.preconditions_met
     assert report.notes == ("hypothesis R0 < 1 - q/delta: gap 0.08281287660913036",)

@@ -24,6 +24,7 @@ from hcvdyn import (
 )
 from hcvdyn.model import (
     PARAMETER_NAMES,
+    _region,
     _squared,
     assumption_warnings,
     field_function,
@@ -157,7 +158,6 @@ def test_derived_constants_reference_values():
     assert c1.H == pytest.approx(39.107133644643476, rel=1e-13)
     assert c1.D == pytest.approx(-835514188.6785724, rel=1e-12)
     assert c1.F == pytest.approx(-445662205441605.56, rel=1e-12)
-    assert c1.t_tilde0 == pytest.approx(4375204.072113698, rel=1e-12)
 
     c2 = derive_constants(SCENARIO_S2)
     assert c2.theta == pytest.approx(0.00019998999999992773, rel=1e-12)
@@ -166,7 +166,17 @@ def test_derived_constants_reference_values():
     assert c2.H == pytest.approx(34.7037726685, rel=1e-13)
     assert c2.D == pytest.approx(-174928786.775, rel=1e-12)
     assert c2.F == pytest.approx(-17700833859002.613, rel=1e-12)
-    assert c2.t_tilde0 == pytest.approx(177678576.4536969, rel=1e-12)
+
+
+def test_derive_constants_do_not_depend_on_the_region_ceiling():
+    # The T + I ceiling overflows here, and is 0 in the second set; neither
+    # is a derived constant, so both sets have their constants.
+    unbounded = replace(SCENARIO_S1, s=1e300, r_I=1e20)
+    assert _region(unbounded)[0] == math.inf
+    assert derive_constants(unbounded).A == derive_constants(SCENARIO_S1).A
+    collapsed = replace(SCENARIO_S1, s=1e-300, d_T=1e50)
+    assert _region(collapsed)[0] == 0.0
+    assert derive_constants(collapsed).H == derive_constants(SCENARIO_S1).H
 
 
 def test_derive_constants_needs_positive_proliferation():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_asymptotic_bounds_reference_values():
     assert b2.t_tilde0 == pytest.approx(177678576.4536969, rel=1e-12)
     assert b2.lambda0 == pytest.approx(355321617.1921031, rel=1e-12)
     assert b2.applicable
+
+
+def test_asymptotic_bounds_report_degenerate_sets_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # r_I = 0 leaves total hepatocytes unbounded.
+        assert asymptotic_bounds(replace(SCENARIO_S1, r_I=0.0), START).t_tilde0 == math.inf
+        # s = 0 with r_T <= d_T collapses the region.
+        collapsed = replace(SCENARIO_S1, s=0.0, d_T=SCENARIO_S1.r_T)
+        assert asymptotic_bounds(collapsed, START).t_tilde0 == 0.0
 
 
 def test_bounds_keep_a_large_initial_viral_load():
@@ -160,6 +171,8 @@ def test_convergence_report_scales_i_and_v_at_e0_from_the_tolerances(monkeypatch
 def test_convergence_report_honours_tolerances(monkeypatch):
     traj = integrate(SCENARIO_S2, START, IntegratorConfig(t_end=1.0))
     monkeypatch.setattr(equilibria, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, uninfected_residual=-1.0))
+    # S2's T0 is bracketed within an ulp, which would accept any residual.
+    monkeypatch.setattr(equilibria, "_root_within_an_ulp", lambda params, below, above: False)
     with pytest.raises(IntegrityError, match="uninfected equilibrium residual"):
         convergence_report(SCENARIO_S2, traj)
 

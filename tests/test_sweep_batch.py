@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OVERFLOWING_CONSTANT_TERM, OVERFLOWING_MINORS, any_value
+from conftest import E0_WITHIN_AN_ULP, OVERFLOWING_CONSTANT_TERM, OVERFLOWING_MINORS, any_value
 
 from hcvdyn import (
     PARAMETER_NAMES,
+    SCENARIO_S1,
     SCENARIO_S2,
     SWEEP_OUTPUTS,
     Axis,
@@ -214,6 +215,15 @@ def test_sweep_past_the_float_range_of_t_max_squared_matches_scalar_route():
     grid = assert_cells_match_reference(spec)
     assert grid.status[-1] == STATUS_INVALID
     assert grid.status[:-1] == [STATUS_NO_EQUILIBRIUM] * 4
+
+
+def test_sweep_where_t0_is_within_an_ulp_of_its_root_matches_scalar_route():
+    # Every cell's E0 residual fails, and every T0 is accepted by the one-ulp bracket.
+    spec = SweepSpec(
+        replace(SCENARIO_S1, **E0_WITHIN_AN_ULP), Axis("s", 1e-153, 1e-149, 5, "log"), outputs=("t0", "r0")
+    )
+    grid = assert_cells_match_reference(spec)
+    assert grid.status == [STATUS_OK] * 5
 
 
 def test_sweep_where_c_delta_underflows_matches_scalar_route():
