@@ -296,8 +296,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ("min_margin", report.min_margin),
         ("violations", len(report.violations)),
     ]
-    for state, value in report.violations[:10]:
-        pairs.append(("violation", f"state=({state.T!r}, {state.I!r}, {state.V!r}) dLdt={value!r}"))
+    for T, I, V, value in report.violations[:10]:
+        pairs.append(("violation", f"state=({T!r}, {I!r}, {V!r}) dLdt={value!r}"))
     for note in report.notes:
         pairs.append(("note", note))
     pairs.append(("verdict", verdict))

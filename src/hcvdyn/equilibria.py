@@ -206,8 +206,8 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     through the exact elimination relations, and accepted only with positive
     I*, V* and a vector-field residual within tolerance.  Finding no
     candidate is a result (regime no_infected_eq), not an error.  Raises
-    DomainError when existence_condition, threshold_T, a rejected root or
-    the radical route is not finite.
+    DomainError when existence_condition, threshold_T, a rejected root, a
+    kept root's I* or V*, or the radical route is not finite.
     """
     cons = derive_constants(params)
     a, b, d = equilibrium_quadratic(params, cons)
@@ -235,6 +235,8 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
         if I <= 0.0 or V <= 0.0:
             rejected.append(T)
             continue
+        if not (math.isfinite(I) and math.isfinite(V)):
+            raise DomainError(f"infected equilibrium is not finite: I* = {I!r}, V* = {V!r}")
         state = State(T, I, V)
         res = residual_norm(params, state)
         if res > DEFAULT_TOLERANCES.equilibrium_residual:

@@ -32,6 +32,10 @@ class NextGenDecomposition:
 
     rho: float
     """Spectral radius of the next-generation matrix K = -DF . DV^(-1)."""
+    checked: bool
+    """Whether rho was checked against the closed-form r0.  That needs DF >= 0
+    entrywise, a valid next-generation splitting (van den Driessche and
+    Watmough 2002); DF[0, 0] < 0 where T0 > T_max and r_I > 0."""
 
 
 def r0_from_T0(params: ModelParameters, T0: float) -> float:
@@ -69,8 +73,8 @@ def r0_spectral(params: ModelParameters) -> NextGenDecomposition:
 
     K's second row is zero, so rho = |K[0,0]|, with no eigensolver.  When the
     decomposition is a valid next-generation splitting (DF entrywise
-    nonnegative), rho is checked against the closed form r0(params); a
-    disagreement beyond tolerance raises IntegrityError.
+    nonnegative), rho is checked against the closed form r0(params), and
+    checked is true; a disagreement beyond tolerance raises IntegrityError.
     """
     T0 = uninfected_equilibrium(params).state.T
     return _next_generation(params, T0)
@@ -93,10 +97,11 @@ def _next_generation(params: ModelParameters, T0: float) -> NextGenDecomposition
     if not math.isfinite(rho):
         raise DomainError(f"next-generation spectral radius is not finite: {rho!r}")
 
-    if DF_00 >= 0.0 and DF_01 >= 0.0:
+    checked = DF_00 >= 0.0 and DF_01 >= 0.0
+    if checked:
         closed = r0_from_T0(params, T0)
         if abs(closed - rho) > DEFAULT_TOLERANCES.r0_agreement * max(1.0, abs(closed)):
             raise IntegrityError(
                 f"spectral radius {rho!r} disagrees with closed-form r0 {closed!r}"
             )
-    return NextGenDecomposition(rho=rho)
+    return NextGenDecomposition(rho=rho, checked=checked)

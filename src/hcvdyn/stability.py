@@ -125,7 +125,8 @@ class CertificateReport:
     points_sampled: int
     min_margin: float
     tolerance: float
-    violations: tuple[tuple[State, float], ...]
+    violations: tuple[tuple[float, float, float, float], ...]
+    """(T, I, V, dL/dt) rows of the points above tolerance, in row-major grid order."""
     preconditions_met: bool
     r0: float
     notes: tuple[str, ...]
@@ -673,11 +674,9 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
             pair, v = np.nonzero(dLdt > tolerance)
             kept.append((T[pair, 0], I[pair, 0], V[v], dLdt[pair, v]))
     violations = []
-    while kept:  # each block's arrays are freed once its violations are built
-        T, I, V, dLdt = kept.pop(0)
+    for T, I, V, dLdt in kept:
         hit = dLdt > tolerance
-        columns = (T[hit].tolist(), I[hit].tolist(), V[hit].tolist(), dLdt[hit].tolist())
-        violations.extend((State(t, i, v), d) for t, i, v, d in zip(*columns))
+        violations += zip(T[hit].tolist(), I[hit].tolist(), V[hit].tolist(), dLdt[hit].tolist())
     return CertificateReport(
         target=target,
         grid_shape=(grid_points, grid_points, grid_points),
@@ -712,6 +711,9 @@ def stability_report(params: ModelParameters) -> StabilityReport:
             if eig_class != verdict.classification:
                 flags.append("routh_hurwitz_vs_eigenvalues")
 
+    spectral = _next_generation(params, T0)
+    if not spectral.checked:
+        flags.append("r0_spectral_unchecked")
     return StabilityReport(
         r0=existence.r0,
         existence=existence,
@@ -722,5 +724,5 @@ def stability_report(params: ModelParameters) -> StabilityReport:
         routh_hurwitz=verdict,
         estar_local=estar_local_report,
         consistency_flags=tuple(flags),
-        r0_spectral=_next_generation(params, T0).rho,
+        r0_spectral=spectral.rho,
     )

@@ -254,7 +254,7 @@ def _infected_candidate(params, cons, a, b, d, root, present):
     """One quadratic root through infected_equilibrium's polish and filters.
 
     Returns (T, I, V, accepted, raises); raises marks cells whose non-finite
-    I* or V* would make the State construction raise.
+    I* or V* makes infected_equilibrium raise.
     """
     bracket_hi = params.T_max * (1.0 + 1e-12)
     ok = present & (0.0 < root) & (root <= bracket_hi)

@@ -125,3 +125,11 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
     got = certify_global(MANY_VIOLATIONS, "E0", 40)
     assert len(calls) == 4 and np.count_nonzero(calls[1][0] > ref.tolerance) > 0
     assert repr(got) == repr(replace(ref, min_margin=math.nan))
+
+
+def test_violations_are_rows_of_plain_floats():
+    report = certify_global(MANY_VIOLATIONS, "E0", 40)
+    assert report.violations
+    for row in report.violations:
+        assert type(row) is tuple and len(row) == 4
+        assert all(type(x) is float for x in row)

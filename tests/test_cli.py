@@ -7,10 +7,11 @@ import warnings
 import pytest
 
 from conftest import OVERFLOWING_MINORS
+from test_lyapunov import FAR_R_I_PARAMS
 
-from hcvdyn import cli
+from hcvdyn import State, cli
 from hcvdyn.cli import main
-from hcvdyn.formats import bundled_scenarios
+from hcvdyn.formats import Scenario, bundled_scenarios, render_scenario
 
 S1_Q0_LOW_BETA = """
 s = 10.0
@@ -226,6 +227,20 @@ def test_certify_clean_exit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "preconditions_met = true" in out
     assert "verdict = certified" in out
+
+
+def test_certify_prints_the_first_violation_rows(tmp_path, capsys):
+    scn = tmp_path / "far.scn"
+    scn.write_text(render_scenario(Scenario(FAR_R_I_PARAMS, State(1e3, 2.0, 1.0))))
+    assert main(["certify", str(scn), "--grid", "60"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "violations = 10620" in lines
+    rows = [line for line in lines if line.startswith("violation = ")]
+    assert len(rows) == 10
+    assert rows[0] == (
+        "violation = state=(613875.6008306626, 52515047.42679953, 21.61834982598133)"
+        " dLdt=181255.5548585942"
+    )
 
 
 def test_certify_single_point_grid(capsys):

@@ -13,16 +13,22 @@ from hcvdyn import (
     REGIME_UNIQUE,
     SCENARIO_S1,
     SCENARIO_S2,
+    Axis,
     DomainError,
     ModelParameters,
+    SweepSpec,
+    certify_global,
     existence_regime,
     infected_equilibrium,
     infected_T_closed_form,
     residual_norm,
+    run_sweep,
+    stability_report,
     uninfected_equilibrium,
 )
 from hcvdyn.equilibria import _root_within_an_ulp, equilibrium_quadratic
 from hcvdyn.model import derive_constants
+from hcvdyn.sweep import STATUS_INVALID
 
 
 def test_uninfected_reference_values():
@@ -183,6 +189,26 @@ def test_existence_regime_refuses_a_non_finite_constant_term():
     for route in (infected_equilibrium, existence_regime):
         with pytest.raises(DomainError, match="existence_condition is not finite: -inf"):
             route(params)
+
+
+# A whole-domain set whose kept E* root gives V* = inf.
+INFINITE_VSTAR = ModelParameters(
+    s=9.457512730893574e178, r_T=2.2491417000201497e-83, r_I=7.001732560034088e202,
+    d_T=1.4653916836728986e121, d_I=7.716470087406847e99, T_max=2.1700509020896067e101,
+    beta=1.2472986773327517e-286, p=3.512894044934534e238, c=5.604022371967061e96,
+    q=5e-324, eta=0.5879537893122085, epsilon=0.6998521582595274,
+)
+
+
+def test_a_non_finite_infected_equilibrium_is_a_domain_error():
+    # It used to reach State and raise ParameterError: V must be finite.
+    routes = (infected_equilibrium, stability_report, lambda p: certify_global(p, "Estar", 4))
+    for route in routes:
+        with pytest.raises(DomainError, match="infected equilibrium is not finite"):
+            route(INFINITE_VSTAR)
+    eta = INFINITE_VSTAR.eta
+    spec = SweepSpec(base=INFINITE_VSTAR, axis1=Axis(name="eta", lo=eta, hi=0.9, n=2))
+    assert run_sweep(spec).status[0] == STATUS_INVALID
 
 
 def test_rejected_roots_are_reported():

@@ -141,15 +141,17 @@ def test_certificate_finds_violations_although_the_hypothesis_holds():
     assert report.tolerance == 1124.2966469170203
     assert len(report.violations) == 83280
     assert report.violations[0] == (
-        State(655060.6067838593, 38105473.75937086, 21.61834982598133), 1194097.377167273
+        655060.6067838593, 38105473.75937086, 21.61834982598133, 1194097.377167273
     )
     assert report.violations[-1] == (
-        State(5946544.544253885, 121671551.54785872, 21618349.825981308), 3354810.6445975527
+        5946544.544253885, 121671551.54785872, 21618349.825981308, 3354810.6445975527
     )
     # The collected form agrees with the gradient route at the worst point,
     # so the violation is the function's, not a rounding artefact.
-    state, worst = max(report.violations, key=lambda item: item[1])
+    row = max(report.violations, key=lambda row: row[3])
+    worst = row[3]
     assert worst == report.min_margin
+    state = State(*row[:3])
     T0 = uninfected_equilibrium(params).state.T
     collected = collected_derivative(params, T0, state)
     assert collected == pytest.approx(worst, rel=1e-9)

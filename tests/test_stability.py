@@ -23,6 +23,7 @@ from hcvdyn import (
     infected_jacobian,
     infected_local,
     jacobian,
+    r0_spectral,
     routh_hurwitz,
     stability_report,
     uninfected_local,
@@ -227,6 +228,18 @@ def test_stability_report_assembles_everything():
     assert subcritical.coefficients is None
     assert subcritical.e0.classification == STABLE
     assert subcritical.consistency_flags == ()
+
+
+def test_unchecked_spectral_r0_is_flagged():
+    # T0 above T_max makes DF[0, 0] < 0: no next-generation splitting, so
+    # r0_spectral is |r0| by construction and was not cross-checked.
+    params = replace(SCENARIO_S1, s=1e5, beta=1e-12)
+    report = stability_report(params)
+    assert report.r0 == -0.028625116901604592
+    assert report.r0_spectral == 0.028625116901604596
+    assert report.consistency_flags == ("r0_spectral_unchecked",)
+    assert not r0_spectral(params).checked
+    assert r0_spectral(SCENARIO_S1).checked and r0_spectral(SCENARIO_S2).checked
 
 
 def test_non_finite_e0_eigenvalues_raise_domain_error():
