@@ -92,9 +92,10 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
     r_T > 0, and s/d_T in the degenerate non-proliferating case r_T = 0.
     Raises DomainError when no steady state exists (r_T = 0 with d_T = 0 and
-    s > 0: unbounded linear growth) or T0 is not finite.  A residual above
-    the tolerance raises IntegrityError unless a root lies within one ulp of
-    T0 (_root_within_an_ulp); the residual is then reported as it is.
+    s > 0: unbounded linear growth), T0 is not finite, or the vector field
+    at T0 leaves the float range (residual inf).  A residual above the
+    tolerance raises IntegrityError unless a root lies within one ulp of T0
+    (_root_within_an_ulp); the residual is then reported as it is.
     """
     if params.r_T > 0:
         T0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_T / params.T_max)
@@ -110,6 +111,8 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     if residual > DEFAULT_TOLERANCES.uninfected_residual and not _root_within_an_ulp(
         params, math.nextafter(T0, -math.inf), math.nextafter(T0, math.inf)
     ):
+        if residual == math.inf:
+            raise DomainError("vector field at T0 leaves the float range")
         raise IntegrityError(
             f"uninfected equilibrium residual {residual!r} exceeds "
             f"{DEFAULT_TOLERANCES.uninfected_residual!r}"

@@ -263,23 +263,6 @@ def positive_logistic_root(s: float, g: float, k: float) -> float:
     return 2.0 * s / denom if denom > 0 else 0.0
 
 
-def _squared(x):
-    """x**2 rounded as CPython's float power rounds it, also over arrays.
-
-    numpy squares an array by multiplication, which rounds differently from
-    C pow in about 0.1 % of cases; the batched sweep must match the scalar
-    route bit for bit.  A square beyond the float range is inf, where
-    CPython's float power raises OverflowError, so the finiteness checks
-    downstream see it.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([_squared(v) for v in x.tolist()])
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def _constants(params):
     """(theta, delta, A, H, D) of derive_constants, without its checks.
 
@@ -304,7 +287,7 @@ def _constants(params):
 
 def _constant_F(params, delta, H):
     """Quadratic radical constant F; defined only where H != 0."""
-    return 4.0 * params.q * _squared(params.T_max) * (params.r_I - delta) / (params.r_I * params.r_T * H)
+    return 4.0 * params.q * (params.T_max * params.T_max) * (params.r_I - delta) / (params.r_I * params.r_T * H)
 
 
 def derive_constants(params: ModelParameters) -> DerivedConstants:
@@ -452,15 +435,16 @@ def residual_norm(params: ModelParameters, state: State | np.ndarray) -> float:
 
     Each component of f is scaled by the sum of the magnitudes of the terms
     entering it, so the norm measures cancellation quality rather than raw
-    size.  A component whose terms are all zero contributes zero.  It runs
-    on Python floats, so an overflowing term gives no numpy warning.
+    size.  A component whose terms are all zero contributes zero, and one
+    whose value is not finite (its terms overflow) reads inf.  It runs on
+    Python floats, so an overflowing term gives no numpy warning.
     """
     worst = 0.0
     for value, scale in _field_and_scales(params, *_finite_state(state)):
-        if scale > 0.0:
-            worst = max(worst, abs(value) / scale)
-        elif value != 0.0:
+        if not math.isfinite(value):
             worst = math.inf
+        elif scale > 0.0:
+            worst = max(worst, abs(value) / scale)
     return worst
 
 

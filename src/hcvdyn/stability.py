@@ -29,8 +29,8 @@ from .model import (
     ModelParameters,
     State,
     _field,
+    _jacobian_entries,
     _region,
-    _squared,
     derive_constants,
     jacobian,
 )
@@ -234,7 +234,8 @@ def infected_jacobian(params: ModelParameters, estar: State | EquilibriumPoint) 
     """Jacobian at the infected equilibrium via the steady-state identities.
 
     Uses the equilibrium relations to eliminate d_T, d_I and beta V* from the
-    diagonal, then verifies the result against the general Jacobian.
+    diagonal, then verifies the result against the general Jacobian with
+    the field's residual at E* added back (_residual_jacobian_entries).
     """
     st = _as_state(estar)
     if st.T <= 0 or st.I <= 0:
@@ -254,8 +255,24 @@ def infected_jacobian(params: ModelParameters, estar: State | EquilibriumPoint) 
             [0.0, p_eff, -params.c],
         ]
     )
-    _check_jacobian_agreement(J, jacobian(params, st), "Estar")
+    _check_jacobian_agreement(J, np.array(_residual_jacobian_entries(params, *st)), "Estar")
     return J
+
+
+def _residual_jacobian_entries(params, T, I, V):
+    """Rows of the general Jacobian at (T, I, V) plus the terms by which the
+    steady-state identities of the closed forms miss it; broadcasts.
+
+    The closed forms at E* equal the general Jacobian exactly, at any state,
+    once the field f there is added back: entry (0, 0) gains -f_T/T, (1, 0)
+    g = b f_V/c and (1, 1) -(f_I + T g)/I, with b = (1 - eta) beta.  E* is
+    accepted with a residual up to equilibrium_residual, so without these
+    terms the routes differ by more than rounding.
+    """
+    f_T, f_I, f_V = _field(params, T, I, V)
+    g = (1.0 - params.eta) * params.beta * f_V / params.c
+    (j00, j01, j02), (j10, j11, j12), row2 = _jacobian_entries(params, T, I, V)
+    return (j00 - f_T / T, j01, j02), (j10 + g, j11 - (f_I + T * g) / I, j12), row2
 
 
 def _principal_minors(J: np.ndarray) -> tuple[float, float, float]:
@@ -280,19 +297,21 @@ def characteristic_coefficients(
     """Closed-form characteristic coefficients at the infected equilibrium.
 
     The closed forms are cross-checked against the principal minors of the
-    general Jacobian; disagreement beyond the integrity ceiling raises
-    IntegrityError rather than returning silently wrong coefficients.
+    general Jacobian with the field's residual at E* added back
+    (_residual_jacobian_entries); disagreement beyond the integrity ceiling
+    raises IntegrityError rather than returning silently wrong coefficients.
     """
     st = _as_state(estar)
     if st.T <= 0 or st.I <= 0:
         raise DomainError("infected equilibrium must have positive T* and I*")
     cons = derive_constants(params)
-    if not (0.0 < _squared(params.T_max) < math.inf and st.T * params.T_max > 0.0):
+    if not (0.0 < params.T_max * params.T_max < math.inf and st.T * params.T_max > 0.0):
         raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
     # The minors come from numpy: overflow there prints no RuntimeWarning.
+    general = np.array(_residual_jacobian_entries(params, *st))
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2, m3 = map(float, _principal_minors(jacobian(params, st)))
+        m1, m2, m3 = map(float, _principal_minors(general))
     # An overflowing minor gives a NaN difference; np.max keeps it and it fails.
     rel = float(np.max([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))]))
     if not rel <= DEFAULT_TOLERANCES.char_coeff_integrity:
@@ -310,7 +329,7 @@ def _closed_coefficients(params, A, delta, T, I):
     over floats and arrays."""
     s, q, c = params.s, params.q, params.c
     r_T, r_I, T_max = params.r_T, params.r_I, params.T_max
-    T_max2 = _squared(T_max)
+    T_max2 = T_max * T_max
     a1 = c + s / T + (r_T * T + r_I * I + A * T) / T_max + q * I / T
     a2 = (
         c * s / T
@@ -402,8 +421,11 @@ def routh_hurwitz(a1: float, a2: float, a3: float) -> RouthHurwitzReport:
     delta2 = a1 a2 - a3 > 0 (a2 > 0 then follows).  A condition violated
     beyond the marginal band is decisive for instability; marginal is
     reserved for points within the band of the stable region's boundary,
-    where an exact root sits on the imaginary axis.
+    where an exact root sits on the imaginary axis.  A coefficient that is
+    not finite raises DomainError: no comparison would classify it.
     """
+    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        raise DomainError(f"Routh-Hurwitz needs finite coefficients, got ({a1!r}, {a2!r}, {a3!r})")
     delta2 = a1 * a2 - a3
     band = DEFAULT_TOLERANCES.marginal_band
     margins = (
@@ -516,7 +538,7 @@ def lyapunov_uninfected(
         + one_minus_theta * params.beta * params.p * T0 / params.c
     )
     collected = grad_route if params.r_T <= 0 else (
-        -(params.s / (T * T0)) * _squared(T - T0)
+        -(params.s / (T * T0)) * ((T - T0) * (T - T0))
         - (params.r_T / params.T_max) * (T + I - T0) * (T + (params.r_I / params.r_T) * I - T0)
         - params.q * I * T0 / T
         + I * (delta_r0 - params.d_I)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import OVERFLOWING_MINORS
 from test_lyapunov import FAR_R_I_PARAMS
+from test_stability import RESIDUAL_BREAKS_JACOBIAN
 
 from hcvdyn import State, cli
 from hcvdyn.cli import main
@@ -241,6 +242,13 @@ def test_certify_prints_the_first_violation_rows(tmp_path, capsys):
         "violation = state=(613875.6008306626, 52515047.42679953, 21.61834982598133)"
         " dLdt=181255.5548585942"
     )
+
+
+def test_analyze_reports_a_set_whose_e_star_residual_broke_the_jacobian_check(tmp_path, capsys):
+    scn = tmp_path / "jstar.scn"
+    scn.write_text(render_scenario(Scenario(RESIDUAL_BREAKS_JACOBIAN, State(1e3, 2.0, 1.0))))
+    assert main(["analyze", str(scn), "--machine"]) == 0
+    assert any(line.startswith("routh_hurwitz = ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_certify_single_point_grid(capsys):

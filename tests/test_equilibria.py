@@ -21,6 +21,7 @@ from hcvdyn import (
     existence_regime,
     infected_equilibrium,
     infected_T_closed_form,
+    r0,
     residual_norm,
     run_sweep,
     stability_report,
@@ -209,6 +210,50 @@ def test_a_non_finite_infected_equilibrium_is_a_domain_error():
     eta = INFINITE_VSTAR.eta
     spec = SweepSpec(base=INFINITE_VSTAR, axis1=Axis(name="eta", lo=eta, hi=0.9, n=2))
     assert run_sweep(spec).status[0] == STATUS_INVALID
+
+
+# A whole-domain set whose field at T0 overflows: r_T T0 is inf and the
+# crowding factor rounds to 0, so dT/dt is NaN.
+OVERFLOWING_FIELD_AT_T0 = ModelParameters(
+    s=0.0, r_T=1.409058331347511e112, r_I=0.0, d_T=4.6873395417921403e98,
+    d_I=4.930934129455052e-82, T_max=1.5273671494710102e232, beta=1.125508459642639e-275,
+    p=7.486207118539219e93, c=7.238403762695502e119, q=5e-324,
+    eta=0.9015882069153618, epsilon=0.08196640349463058,
+)
+
+
+def test_a_field_that_leaves_the_float_range_at_t0_is_a_domain_error():
+    # The NaN component used to be skipped, so T0 came back with residual 0.0.
+    params = OVERFLOWING_FIELD_AT_T0
+    T0 = 1.5273671494709594e232
+    assert residual_norm(params, (T0, 0.0, 0.0)) == math.inf
+    for route in (uninfected_equilibrium, r0):
+        with pytest.raises(DomainError, match="vector field at T0 leaves the float range"):
+            route(params)
+    spec = SweepSpec(base=params, axis1=Axis(name="eta", lo=params.eta, hi=0.95, n=2), outputs=("r0",))
+    assert run_sweep(spec).status == [STATUS_INVALID, STATUS_INVALID]
+
+
+# C pow rounds this T_max**2 to 25937581136744.508; the product is correctly
+# rounded, 25937581136744.51.
+POW_MISROUNDS_T_MAX_SQUARED = ModelParameters(
+    s=76348.20608617018, r_T=0.362286594360993, r_I=0.09253983841826187,
+    d_T=0.0016272059582477531, d_I=0.05388728587875255, T_max=5092895.162551897,
+    beta=1.728204457122375e-07, p=13.526326076329319, c=1.546343648072833,
+    q=0.16120784583519443, eta=0.4529636573012123, epsilon=0.42885723822859656,
+)
+
+
+def test_t_max_is_squared_by_multiplication():
+    params = POW_MISROUNDS_T_MAX_SQUARED
+    cons = derive_constants(params)
+    T_max, r_I, r_T = params.T_max, params.r_I, params.r_T
+    assert cons.F == 4.0 * params.q * (T_max * T_max) * (r_I - cons.delta) / (r_I * r_T * cons.H)
+    # With pow's square the radical lands at 408873.9952454951, one ulp
+    # farther from E*.
+    report = infected_equilibrium(params)
+    assert report.closed_form_T == 408873.99524549505
+    assert report.closed_form_rel_diff == 1.4236087789960457e-16
 
 
 def test_rejected_roots_are_reported():

@@ -49,7 +49,9 @@ def reference_term_scales(params, T, I, V):
 def reference_residual_norm(params, T, I, V):
     worst = 0.0
     for value, scale in zip(reference_field(params, T, I, V), reference_term_scales(params, T, I, V)):
-        if scale > 0.0:
+        if not math.isfinite(value):
+            worst = math.inf
+        elif scale > 0.0:
             worst = max(worst, abs(value) / scale)
         elif value != 0.0:
             worst = math.inf
@@ -60,6 +62,7 @@ def reference_sweep_residual(params, T, I, V):
     worst = 0.0
     for value, scale in zip(reference_field(params, T, I, V), reference_term_scales(params, T, I, V)):
         ratio = np.where(scale > 0.0, abs(value) / scale, np.where(value != 0.0, np.inf, 0.0))
+        ratio = np.where(np.isfinite(value), ratio, np.inf)
         worst = np.where(ratio > worst, ratio, worst)
     return worst
 

@@ -74,6 +74,53 @@ def test_infected_jacobian_matches_general():
     assert J_closed[2, 0] == 0.0 and J_general[2, 0] == 0.0
 
 
+# Plausible sets whose E* is accepted with a field residual (7.0e-12 and
+# 4.7e-9) well inside equilibrium_residual, yet large enough that the
+# closed forms, which assume f = 0 there, miss the general Jacobian by more
+# than jacobian_agreement (J00: 1.67e-10 relative) and the minors by more
+# than char_coeff_integrity (a2: 1.0e-6 relative).
+RESIDUAL_BREAKS_JACOBIAN = ModelParameters(
+    s=0.5650537751777257, r_T=0.009271134055471026, r_I=0.018438905828167665,
+    d_T=0.0034876903579689907, d_I=2.2292890092448463, T_max=27241708.572986238,
+    beta=1.3110669542637816e-07, p=1.664355019144473, c=0.14611390460673196,
+    q=0.03816310798234901, eta=0.05689768816331997, epsilon=0.14694692219550431,
+)
+RESIDUAL_BREAKS_MINORS = ModelParameters(
+    s=9.09140213309427, r_T=0.02307411947606787, r_I=0.012871118763059136,
+    d_T=0.005767242894233975, d_I=3.7061982737167556, T_max=60857444.90241122,
+    beta=8.349275364938507e-07, p=42.574552051220806, c=0.17373369836853048,
+    q=0.03613995756003735, eta=0.50022740054753, epsilon=0.23224941262980336,
+)
+
+
+@pytest.mark.parametrize("params", [RESIDUAL_BREAKS_JACOBIAN, RESIDUAL_BREAKS_MINORS])
+def test_closed_forms_are_checked_with_the_field_residual_added_back(params):
+    report = stability_report(params)
+    assert report.routh_hurwitz is not None
+    assert report.coefficients.max_rel_diff <= 1e-12
+
+
+def test_supercritical_draws_pass_every_local_check():
+    # Draw 34 of this sequence is RESIDUAL_BREAKS_JACOBIAN.
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        stability_report(draw_supercritical_params(rng))
+
+
+def test_jacobian_check_still_catches_a_seeded_fault(monkeypatch):
+    point = infected_equilibrium(RESIDUAL_BREAKS_JACOBIAN).candidates[0]
+    entries = stability._residual_jacobian_entries
+
+    def perturbed(*args):
+        (j00, *rest), *rows = entries(*args)
+        return ((j00 * (1.0 + 1e-9), *rest), *rows)
+
+    monkeypatch.setattr(stability, "_residual_jacobian_entries", perturbed)
+    with pytest.raises(IntegrityError, match=r"J\(Estar\) deviates") as excinfo:
+        infected_jacobian(RESIDUAL_BREAKS_JACOBIAN, point)
+    assert float(str(excinfo.value).split()[-1]) == pytest.approx(1e-9, rel=1e-3)
+
+
 @pytest.mark.parametrize(
     "field, check",
     [
@@ -195,6 +242,13 @@ def test_routh_hurwitz_verdicts():
 
     # a3 = 0 puts a root at the origin: marginal, not stable.
     assert routh_hurwitz(2.0, 1.0, 0.0).classification == MARGINAL
+
+
+@pytest.mark.parametrize("coefficients", [(np.nan, 1.0, 1.0), (1.0, np.nan, 0.5), (1.0, 1.0, np.inf)])
+def test_routh_hurwitz_refuses_non_finite_coefficients(coefficients):
+    # Every comparison with NaN is false, so (nan, 1, 1) used to read stable.
+    with pytest.raises(DomainError, match="finite coefficients"):
+        routh_hurwitz(*coefficients)
 
 
 def test_routh_hurwitz_matches_root_signs():
