@@ -371,7 +371,8 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
                 rejected += 1
                 factor = max(0.2, 0.9 * err**-0.2)
             h = h_try * factor
-            if h < _MIN_STEP:
+            # A step onto its sample time may itself be below the minimum.
+            if h < _MIN_STEP and t < t_next:
                 raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}", taken, rejected)
             if taken + rejected > config.max_steps:
                 raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}", taken, rejected)

@@ -483,7 +483,9 @@ def _lyapunov_weight(params: ModelParameters, target: str, anchor: State) -> flo
 def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V):
     """(dL/dt as gradient-dot-field, sum of its three terms' magnitudes) of
     the target's Lyapunov function; broadcasts over floats and arrays.  The
-    gradient is multiplied in place into the fresh arrays _field returns."""
+    gradient is multiplied in place into the fresh arrays _field returns,
+    and on arrays so are the magnitudes, summed left to right into the
+    first term's array.  Float arguments give plain floats."""
     w = _lyapunov_weight(params, target, anchor)
     t0, t1, t2 = _field(params, T, I, V)
     t0 *= 1.0 - anchor.T / T
@@ -492,10 +494,13 @@ def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V)
     else:
         t1 *= 1.0 - anchor.I / I
         t2 *= w * (1.0 - anchor.V / V)
-    rate, scale = t0 + t1, abs(t0)
+    rate = t0 + t1
     rate += t2
-    scale += abs(t1)
-    scale += abs(t2)
+    if not isinstance(t0, np.ndarray):
+        return rate, abs(t0) + abs(t1) + abs(t2)
+    scale = np.absolute(t0, out=t0)
+    scale += np.absolute(t1, out=t1)
+    scale += np.absolute(t2, out=t2)
     return rate, scale
 
 
@@ -586,9 +591,11 @@ def lyapunov_infected(
     return L, dLdt
 
 
-# Grid points per certificate block of whole T-slices (at least one slice
-# per block).  Multi-megabyte temporaries cost more in fresh page faults
-# than fewer, larger numpy calls save.
+# Grid points per certificate block: a block holds this many // N (T, I)
+# pairs, each against the N-point V axis, and at least one pair.  Larger
+# temporaries cost more in fresh page faults than fewer, larger numpy calls
+# save: at N = 140, 2**15 takes about 26 times the faults of 2**14 per
+# call, and 2**13 is slower.
 _CERTIFICATE_BLOCK = 1 << 14
 
 
@@ -615,11 +622,12 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     under met preconditions would contradict the theorem.  A grid on which
     a term of the derivative leaves the float range raises DomainError.
 
-    The grid is evaluated in blocks of whole T-slices, so working memory is
-    bounded by one block (about 2**14 points, or one N**2 slice once that
-    is larger) plus the violations found.  Each block masks its (T, I)
-    pairs and evaluates them against the V axis by broadcasting: terms of T
-    and I alone are computed once per pair, not once per grid point.  A
+    The region mask is taken once, on the N x N grid of (T, I) pairs, and
+    the pairs it keeps are evaluated in row-major blocks against the V axis
+    by broadcasting: terms of T and I alone are computed once per pair, not
+    once per grid point.  Working memory is bounded by one block (at most
+    about 2**14 points, or one V row of N points once that is larger), the
+    pair arrays (16 bytes per kept pair) and the violations found.  A
     block whose peak is within the running tolerance is not scanned.
     """
     if grid_points < 1:
@@ -661,10 +669,16 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
             f"theorem slice (r_I = r_T, s = d_T T_max, delta = d_T): {on_slice}; R0 = {R0!r}"
         )
 
-    if grid_points > 1:
-        axis_T = axis_I = _grid_axis(bound_TI, grid_points)
+    if grid_points == 1:
+        pair_T, pair_I, axis_V = np.array([[anchor.T]]), np.array([[anchor.I]]), np.array([anchor.V])
+    else:
+        axis = _grid_axis(bound_TI, grid_points)
         axis_V = _grid_axis(bound_V, grid_points)
-    rows = max(1, _CERTIFICATE_BLOCK // grid_points**2)
+        with np.errstate(over="ignore"):  # T + I may pass the float maximum
+            keep = axis[:, None] + axis <= bound_TI * (1.0 + 1e-12)
+        pair_T = np.broadcast_to(axis[:, None], keep.shape)[keep][:, None]
+        pair_I = np.broadcast_to(axis, keep.shape)[keep][:, None]
+    pairs = max(1, _CERTIFICATE_BLOCK // grid_points)
 
     # One pass over the blocks keeps the running maxima and, per block, the
     # points above the tolerance the running scale maximum gives.  A term
@@ -675,16 +689,10 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     scale_peak = np.float64(0.0)
     points = 0
     kept = []
-    for start in range(0, grid_points, rows):
-        if grid_points == 1:
-            T, I, V = np.array([[anchor.T]]), np.array([[anchor.I]]), np.array([anchor.V])
-        else:
-            T, I = np.meshgrid(axis_T[start : start + rows], axis_I, indexing="ij")
-            with np.errstate(over="ignore"):  # T + I may pass the float maximum
-                keep = T + I <= bound_TI * (1.0 + 1e-12)
-            T, I, V = T[keep][:, None], I[keep][:, None], axis_V
+    for start in range(0, len(pair_T), pairs):
+        T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
         with np.errstate(over="ignore", invalid="ignore"):
-            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
+            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, axis_V)
         points += dLdt.size
         block_peak = np.max(dLdt, initial=-math.inf)
         peak = np.maximum(peak, block_peak)
@@ -694,7 +702,7 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         tolerance = margin * max(1.0, float(scale_peak))
         if not block_peak <= tolerance:  # a NaN peak is scanned too
             pair, v = np.nonzero(dLdt > tolerance)
-            kept.append((T[pair, 0], I[pair, 0], V[v], dLdt[pair, v]))
+            kept.append((T[pair, 0], I[pair, 0], axis_V[v], dLdt[pair, v]))
     violations = []
     for T, I, V, dLdt in kept:
         hit = dLdt > tolerance

@@ -4,13 +4,15 @@ _lyapunov_rate multiplies the gradient into the arrays _field returns in
 place; on arrays it must give the float route's values point for point and
 leave its inputs alone.  certify_global scans a block for violations only
 when the block's peak is above the running tolerance; the report must still
-equal the whole-grid reference of tests/test_certify_blocks.py.
+equal the whole-grid reference of tests/test_certify_blocks.py, whatever
+the block size.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +127,15 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
     got = certify_global(MANY_VIOLATIONS, "E0", 40)
     assert len(calls) == 4 and np.count_nonzero(calls[1][0] > ref.tolerance) > 0
     assert repr(got) == repr(replace(ref, min_margin=math.nan))
+
+
+@pytest.mark.parametrize("block", [1, 97, 1 << 14, 1 << 24])
+@pytest.mark.parametrize("params, target, grid_points", [(MANY_VIOLATIONS, "E0", 40), (SCENARIO_S2, "Estar", 41)])
+def test_report_does_not_depend_on_the_block_size(monkeypatch, block, params, target, grid_points):
+    # From one (T, I) pair per block to the whole grid in one block.
+    ref = reference_certificate(params, target, grid_points)
+    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", block)
+    assert repr(certify_global(params, target, grid_points)) == repr(ref)
 
 
 def test_violations_are_rows_of_plain_floats():

@@ -294,6 +294,21 @@ def test_overflowing_error_norm_rejects_until_the_step_underflows():
     assert partial.steps_taken == 0 and partial.steps_rejected > 0
 
 
+@pytest.mark.parametrize("t_end", [1e-13, 10.0000000000001])
+def test_a_step_landing_on_a_short_last_interval_is_no_underflow(t_end):
+    # The step onto t_end is shorter than the minimum step, and so is the
+    # next step size it proposes; the run used to fail after its last step.
+    traj = integrate(SCENARIO_S2, START, IntegratorConfig(t_end=t_end))
+    assert traj.times[-1] == t_end
+    assert np.isfinite(traj.states).all()
+
+
+def test_simulate_writes_the_row_of_a_short_last_interval(tmp_path):
+    out = tmp_path / "short.csv"
+    assert main(["simulate", "s2", "--t-end", "10.0000000000001", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("10.0000000000001,")
+
+
 @pytest.mark.parametrize("step", [1e-320, 1e-9])
 def test_rk4_step_beyond_the_budget_fails_at_once(step):
     # 1 / 1e-320 substeps overflow; 1e-9 asks for 1e12 over 1000 d.
