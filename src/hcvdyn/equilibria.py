@@ -92,9 +92,11 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
     r_T > 0, and s/d_T in the degenerate non-proliferating case r_T = 0.
     Raises DomainError when no steady state exists (r_T = 0 with d_T = 0 and
-    s > 0: unbounded linear growth), T0 is not finite, or the vector field
-    at T0 leaves the float range (residual inf).  A residual above the
-    tolerance raises IntegrityError unless a root lies within one ulp of T0
+    s > 0: unbounded linear growth), T0 is not finite, the vector field
+    at T0 leaves the float range (residual inf), or s > 0 and T0 is 0.0:
+    the positive root then lies below the smallest subnormal, and no float
+    holds it.  s = 0 keeps T0 = 0.0.  A residual above the tolerance raises
+    IntegrityError unless a root lies within one ulp of T0
     (_root_within_an_ulp); the residual is then reported as it is.
     """
     if params.r_T > 0:
@@ -117,6 +119,8 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
             f"uninfected equilibrium residual {residual!r} exceeds "
             f"{DEFAULT_TOLERANCES.uninfected_residual!r}"
         )
+    if T0 == 0.0 and params.s > 0:
+        raise DomainError("uninfected equilibrium T0 underflows: the root is positive but below 5e-324")
     return EquilibriumPoint(kind="uninfected", state=State(T0, 0.0, 0.0), residual_norm=residual)
 
 

@@ -8,13 +8,20 @@ state and each stage's slope in scalar locals (T, I, V; aT, aI, aV; ...),
 not tuples built over zip: most of a step's cost was that interpreter
 overhead, and each component repeats the same floating-point operations in
 the same order, so trajectories are bit for bit those of the tuple form.
+The adaptive loop also reads its tableau, tolerances and math functions
+from locals, and takes each min and max as the comparison that returns
+what the builtin returned.
 
 Invariant monitoring follows the comparison theorems: positivity is checked
 unconditionally, while the T + I and V ceilings are only meaningful when the
 comparison hypotheses hold (r_I <= r_T and r_T - d_T >= r_I - d_I) and the
 initial state starts inside the invariant region.  Violations are logged,
 never clamped; tiny negative dips within the integrator's absolute
-tolerance are counted separately as benign.
+tolerance are counted separately as benign.  The loops only record samples:
+the monitor runs once per trajectory, when it is built (also the partial
+one of a failed run).  One numpy pass picks the samples a rule could flag,
+and those go through the monitor in time order, so the log is the one that
+observing each sample as it was recorded would give.
 """
 
 from __future__ import annotations
@@ -194,6 +201,20 @@ class _Monitor:
                     Violation(time=t, kind=V_BOUND, magnitude=y[2] - self.bounds.lambda0)
                 )
 
+    def observe_all(self, times: list[float], states: np.ndarray) -> None:
+        """Observe row k of the (n, 3) states at times[k], for each row a rule could flag.
+
+        One numpy pass picks the rows; observe, the one writing of each rule,
+        then sees them in time order.  The pass's float64 sum and comparisons
+        are the IEEE operations observe makes on the row's Python floats.
+        """
+        flagged = (states < 0.0).any(axis=1)
+        if self.check_bounds:
+            flagged |= states[:, 0] + states[:, 1] > self.bounds.t_tilde0 * (1.0 + self.slack)
+            flagged |= states[:, 2] > self.bounds.lambda0 * (1.0 + self.slack)
+        for k in np.flatnonzero(flagged).tolist():
+            self.observe(times[k], tuple(states[k].tolist()))
+
 
 # Smallest adaptive step; a step size below it fails the run.
 _MIN_STEP = 1e-12
@@ -266,20 +287,18 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
         raise DomainError(f"initial state must be nonnegative, got {initial}")
     bounds = asymptotic_bounds(params, initial)
     inside = _inside_omega(initial, bounds)
-    monitor = _Monitor(bounds, check_bounds=bounds.applicable and inside, dip_tol=config.abs_tol)
     f = field_function(params)
     sample_times = [0.0]
     samples: list[tuple[float, float, float]] = []
 
-    def record(t: float, y: tuple[float, float, float]) -> None:
-        samples.append(y)
-        monitor.observe(t, y)
-
     def partial(taken: int, rejected: int) -> Trajectory:
         n = len(samples)
+        states = np.array(samples).reshape(n, 3)
+        monitor = _Monitor(bounds, check_bounds=bounds.applicable and inside, dip_tol=config.abs_tol)
+        monitor.observe_all(sample_times, states)
         return Trajectory(
             times=np.array(sample_times[:n]),
-            states=np.array(samples).reshape(n, 3),
+            states=states,
             steps_taken=taken,
             steps_rejected=rejected,
             violation_log=tuple(monitor.violations),
@@ -292,7 +311,7 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
         return IntegrationError(message, trajectory=partial(taken, rejected))
 
     T, I, V = initial.T, initial.I, initial.V
-    record(0.0, (T, I, V))
+    samples.append((T, I, V))
     intervals = config.t_end / config.sample_every
     if intervals > max(config.max_steps, _SAMPLE_LIST_LIMIT):
         raise fail(f"step budget {config.max_steps} exhausted at t = 0.0: "
@@ -323,69 +342,86 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
                 if not (math.isfinite(T) and math.isfinite(I) and math.isfinite(V)):
                     raise fail(f"state became non-finite near t = {t!r}", taken)
             t = t_next
-            record(t, (T, I, V))
+            samples.append((T, I, V))
         return partial(taken, 0)
 
+    # Locals for the loop: a global or attribute load per use, and a call of
+    # min or max, cost more than the step's arithmetic.  Each conditional
+    # expression returns what the builtin call it replaces returned.
+    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
+    abs_tol, rel_tol, max_steps, min_step = config.abs_tol, config.rel_tol, config.max_steps, _MIN_STEP
+    isfinite, sqrt = math.isfinite, math.sqrt
     h = min(config.sample_every, 1.0)
     aT, aI, aV = f(t, (T, I, V))
     for t_next in sample_times[1:]:
         while t < t_next:
-            h_try = min(h, t_next - t)
-            h2 = h_try * _A21
-            bT, bI, bV = f(t + _C2 * h_try, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
-            cT, cI, cV = f(t + _C3 * h_try, (T + h_try * (_A31 * aT + _A32 * bT),
-                                             I + h_try * (_A31 * aI + _A32 * bI),
-                                             V + h_try * (_A31 * aV + _A32 * bV)))
-            dT, dI, dV = f(t + _C4 * h_try, (T + h_try * (_A41 * aT + _A42 * bT + _A43 * cT),
-                                             I + h_try * (_A41 * aI + _A42 * bI + _A43 * cI),
-                                             V + h_try * (_A41 * aV + _A42 * bV + _A43 * cV)))
-            eT, eI, eV = f(t + _C5 * h_try, (T + h_try * (_A51 * aT + _A52 * bT + _A53 * cT + _A54 * dT),
-                                             I + h_try * (_A51 * aI + _A52 * bI + _A53 * cI + _A54 * dI),
-                                             V + h_try * (_A51 * aV + _A52 * bV + _A53 * cV + _A54 * dV)))
-            gT, gI, gV = f(t + h_try, (T + h_try * (_A61 * aT + _A62 * bT + _A63 * cT + _A64 * dT + _A65 * eT),
-                                       I + h_try * (_A61 * aI + _A62 * bI + _A63 * cI + _A64 * dI + _A65 * eI),
-                                       V + h_try * (_A61 * aV + _A62 * bV + _A63 * cV + _A64 * dV + _A65 * eV)))
-            nT = T + h_try * (_B1 * aT + _B3 * cT + _B4 * dT + _B5 * eT + _B6 * gT)
-            nI = I + h_try * (_B1 * aI + _B3 * cI + _B4 * dI + _B5 * eI + _B6 * gI)
-            nV = V + h_try * (_B1 * aV + _B3 * cV + _B4 * dV + _B5 * eV + _B6 * gV)
-            if not (math.isfinite(nT) and math.isfinite(nI) and math.isfinite(nV)):
+            left = t_next - t
+            h_try = left if left < h else h
+            h2 = h_try * A21
+            bT, bI, bV = f(t + C2 * h_try, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
+            cT, cI, cV = f(t + C3 * h_try, (T + h_try * (A31 * aT + A32 * bT),
+                                            I + h_try * (A31 * aI + A32 * bI),
+                                            V + h_try * (A31 * aV + A32 * bV)))
+            dT, dI, dV = f(t + C4 * h_try, (T + h_try * (A41 * aT + A42 * bT + A43 * cT),
+                                            I + h_try * (A41 * aI + A42 * bI + A43 * cI),
+                                            V + h_try * (A41 * aV + A42 * bV + A43 * cV)))
+            eT, eI, eV = f(t + C5 * h_try, (T + h_try * (A51 * aT + A52 * bT + A53 * cT + A54 * dT),
+                                            I + h_try * (A51 * aI + A52 * bI + A53 * cI + A54 * dI),
+                                            V + h_try * (A51 * aV + A52 * bV + A53 * cV + A54 * dV)))
+            gT, gI, gV = f(t + h_try, (T + h_try * (A61 * aT + A62 * bT + A63 * cT + A64 * dT + A65 * eT),
+                                       I + h_try * (A61 * aI + A62 * bI + A63 * cI + A64 * dI + A65 * eI),
+                                       V + h_try * (A61 * aV + A62 * bV + A63 * cV + A64 * dV + A65 * eV)))
+            nT = T + h_try * (B1 * aT + B3 * cT + B4 * dT + B5 * eT + B6 * gT)
+            nI = I + h_try * (B1 * aI + B3 * cI + B4 * dI + B5 * eI + B6 * gI)
+            nV = V + h_try * (B1 * aV + B3 * cV + B4 * dV + B5 * eV + B6 * gV)
+            if not (isfinite(nT) and isfinite(nI) and isfinite(nV)):
                 raise fail(f"state became non-finite near t = {t!r}", taken, rejected)
             kT, kI, kV = f(t + h_try, (nT, nI, nV))
-            xT = h_try * (_E1 * aT + _E3 * cT + _E4 * dT + _E5 * eT + _E6 * gT + _E7 * kT)
-            xI = h_try * (_E1 * aI + _E3 * cI + _E4 * dI + _E5 * eI + _E6 * gI + _E7 * kI)
-            xV = h_try * (_E1 * aV + _E3 * cV + _E4 * dV + _E5 * eV + _E6 * gV + _E7 * kV)
-            sT = config.abs_tol + config.rel_tol * max(abs(T), abs(nT))
-            sI = config.abs_tol + config.rel_tol * max(abs(I), abs(nI))
-            sV = config.abs_tol + config.rel_tol * max(abs(V), abs(nV))
+            xT = h_try * (E1 * aT + E3 * cT + E4 * dT + E5 * eT + E6 * gT + E7 * kT)
+            xI = h_try * (E1 * aI + E3 * cI + E4 * dI + E5 * eI + E6 * gI + E7 * kI)
+            xV = h_try * (E1 * aV + E3 * cV + E4 * dV + E5 * eV + E6 * gV + E7 * kV)
+            old, new = abs(T), abs(nT)
+            sT = abs_tol + rel_tol * (new if new > old else old)
+            old, new = abs(I), abs(nI)
+            sI = abs_tol + rel_tol * (new if new > old else old)
+            old, new = abs(V), abs(nV)
+            sV = abs_tol + rel_tol * (new if new > old else old)
             try:
-                err = math.sqrt(((xT / sT) ** 2 + (xI / sI) ** 2 + (xV / sV) ** 2) / 3.0)
+                err = sqrt(((xT / sT) ** 2 + (xI / sI) ** 2 + (xV / sV) ** 2) / 3.0)
             except (ZeroDivisionError, OverflowError):
                 err = _error_norm((xT, sT), (xI, sI), (xV, sV))
+            # max(0.2, x), also for a NaN err, whose factor is then 0.2.
+            factor = 0.9 * err**-0.2 if err != 0.0 else 5.0
+            factor = factor if factor > 0.2 else 0.2
             if err <= 1.0:
-                t = t_next if h_try >= t_next - t else t + h_try
+                t = t_next if h_try >= left else t + h_try
                 T, I, V = nT, nI, nV
                 aT, aI, aV = kT, kI, kV
                 taken += 1
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+                factor = factor if factor < 5.0 else 5.0
             else:
                 rejected += 1
-                factor = max(0.2, 0.9 * err**-0.2)
             h = h_try * factor
             # A step onto its sample time may itself be below the minimum.
-            if h < _MIN_STEP and t < t_next:
+            if h < min_step and t < t_next:
                 raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}", taken, rejected)
-            if taken + rejected > config.max_steps:
-                raise fail(f"step budget {config.max_steps} exhausted at t = {t!r}", taken, rejected)
-        record(t_next, (T, I, V))
+            if taken + rejected > max_steps:
+                raise fail(f"step budget {max_steps} exhausted at t = {t!r}", taken, rejected)
+        samples.append((T, I, V))
     return partial(taken, rejected)
 
 
 def check_invariants(trajectory: Trajectory) -> InvariantSummary:
     """Count a trajectory's own violation log by kind, with its benign dips.
 
-    integrate's monitor checked every sample as it was recorded, with the
-    run's abs_tol as the benign-dip tolerance, so the summary agrees with
-    the run whatever tolerance it used.
+    integrate's monitor checked every sample, in time order, when it built
+    the trajectory, with the run's abs_tol as the benign-dip tolerance, so
+    the summary agrees with the run whatever tolerance it used.
     """
     counts = {kind: 0 for kind in VIOLATION_KINDS}
     worst = {kind: 0.0 for kind in VIOLATION_KINDS}

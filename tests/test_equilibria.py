@@ -79,6 +79,27 @@ def test_uninfected_accepts_a_root_within_an_ulp():
     assert point.residual_norm == 1.0
 
 
+# s > 0, so the E0 root is positive, but it is about s/d_T = 1e-511: below the
+# smallest subnormal.  The closed form returns 0.0, which the one-ulp bracket
+# used to accept as E0 = (0, 0, 0) with residual 1.0.
+E0_UNDERFLOWS = replace(
+    SCENARIO_S1, s=1.315984862854064e-263, r_T=2.618502923278814e+158,
+    d_T=1.0301890244408551e+248, T_max=2.4058085303302554e+249,
+)
+
+
+def test_an_e0_root_below_the_smallest_subnormal_is_refused_everywhere():
+    for route in (uninfected_equilibrium, r0):
+        with pytest.raises(DomainError, match="T0 underflows"):
+            route(E0_UNDERFLOWS)
+    with pytest.raises(DomainError):
+        stability_report(E0_UNDERFLOWS)
+    spec = SweepSpec(base=E0_UNDERFLOWS, axis1=Axis(name="eta", lo=E0_UNDERFLOWS.eta, hi=0.9, n=2))
+    assert run_sweep(spec).status == [STATUS_INVALID, STATUS_INVALID]
+    # Without a source the root is 0 itself.
+    assert uninfected_equilibrium(replace(E0_UNDERFLOWS, s=0.0)).state.T == 0.0
+
+
 def test_root_bracket_compares_signs():
     # dT/dt = s = 1e-200 on both sides: their product underflows to 0, but
     # no sign change brackets a root.

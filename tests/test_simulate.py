@@ -248,6 +248,16 @@ def test_invariant_summary_follows_the_runs_tolerance(abs_tol):
     assert summary.benign_dips == traj.benign_dips > 0
 
 
+def test_a_dense_benchmark_c_logs_one_dip_beyond_abs_tol():
+    # One of the 13 c values of the simulate benchmark's dense runs that
+    # exit 2, the same ones in every seed: the monitor's verdict and the step
+    # counts of that run are pinned.
+    params = replace(SCENARIO_S2, c=14.589615372592593)
+    traj = integrate(params, START, IntegratorConfig(t_end=1000.0))
+    assert (traj.steps_taken, traj.steps_rejected, traj.benign_dips) == (5120, 1926, 969)
+    assert traj.violation_log == (simulate.Violation(63.0, "negativity", 1.1104331779985188e-10),)
+
+
 def test_nonnegativity_is_always_monitored():
     # Even with bound checks inapplicable (S1), negativity is watched.
     traj = integrate(SCENARIO_S1, START, IntegratorConfig(t_end=300.0))
