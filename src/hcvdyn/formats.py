@@ -13,7 +13,9 @@ space-separated `outputs` list.
 
 CSV floats are written with repr(), the shortest digit string that
 round-trips to the same double, so emitted numbers parse back bitwise
-identical.
+identical.  The CSV writers emit blocks of rows, one write per block, and
+format each distinct float64 bit pattern of a block once: the bytes are
+those of one repr per value, with -0.0 and 0.0 kept apart.
 """
 
 from __future__ import annotations
@@ -266,34 +268,63 @@ def resolve_scenario_path(argument: str) -> str:
     raise FileNotFoundError(f"no such scenario file or bundled scenario: {argument!r}")
 
 
+_BLOCK_ROWS = 1 << 14
+"""CSV rows per write: a trajectory's rows, or a sweep's whole axis1 rows
+up to this many cells (at least one axis1 row)."""
+
+
+def _float_texts(values) -> list[str]:
+    """repr of each value, formatted once per distinct float64 bit pattern.
+
+    Keyed on the bits, not on float equality, which would merge -0.0 with 0.0.
+    """
+    bits, index = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[index].tolist()
+
+
+def _write_rows(columns: list, fh: IO[str]) -> None:
+    """One write of the rows that zip(*columns) makes, comma-joined."""
+    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
 def write_trajectory_csv(trajectory: Trajectory, fh: IO[str]) -> None:
     """Emit `t,T,I,V` rows; floats use repr for lossless round-trips."""
     fh.write("t,T,I,V\n")
-    rows = zip(trajectory.times.tolist(), *trajectory.states.T.tolist())
-    fh.writelines(f"{t!r},{T!r},{I!r},{V!r}\n" for t, T, I, V in rows)
+    times, states = trajectory.times, trajectory.states
+    for start in range(0, len(times), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        t = list(map(repr, times[rows].tolist()))
+        _write_rows([t, *(_float_texts(states[rows, k]) for k in range(3))], fh)
 
 
 def write_sweep_csv(grid, fh: IO[str]) -> None:
     """Emit sweep cells row-major: axis columns, outputs, status.
 
-    Written column by column: each distinct axis value is formatted once,
-    floats with repr for lossless round-trips.
+    Written by blocks of whole axis1 rows; each distinct axis value is
+    formatted once, and each distinct output float once per block.
     """
     spec = grid.spec
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     fh.write(",".join([a.name for a in axes] + list(spec.outputs) + ["status"]) + "\n")
     axis1 = list(map(repr, grid.axis1_values.tolist()))
-    columns = [axis1 * (len(grid.status) // len(axis1))]
-    if grid.axis2_values is not None:
-        columns.append([text for v in grid.axis2_values.tolist() for text in [repr(v)] * len(axis1)])
-    for name in spec.outputs:
-        values = grid.columns[name]
-        if name == "regime":
-            columns.append([v if isinstance(v, str) else repr(v) for v in values])
-        else:
-            columns.append(map(repr, values))
-    columns.append(grid.status)
-    fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    axis2 = None if grid.axis2_values is None else list(map(repr, grid.axis2_values.tolist()))
+    n1, rows = len(axis1), len(grid.status) // len(axis1)
+    step = max(1, _BLOCK_ROWS // n1)
+    for row in range(0, rows, step):
+        count = min(step, rows - row)
+        cells = slice(row * n1, (row + count) * n1)
+        columns = [axis1 * count]
+        if axis2 is not None:
+            columns.append([text for v in axis2[row : row + count] for text in [v] * n1])
+        for name in spec.outputs:
+            values = grid.columns[name][cells]
+            # regime holds strings and nan; str of a float is its repr.
+            columns.append(list(map(str, values)) if name == "regime" else _float_texts(values))
+        columns.append(grid.status[cells])
+        _write_rows(columns, fh)
 
 
 _SVG_MARGIN = 70

@@ -69,6 +69,10 @@ STATUS_OK = "ok"
 STATUS_INVALID = "invalid_params"
 STATUS_NO_EQUILIBRIUM = "no_equilibrium"
 
+# The kernel's integer codes for the string columns: index into these.
+_REGIME_TEXTS = (REGIME_NONE, REGIME_UNIQUE, REGIME_MULTIPLE, math.nan)
+_STATUS_TEXTS = (STATUS_OK, STATUS_INVALID, STATUS_NO_EQUILIBRIUM)
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -111,9 +115,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.outputs:
             raise SweepError("outputs must not be empty")
-        for name in self.outputs:
+        for k, name in enumerate(self.outputs):
             if name not in SWEEP_OUTPUTS:
                 raise SweepError(f"unknown output {name!r}; choose from {SWEEP_OUTPUTS}")
+            if name in self.outputs[:k]:
+                raise SweepError(f"output {name!r} is listed twice")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise SweepError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
 
@@ -266,11 +272,13 @@ def _infected_candidate(params, cons, a, b, d, root, present):
 
 
 def _column(values, shown: np.ndarray) -> list:
-    """values where shown, else nan, as a list; regime mixes str and nan."""
-    values = np.broadcast_to(values, shown.shape)
-    if values.dtype.kind == "f":
-        return np.where(shown, values, math.nan).tolist()
-    return [v if m else math.nan for v, m in zip(values.tolist(), shown.tolist())]
+    """values where shown, else nan, as a list of floats."""
+    return np.where(shown, values, math.nan).tolist()
+
+
+def _texts(codes: np.ndarray, texts: tuple) -> list:
+    """texts[code] for each code, as a list."""
+    return np.array(texts, dtype=object)[codes].tolist()
 
 
 def _evaluate_grid(
@@ -328,9 +336,8 @@ def _evaluate_grid(
             T = np.where(lo_ok, T_lo, T_hi)
             I = np.where(lo_ok, I_lo, I_hi)
             V = np.where(lo_ok, V_lo, V_hi)
-            regime = np.where(
-                found == 0, REGIME_NONE, np.where(unique, REGIME_UNIQUE, REGIME_MULTIPLE)
-            )
+            # Codes into _REGIME_TEXTS.
+            regime = np.where(found == 0, 0, np.where(unique, 1, 2))
 
             ratio, radicand = _radical(params, cons)
             closed = 0.5 * (-ratio + np.sqrt(radicand))
@@ -367,16 +374,22 @@ def _evaluate_grid(
 
     columns = {
         "r0": (R0, ok),
-        "regime": (regime, ok),
         "t0": (T0, ok),
         "estar_T": (T, unique),
         "delta2": (delta2, unique & coefficients_ok),
     }
-    status = np.where(ok, STATUS_OK, STATUS_INVALID)
+    values = {
+        name: _texts(np.where(ok, regime, 3), _REGIME_TEXTS)
+        if name == "regime"
+        else _column(*columns[name])
+        for name in outputs
+    }
+    # Codes into _STATUS_TEXTS.
+    status = np.where(ok, 0, 1)
     if wants_estar:
-        status = np.where(ok & ~unique, STATUS_NO_EQUILIBRIUM, status)
-        status = np.where(unique & ~coefficients_ok, STATUS_INVALID, status)
-    return {name: _column(*columns[name]) for name in outputs}, status.tolist()
+        status = np.where(ok & ~unique, 2, status)
+        status = np.where(unique & ~coefficients_ok, 1, status)
+    return values, _texts(status, _STATUS_TEXTS)
 
 
 def run_sweep(spec: SweepSpec) -> SweepGrid:

@@ -282,6 +282,15 @@ def test_sweep_out_flag(tmp_path):
     assert target.read_text().startswith("eta,r0,status")
 
 
+def test_sweep_spec_with_duplicate_outputs_exits_1(tmp_path, capsys):
+    spec = tmp_path / "grid.swp"
+    spec.write_text(SWEEP_SPEC.replace("outputs = r0", "outputs = r0 r0"))
+    assert main(["sweep", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'r0' is listed twice" in captured.err
+
+
 def test_sweep_missing_file_exits_1(capsys):
     assert main(["sweep", "/no/such/spec.swp"]) == 1
     assert "no such sweep-spec file" in capsys.readouterr().err

@@ -50,6 +50,16 @@ def test_spec_rejects_duplicate_axes():
         SweepSpec(base=SCENARIO_S1, axis1=axis, outputs=("nonsense",))
 
 
+def test_spec_rejects_duplicate_outputs():
+    # A repeated output would write its column twice under one header name,
+    # while CellResult.values holds it once.
+    axis = Axis(name="beta", lo=1e-8, hi=1e-6, n=3, scale="log")
+    with pytest.raises(SweepError, match="'r0' is listed twice"):
+        SweepSpec(base=SCENARIO_S1, axis1=axis, outputs=("r0", "r0"))
+    with pytest.raises(SweepError, match="'t0' is listed twice"):
+        SweepSpec(base=SCENARIO_S1, axis1=axis, outputs=("t0", "regime", "t0"))
+
+
 def test_one_dimensional_sweep_is_monotone_in_beta():
     spec = SweepSpec(
         base=SCENARIO_S1,
@@ -137,6 +147,14 @@ def test_estar_outputs_flag_missing_equilibrium():
                 axis2=Axis(name="eta", lo=0.0, hi=1.0, n=6),
             ),
             "6b80978e879ddc2235b5f7319227b69cc5b28e9395de3de0db22864a7631e2b5",
+        ),
+        # 1-D (no axis2), every output; ok, no_equilibrium and invalid_params.
+        (
+            SweepSpec(
+                base=replace(SCENARIO_S1, beta=1e-6),
+                axis1=Axis(name="eta", lo=0.0, hi=1.0, n=11),
+            ),
+            "2790e2eccf80e47a0a02f5d0a80a82dc0ff7a2c5732340e99c80dd7a2fe4625d",
         ),
     ],
 )
