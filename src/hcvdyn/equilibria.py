@@ -4,8 +4,9 @@ existence analysis.
 The uninfected equilibrium E0 = (T0, 0, 0) solves a scalar quadratic.  The
 infected equilibrium solves a quadratic in T whose coefficients come from
 eliminating I and V; every surviving root is positivity-filtered, polished,
-and residual-checked before being reported.  An independent radical closed
-form of T* cross-checks the quadratic route whenever it is defined.
+and residual-checked before being reported; both quadratics go through
+model._quadratic_roots.  An independent radical closed form of T*
+cross-checks the quadratic route whenever it is defined.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .model import (
     ModelParameters,
     State,
     _field,
+    _quadratic_roots,
     derive_constants,
     positive_logistic_root,
     residual_norm,
@@ -92,11 +94,12 @@ def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
     r_T > 0, and s/d_T in the degenerate non-proliferating case r_T = 0.
     Raises DomainError when no steady state exists (r_T = 0 with d_T = 0 and
-    s > 0: unbounded linear growth), T0 is not finite, the vector field
-    at T0 leaves the float range (residual inf), or s > 0 and T0 is 0.0:
-    the positive root then lies below the smallest subnormal, and no float
-    holds it.  s = 0 keeps T0 = 0.0.  A residual above the tolerance raises
-    IntegrityError unless a root lies within one ulp of T0
+    s > 0: unbounded linear growth), r_T/T_max underflows to 0, T0 is not
+    finite (the root, or r_T/T_max, lies beyond the float range), the
+    vector field at T0 leaves the float range (residual inf), or s > 0 and
+    T0 is 0.0: the positive root then lies below the smallest subnormal,
+    and no float holds it.  s = 0 keeps T0 = 0.0.  A residual above the
+    tolerance raises IntegrityError unless a root lies within one ulp of T0
     (_root_within_an_ulp); the residual is then reported as it is.
     """
     if params.r_T > 0:
@@ -156,24 +159,6 @@ def equilibrium_quadratic(
     return a, b, d
 
 
-def _quadratic_real_roots(a: float, b: float, d: float) -> list[float]:
-    """Real roots of a x^2 + b x + d, via the cancellation-free pairing.
-
-    Degenerates to the linear root when a = 0.  An empty list means no real
-    root exists.
-    """
-    if a == 0.0:
-        return [] if b == 0.0 else [-d / b]
-    disc = b * b - 4.0 * a * d
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    u = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
-    if u == 0.0:
-        return [0.0, 0.0]
-    return sorted({u / a, d / u})
-
-
 def _infected_from_T(params: ModelParameters, cons: DerivedConstants, T: float) -> tuple[float, float]:
     """I* and V* implied by a candidate T* through the elimination relations."""
     I = (cons.A / params.r_I - 1.0) * T + params.T_max * (1.0 - cons.delta / params.r_I)
@@ -208,13 +193,15 @@ def _radical(params, cons):
 def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     """Locate and verify infected steady states.
 
-    Roots of the elimination quadratic are kept only inside (0, T_max],
-    polished by Newton steps on the quadratic, completed to (T*, I*, V*)
-    through the exact elimination relations, and accepted only with positive
-    I*, V* and a vector-field residual within tolerance.  Finding no
-    candidate is a result (regime no_infected_eq), not an error.  Raises
-    DomainError when existence_condition, threshold_T, a rejected root, a
-    kept root's I* or V*, or the radical route is not finite.
+    Roots of the elimination quadratic (the linear root when its leading
+    coefficient is 0, [0.0, 0.0] when u = 0 in model._quadratic_roots, none
+    when they are complex) are kept only inside (0, T_max], polished by
+    Newton steps on the quadratic, completed to (T*, I*, V*) through the
+    exact elimination relations, and accepted only with positive I*, V* and
+    a vector-field residual within tolerance.  Finding no candidate is a
+    result (regime no_infected_eq), not an error.  Raises DomainError when
+    existence_condition, threshold_T, a rejected root, a kept root's I* or
+    V*, or the radical route is not finite.
     """
     cons = derive_constants(params)
     a, b, d = equilibrium_quadratic(params, cons)
@@ -224,8 +211,13 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
 
     candidates: list[EquilibriumPoint] = []
     rejected: list[float] = []
+    if a == 0.0:
+        roots = [] if b == 0.0 else [-d / b]
+    else:
+        x1, x2 = _quadratic_roots(a, b, d)
+        roots = [] if isinstance(x1, complex) else [0.0, 0.0] if x1 == x2 == 0.0 else sorted({x1, x2})
     bracket_hi = params.T_max * (1.0 + 1e-12)
-    for root in _quadratic_real_roots(a, b, d):
+    for root in roots:
         if not 0.0 < root <= bracket_hi:
             rejected.append(root)
             continue

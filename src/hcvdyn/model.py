@@ -13,7 +13,8 @@ spontaneous cure rate q, and therapy acts through the infection-blocking
 efficacy eta and the production-blocking efficacy epsilon.
 
 This module also provides the derived constants used throughout the
-analysis modules and small shared numerical helpers.
+analysis modules and small shared numerical helpers, among them the one
+quadratic solver (_quadratic_roots, with an array twin for the sweep).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from operator import add
 import numpy as np
 
 from .errors import DomainError, ParameterError
+
+_NORMAL_MIN = 2.0**-1022
 
 __all__ = [
     "ModelParameters",
@@ -248,19 +251,62 @@ class DerivedConstants:
 
 
 def positive_logistic_root(s: float, g: float, k: float) -> float:
-    """Largest root of s + g x - k x**2 for k > 0, evaluated stably.
-
-    The expression (g + sqrt(g^2 + 4 s k)) / (2 k) cancels when g < 0 and
-    s k is small, so that branch is rewritten via the product of roots.
-    Returns 0.0 when s = 0 and g <= 0.
-    """
+    """Largest root of s + g x - k x**2 for k > 0: u/a of _quadratic_roots
+    where g counts as positive (copysign), else d/u; 0.0 when s = 0, g <= 0."""
     if k <= 0:
         raise DomainError(f"quadratic coefficient must be positive, got {k!r}")
-    disc = math.sqrt(g * g + 4.0 * s * k)
-    if g >= 0:
-        return (g + disc) / (2.0 * k)
-    denom = disc - g
-    return 2.0 * s / denom if denom > 0 else 0.0
+    if s == 0.0 and g <= 0.0:
+        return 0.0
+    x1, x2 = _quadratic_roots(-k, g, s)
+    return x1 if math.copysign(1.0, g) > 0.0 else x2
+
+
+def _quadratic_roots(a: float, b: float, d: float):
+    """Roots of a x^2 + b x + d, a != 0: the cancellation-free pair (u/a, d/u)
+    with u = -(b + sign(b) sqrt(b^2 - 4ad))/2, sign(b) as copysign gives it,
+    or (0.0, 0.0) where u = 0, or the pair -b/2a +- i sqrt(4ad - b^2)/2a.
+    Where b^2 - 4ad is not a finite normal float and a, b, d are finite, it
+    solves a 2^-e_a, b 2^-e and d 2^(e_a - 2e), e_a the exponent of a and e
+    that of max(|b|, sqrt|a| sqrt|d|): exact unless a value underflows, so
+    only a root beyond the float range is lost (it reads inf).
+    _quadratic_roots_array repeats these operations over arrays."""
+    A, B, e_a, e = a, b, 0, 0
+    disc = b * b - 4.0 * a * d
+    if not _NORMAL_MIN <= abs(disc) < math.inf and all(map(math.isfinite, (a, b, d))):
+        e_a, e = math.frexp(a)[1], math.frexp(max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(d))))[1]
+        A, B = math.ldexp(a, -e_a), math.ldexp(b, -e)
+        disc = B * B - 4.0 * A * math.ldexp(d, e_a - 2 * e)
+    if disc < 0.0:
+        re, im = _ldexp(-0.5 * B / A, e - e_a), _ldexp(0.5 * math.sqrt(-disc) / A, e - e_a)
+        return complex(re, im), complex(re, -im)
+    u = -(0.5 * B + math.copysign(0.5 * math.sqrt(disc), B))
+    if u == 0.0:
+        return 0.0, 0.0
+    return _ldexp(u / A, e - e_a), _ldexp(d, -e) / u
+
+
+def _quadratic_roots_array(a, b, d):
+    """_quadratic_roots over arrays: (x1, x2, real), x1 and x2 NaN where complex."""
+    A, B, e_a, e = a, b, 0, 0
+    disc = b * b - 4.0 * a * d
+    scaled = ~((_NORMAL_MIN <= abs(disc)) & (abs(disc) < math.inf))
+    if scaled.any():
+        scaled &= np.isfinite(a) & np.isfinite(b) & np.isfinite(d)
+        e_a = np.where(scaled, np.frexp(a)[1], 0)
+        e = np.where(scaled, np.frexp(np.maximum(abs(b), np.sqrt(abs(a)) * np.sqrt(abs(d))))[1], 0)
+        A, B = np.ldexp(a, -e_a), np.ldexp(b, -e)
+        disc = B * B - 4.0 * A * np.ldexp(d, e_a - 2 * e)
+    u = -(0.5 * B + np.copysign(0.5 * np.sqrt(disc), B))
+    zero = u == 0.0
+    return np.where(zero, 0.0, np.ldexp(u / A, e - e_a)), np.where(zero, 0.0, np.ldexp(d, -e) / u), ~(disc < 0.0)
+
+
+def _ldexp(x: float, n: int) -> float:
+    """math.ldexp, with an inf of x's sign where it overflows, as np.ldexp gives."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _constants(params):

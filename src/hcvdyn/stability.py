@@ -30,6 +30,8 @@ from .model import (
     State,
     _field,
     _jacobian_entries,
+    _ldexp,
+    _quadratic_roots,
     _region,
     derive_constants,
     jacobian,
@@ -175,7 +177,8 @@ def uninfected_local(params: ModelParameters) -> LocalReport:
     The Jacobian is built from the steady-state identities (entry (1,1) is
     -s/T0 - r_T T0/T_max) and checked entrywise against the general Jacobian.
     One eigenvalue is that diagonal entry; the others solve the quadratic of
-    the infected 2x2 block, whose determinant equals c delta (1 - R0).
+    the infected 2x2 block (the +sqrt root first), whose determinant equals
+    c delta (1 - R0).  An eigenvalue beyond the float range is a DomainError.
     """
     T0 = uninfected_equilibrium(params).state.T
     return _uninfected_local(params, T0)
@@ -203,9 +206,16 @@ def _uninfected_local(params: ModelParameters, T0: float) -> LocalReport:
     lam1 = J[0, 0]
     trace2 = block_11 - params.c
     det2 = -params.c * block_11 - b_eff * T0 * p_eff
-    disc = trace2 * trace2 - 4.0 * det2
-    sq = cmath.sqrt(disc)
-    eigs = (complex(lam1), 0.5 * (trace2 + sq), 0.5 * (trace2 - sq))
+    # Where a product in det2 overflows, take the block at 2^-m (exact unless
+    # an entry underflows) and scale its eigenvalues and det2 back.
+    entries = (block_11, b_eff * T0, p_eff, params.c)
+    m = 0 if math.isfinite(det2) else max(math.frexp(x)[1] for x in entries)
+    b11, bT, pe, c = (math.ldexp(x, -m) for x in entries)
+    roots = _quadratic_roots(1.0, c - b11, -c * b11 - bT * pe)
+    det2 = _ldexp(-c * b11 - bT * pe, 2 * m)
+    if isinstance(roots[0], float) and math.copysign(1.0, trace2) < 0.0:
+        roots = roots[::-1]  # the +sqrt root first
+    eigs = (complex(lam1), *(complex(_ldexp(z.real, m), _ldexp(z.imag, m)) for z in roots))
     if not all(cmath.isfinite(z) for z in eigs):
         raise DomainError(f"E0 eigenvalues are not finite: {eigs!r}")
     classification = _classify(

@@ -33,6 +33,7 @@ from .equilibria import (
 )
 from .errors import ModelError, ParameterError, SweepError
 from .model import (
+    _NORMAL_MIN,
     PARAMETER_NAMES,
     DerivedConstants,
     ModelParameters,
@@ -40,6 +41,7 @@ from .model import (
     _check_field,
     _constants,
     _field_and_scales,
+    _quadratic_roots_array,
     _replace_field,
 )
 from .reproduction import _r0_closed_form, r0_from_T0
@@ -212,14 +214,8 @@ def _grid_parameters(
 
 
 # The helpers below repeat the scalar route's IEEE operations in its order,
-# so each cell equals the public functions' result bit for bit.
-
-
-def _logistic_root(s, g, k):
-    """positive_logistic_root over arrays; it raises where k <= 0."""
-    disc = np.sqrt(g * g + 4.0 * s * k)
-    denom = disc - g
-    return np.where(g >= 0, (g + disc) / (2.0 * k), np.where(denom > 0, 2.0 * s / denom, 0.0))
+# so each cell equals the public functions' result bit for bit; the
+# quadratics go through model._quadratic_roots_array, the scalar solver's twin.
 
 
 def _residual(params, T, I, V):
@@ -229,24 +225,6 @@ def _residual(params, T, I, V):
         ratio = np.where(scale > 0.0, abs(value) / scale, 0.0)
         worst = np.maximum(worst, np.where(np.isfinite(value), ratio, np.inf))
     return worst
-
-
-def _quadratic_roots(a, b, d):
-    """_quadratic_real_roots over arrays: (lower root, upper root, count)."""
-    linear = a == 0.0
-    disc = b * b - 4.0 * a * d
-    sq = np.sqrt(disc)
-    u = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), 0.5 * sq)
-    x, y = u / a, d / u
-    swap = y < x
-    lo = np.where(linear, -d / b, np.where(u == 0.0, 0.0, np.where(swap, y, x)))
-    hi = np.where(u == 0.0, 0.0, np.where(swap, x, y))
-    count = np.where(
-        linear,
-        np.where(b == 0.0, 0, 1),
-        np.where(disc < 0.0, 0, np.where((u == 0.0) | (x != y), 2, 1)),
-    )
-    return lo, hi, count
 
 
 def _infected_candidate(params, cons, a, b, d, root, present):
@@ -295,12 +273,11 @@ def _evaluate_grid(
     with np.errstate(all="ignore"):
         # uninfected_equilibrium, then r0_from_T0
         k = params.r_T / params.T_max
+        g = params.r_T - params.d_T
         proliferating = params.r_T > 0
-        T0 = np.where(
-            proliferating,
-            _logistic_root(params.s, params.r_T - params.d_T, k),
-            np.where(params.d_T > 0, params.s / params.d_T, 0.0),
-        )
+        x1, x2, _ = _quadratic_roots_array(-k, g, params.s)
+        root = np.where((params.s == 0.0) & (g <= 0.0), 0.0, np.where(np.copysign(1.0, g) > 0.0, x1, x2))
+        T0 = np.where(proliferating, root, np.where(params.d_T > 0, params.s / params.d_T, 0.0))
         ok = valid & ~(proliferating & (k <= 0))
         ok &= proliferating | (params.d_T > 0) | (params.s == 0)
         residual_fails = _residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual
@@ -327,7 +304,9 @@ def _evaluate_grid(
 
             # infected_equilibrium
             a, b, d = equilibrium_quadratic(params, cons)
-            lo, hi, count = _quadratic_roots(a, b, d)
+            x1, x2, real = _quadratic_roots_array(a, b, d)
+            lo, hi = np.where(a == 0.0, -d / b, np.minimum(x1, x2)), np.maximum(x1, x2)
+            count = np.where(a == 0.0, b != 0.0, real * (1 + ((x1 != x2) | (x1 == 0.0) & (x2 == 0.0))))
             T_lo, I_lo, V_lo, lo_ok, lo_raises = _infected_candidate(params, cons, a, b, d, lo, count >= 1)
             T_hi, I_hi, V_hi, hi_ok, hi_raises = _infected_candidate(params, cons, a, b, d, hi, count == 2)
             duplicate = lo_ok & hi_ok & (abs(T_hi - T_lo) <= 1e-9 * np.maximum(abs(T_lo), 1.0))
@@ -430,8 +409,8 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
     """Locate an axis value where r0 crosses the named threshold.
 
     Scans the axis grid for the first sign change, then bisects (in log
-    space for log axes) until the bracket width shrinks below relative
-    1e-10.  Every point goes through the scalar route, with E0 solved once
+    space for log axes, by _midpoint, which neither overflows nor
+    underflows) until the bracket width shrinks below relative 1e-10.  Every point goes through the scalar route, with E0 solved once
     per distinct set of the fields it reads.  Grid points where that route
     raises a ModelError, exactly the cells run_sweep marks invalid_params,
     are skipped: a bracket never spans one, but where one borders a valid
@@ -462,7 +441,7 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
         an invalid value; each parameter's domain is an interval."""
         width = 1e-10 * max(abs(inside), abs(outside))
         while abs(outside - inside) > width:
-            mid = 0.5 * (inside + outside)
+            mid = 0.5 * inside + 0.5 * outside
             if mid == inside or mid == outside:
                 break  # no float lies between the two
             try:
@@ -501,7 +480,7 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
 
     logspace = axis.scale == "log"
     for _ in range(200):
-        mid = math.sqrt(lo * hi) if logspace else 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi, logspace)
         g_mid = gap_at(mid)
         if g_mid == 0.0:
             lo = hi = mid
@@ -512,7 +491,7 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
             hi = mid
         if hi - lo <= 1e-10 * max(abs(lo), abs(hi)):
             break
-    value = math.sqrt(lo * hi) if logspace else 0.5 * (lo + hi)
+    value = _midpoint(lo, hi, logspace)
     return ThresholdResult(
         target=target,
         found=True,
@@ -520,6 +499,17 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
         r0_at_value=_r0_at(base, axis, value, e0s),
         bracket=(lo, hi),
     )
+
+
+def _midpoint(lo: float, hi: float, logspace: bool) -> float:
+    """0.5 lo + 0.5 hi, or on log axes sqrt(lo hi), from mantissas scaled by
+    even powers of two where lo hi is not a normal float: neither overflows."""
+    if not logspace:
+        return 0.5 * lo + 0.5 * hi
+    if _NORMAL_MIN <= lo * hi < math.inf:
+        return math.sqrt(lo * hi)
+    k1, k2 = math.frexp(lo)[1] // 2, math.frexp(hi)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(lo, -2 * k1) * math.ldexp(hi, -2 * k2)), k1 + k2)
 
 
 def _r0_at(base: ModelParameters, axis: Axis, x: float, e0s: dict) -> float:

@@ -350,6 +350,20 @@ OVERFLOWING_REGION_MASK = {
     "beta": "4.503900841667006e-255", "p": "1.4542933404974727e-220", "c": "1.947961548790704e+199",
     "q": "6.512960630525431e-253", "eta": "0.892241916140536", "epsilon": "0.08722129978085853",
 }
+# Sets whose E0 block entry r_I (1 - T0/T_max) - delta, and with it an
+# eigenvalue, lies beyond the float range.
+BEYOND_RANGE_E0_EIGENVALUE = {
+    "s": "4.9945622033094145e+96", "r_T": "3.2953609450145934e-75", "r_I": "8.522705570434794e+105",
+    "d_T": "0.07412432052404683", "d_I": "5.237224747659174e+285", "T_max": "5e-324",
+    "beta": "2.804429471833782e+34", "p": "4.4088671320170496e+150", "c": "2.0743514722977203e+137",
+    "q": "1.1596354021194713e-279", "eta": "0.32519564392023936", "epsilon": "0.13699261849425914",
+}
+BEYOND_RANGE_E0_BLOCK = {
+    "s": "6507038451258491.0", "r_T": "1.980548971055057e-60", "r_I": "2.891917921594651e+188",
+    "d_T": "26065690.67908297", "d_I": "1.3918633520903956e-189", "T_max": "3.751549771830253e-247",
+    "beta": "2.1974147026320373e-276", "p": "6.259296862219173e+43", "c": "3.0726509381526053e+153",
+    "q": "1.70924132895932e+74", "eta": "0.4302138011866691", "epsilon": "0.7944153719037911",
+}
 # The constant term of the E* quadratic overflows to -inf.
 NON_FINITE_CONSTANT_TERM = {
     "s": "1.2347665649844455e-204", "r_T": "2.392675980102134e-66", "r_I": "2.900723132772846e-199",
@@ -370,17 +384,14 @@ NON_FINITE_CONSTANT_TERM = {
     # r_I r_T H underflows to 0 although H does not.
     (["analyze"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
     (["certify", "--target", "estar"], {"r_I": "2e-150", "r_T": "1e-150", "beta": "1e-190"}),
-    # This used to exit 0 printing r0_spectral = nan and E0 eigenvalues inf+nanj.
-    (["analyze", "--machine"], {
-        "s": "4.0e75", "r_T": "0.1416", "r_I": "1.0", "d_T": "2.6e-241", "d_I": "3.5e192",
-        "T_max": "1.0", "beta": "0.0", "p": "0.0", "c": "5e-324", "q": "0.0", "eta": "0.0",
-        "epsilon": "0.0",
-    }),
+    # An E0 eigenvalue is beyond the float range: the block entry
+    # r_I (1 - T0/T_max) - delta overflows to -inf.
+    (["analyze", "--machine"], BEYOND_RANGE_E0_EIGENVALUE),
     (["analyze"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "e0"], INF_OVER_INF),
     (["certify", "--grid", "5", "--target", "estar"], INF_OVER_INF),
-    # The E0 Jacobian overflows, so its eigenvalues are inf+nanj.
-    (["analyze"], OVERFLOWING_REGION_MASK),
+    # The same on another set, without --machine.
+    (["analyze"], BEYOND_RANGE_E0_BLOCK),
     (["certify", "--grid", "5", "--target", "e0"], OVERFLOWING_REGION_MASK),
     # existence_regime used to return this; the CLI refused it.
     (["analyze", "--machine"], NON_FINITE_CONSTANT_TERM),

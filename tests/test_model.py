@@ -168,9 +168,10 @@ def test_derived_constants_reference_values():
 
 
 def test_derive_constants_do_not_depend_on_the_region_ceiling():
-    # The T + I ceiling overflows here, and is 0 in the second set; neither
-    # is a derived constant, so both sets have their constants.
-    unbounded = replace(SCENARIO_S1, s=1e300, r_I=1e20)
+    # The T + I ceiling, about (r_T - d_T) T_max / r_I = 8.9e308, is beyond
+    # the float range here, and is 0 in the second set; neither is a derived
+    # constant, so both sets have their constants.
+    unbounded = replace(SCENARIO_S1, r_T=1e301)
     assert _region(unbounded)[0] == math.inf
     assert derive_constants(unbounded).A == derive_constants(SCENARIO_S1).A
     collapsed = replace(SCENARIO_S1, s=1e-300, d_T=1e50)

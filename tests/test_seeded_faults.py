@@ -1,0 +1,147 @@
+"""Every runtime cross-check still catches a seeded fault.
+
+Each test perturbs one route of one check, by ten times the check's
+tolerance unless said otherwise, and expects the check to fire: on s1, s2
+and a seeded plausible draw for the checks at E0, and on s2 and a seeded
+supercritical draw for those at E* (s1 has no E*).  J(E*) has its own test
+in test_stability.py.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import draw_params, draw_supercritical_params
+
+from hcvdyn import (
+    DEFAULT_INITIAL_STATE,
+    SCENARIO_S1,
+    SCENARIO_S2,
+    Axis,
+    IntegrityError,
+    SweepSpec,
+    characteristic_coefficients,
+    infected_equilibrium,
+    lyapunov_uninfected,
+    r0_spectral,
+    run_sweep,
+    uninfected_equilibrium,
+    uninfected_local,
+)
+from hcvdyn import equilibria, model, reproduction, stability, sweep
+from hcvdyn.equilibria import REGIME_NONE
+from hcvdyn.sweep import STATUS_INVALID
+from hcvdyn.tolerances import DEFAULT_TOLERANCES as TOL
+
+E0_SETS = [SCENARIO_S1, SCENARIO_S2, draw_params(np.random.default_rng(26))]
+# The fault seeded into the quadratic solver's roots, the check on T0 being
+# the E0 residual.
+SOLVER_FAULT = 1.0 + 10 * TOL.uninfected_residual
+ESTAR_SETS = [SCENARIO_S2, draw_supercritical_params(np.random.default_rng(26))]
+
+
+def faulty(fn, factor):
+    """fn with its float result, or each float of its tuple, times factor."""
+    def wrapped(*args):
+        out = fn(*args)
+        return tuple(x * factor for x in out) if isinstance(out, tuple) else out * factor
+    return wrapped
+
+
+@pytest.mark.parametrize("params", E0_SETS)
+def test_e0_residual_catches_a_fault_in_the_quadratic_solver(monkeypatch, params):
+    monkeypatch.setattr(model, "_quadratic_roots", faulty(model._quadratic_roots, SOLVER_FAULT))
+    with pytest.raises(IntegrityError, match="uninfected equilibrium residual"):
+        uninfected_equilibrium(params)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_polish_absorbs_a_fault_in_the_quadratic_solver(monkeypatch, params):
+    # Three Newton steps on the same quadratic remove a fault in the roots
+    # (up to about 1e-2 relative on s2; a larger one moves the root out of
+    # (0, T_max], where it is rejected).  So the radical check, which takes
+    # the nearer of its two branches, never sees a faulty solver; the E0
+    # residual catches it, and the radical check its own fault below.
+    expected = infected_equilibrium(params).candidates[0].state.T
+    monkeypatch.setattr(equilibria, "_quadratic_roots", faulty(equilibria._quadratic_roots, SOLVER_FAULT))
+    report = infected_equilibrium(params)
+    assert report.candidates[0].state.T == pytest.approx(expected, rel=1e-12)
+    assert report.closed_form_rel_diff <= TOL.t_star_radical
+
+
+def test_sweep_marks_cells_of_a_faulty_solver_invalid(monkeypatch):
+    solve = sweep._quadratic_roots_array
+
+    def faulty_array(a, b, d):
+        x1, x2, real = solve(a, b, d)
+        return x1 * SOLVER_FAULT, x2 * SOLVER_FAULT, real
+
+    spec = SweepSpec(SCENARIO_S2, Axis("beta", 1e-8, 1e-6, 5, "log"))
+    assert STATUS_INVALID not in run_sweep(spec).status
+    monkeypatch.setattr(sweep, "_quadratic_roots_array", faulty_array)
+    assert run_sweep(spec).status == [STATUS_INVALID] * 5
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_estar_residual_rejects_a_fault_in_i_star(monkeypatch, params):
+    # The residual check rejects a candidate rather than raising.
+    fault = faulty(equilibria._infected_from_T, 1.0 + 10 * TOL.equilibrium_residual)
+    monkeypatch.setattr(equilibria, "_infected_from_T", fault)
+    report = infected_equilibrium(params)
+    assert report.regime == REGIME_NONE and report.candidates == ()
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_radical_check_catches_a_fault_in_the_closed_form(monkeypatch, params):
+    fault = faulty(equilibria.infected_T_closed_form, 1.0 + 10 * TOL.t_star_radical)
+    monkeypatch.setattr(equilibria, "infected_T_closed_form", fault)
+    with pytest.raises(IntegrityError, match="radical T"):
+        infected_equilibrium(params)
+
+
+@pytest.mark.parametrize("params", E0_SETS)
+def test_e0_jacobian_check_catches_a_fault_in_the_general_jacobian(monkeypatch, params):
+    general = stability.jacobian
+
+    def faulty_jacobian(*args):
+        J = general(*args)
+        J[1, 1] *= 1.0 + 10 * TOL.jacobian_agreement
+        return J
+
+    monkeypatch.setattr(stability, "jacobian", faulty_jacobian)
+    with pytest.raises(IntegrityError, match=r"J\(E0\) deviates"):
+        uninfected_local(params)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_coefficient_check_catches_a_fault_in_a_closed_form(monkeypatch, params):
+    point = infected_equilibrium(params).candidates[0]
+    closed = stability._closed_coefficients
+
+    def faulty_coefficients(*args):
+        a1, a2, a3 = closed(*args)
+        return a1, a2 * (1.0 + 10 * TOL.char_coeff_integrity), a3
+
+    monkeypatch.setattr(stability, "_closed_coefficients", faulty_coefficients)
+    with pytest.raises(IntegrityError, match="minor expansion"):
+        characteristic_coefficients(params, point)
+
+
+@pytest.mark.parametrize("params", E0_SETS)
+def test_r0_routes_catch_a_fault_in_the_closed_form(monkeypatch, params):
+    fault = faulty(reproduction.r0_from_T0, 1.0 + 10 * TOL.r0_agreement)
+    monkeypatch.setattr(reproduction, "r0_from_T0", fault)
+    with pytest.raises(IntegrityError, match="disagrees with closed-form r0"):
+        r0_spectral(params)
+
+
+@pytest.mark.parametrize("params", E0_SETS)
+def test_lyapunov_routes_catch_a_fault_in_the_gradient_route(monkeypatch, params):
+    rate = stability._lyapunov_rate
+
+    def faulty_rate(*args):
+        value, scale = rate(*args)
+        return value * (1.0 + 10 * TOL.lyapunov_agreement), scale
+
+    monkeypatch.setattr(stability, "_lyapunov_rate", faulty_rate)
+    with pytest.raises(IntegrityError, match="Lyapunov derivative routes disagree"):
+        lyapunov_uninfected(params, DEFAULT_INITIAL_STATE)

@@ -162,7 +162,10 @@ TINY_LIVER = ModelParameters(
 
 
 def test_characteristic_coefficients_raise_when_the_denominators_underflow():
-    estar = infected_equilibrium(TINY_LIVER).candidates[0]
+    # E* at the exact root T* = 9e-163 of its quadratic.  infected_equilibrium
+    # refuses the set: the radical route's radicand (D/H)^2 underflows, so it
+    # gives 4.5e-163 and its cross-check raises IntegrityError.
+    estar = State(9e-163, 5e-164, 5e-164)
     with pytest.raises(DomainError, match="within the float range"):
         characteristic_coefficients(TINY_LIVER, estar)
 
@@ -297,10 +300,13 @@ def test_unchecked_spectral_r0_is_flagged():
 
 
 def test_non_finite_e0_eigenvalues_raise_domain_error():
-    # The infected block's discriminant overflows, so its eigenvalues are NaN.
+    # The block entry r_I (1 - T0/T_max) - delta, an eigenvalue to first
+    # order, is about -1.4e433, beyond the float range.
     params = ModelParameters(
-        s=5.6e-21, r_T=3.5e-89, r_I=6.6e142, d_T=2.2e-264, d_I=9.6e277, T_max=6.1e-27,
-        beta=1e-108, p=4e-113, c=2.4e57, q=2e-74, eta=0.0, epsilon=0.0,
+        s=476.2530628410215, r_T=9.484273281450855e-131, r_I=1.9946832924596227e255,
+        d_T=2.0220405426144735e-06, d_I=1.3355001158524913e280, T_max=9.777160091864035e-225,
+        beta=2.1278927268606072e285, p=1.0585929272221459e-268, c=5.458954202282944e-68,
+        q=1.6061294406324266e72, eta=0.8245557538504698, epsilon=0.16027614951375435,
     )
     with pytest.raises(DomainError, match="E0 eigenvalues are not finite"):
         uninfected_local(params)

@@ -39,7 +39,7 @@ from hcvdyn import (
     uninfected_equilibrium,
     write_sweep_csv,
 )
-from hcvdyn.equilibria import REGIME_UNIQUE
+from hcvdyn.equilibria import REGIME_UNIQUE, equilibrium_quadratic
 from hcvdyn.model import PLAUSIBLE_RANGES
 from hcvdyn.sweep import (
     STATUS_INVALID,
@@ -244,6 +244,35 @@ def test_sweep_where_the_coefficient_denominators_underflow_matches_scalar_route
     spec = SweepSpec(base, Axis("d_I", 0.05, 0.5, 4, "linear"), outputs=("estar_T", "delta2"))
     grid = assert_cells_match_reference(spec)
     assert grid.status == [STATUS_INVALID] * 3 + [STATUS_NO_EQUILIBRIUM]
+
+
+@pytest.mark.parametrize("fields, axis_name", [
+    # g^2 + 4 s k overflows in every cell: T0 takes the scaled route.
+    (dict(
+        s=1.6059484463526526e164, r_T=1.0378895204753431e48, r_I=8.263063001673519e90,
+        d_T=2.709505887367695e-210, d_I=5e-324, T_max=6.637147734151798e-104,
+        beta=3.392226303104842e-238, p=2.850730940109298e232, c=1.6417531631418575e131,
+        q=7.429175374854339e-42, eta=0.8805305462691764, epsilon=0.04672381254907876,
+    ), "s"),
+    # b^2 - 4ad of E*'s quadratic overflows: E* takes the scaled route.
+    (dict(
+        s=5.67208432275359e122, r_T=3.424298857560229e35, r_I=7.994585276832696e78, d_T=0.0,
+        d_I=3.61823244245398e111, T_max=2.147455286482876e-40, beta=5.315216202156764e281,
+        p=7.050204472840284e-217, c=2.7606769209824794e-110, q=6.226854736566716e117,
+        eta=0.4306907905112555, epsilon=0.011534600455089805,
+    ), "beta"),
+])
+def test_sweep_on_the_scaled_route_matches_scalar_route(fields, axis_name):
+    base = ModelParameters(**fields)
+    value = getattr(base, axis_name)
+    spec = SweepSpec(base, Axis(axis_name, value / 4.0, value * 4.0, 5, "log"))
+    if axis_name == "s":
+        assert math.isinf(4.0 * base.s * (base.r_T / base.T_max))
+    else:
+        a, b, d = equilibrium_quadratic(base)
+        assert math.isinf(b * b - 4.0 * a * d)
+    grid = assert_cells_match_reference(spec)
+    assert STATUS_INVALID not in grid.status
 
 
 def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():

@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +45,11 @@ E0_FIELDS = ("s", "r_T", "d_T", "T_max")
 def reference_threshold_locate(base, axis, target="r0_eq_1"):
     """threshold_locate with the batched grid scan and a fresh E0 per step.
 
-    Its edge bisection has the one later fix: it stops where no float lies
-    between its ends, where it used to loop for ever.
+    It has two later fixes: its edge bisection stops where no float lies
+    between its ends, where it used to loop for ever, and its midpoints
+    neither overflow nor underflow.  The geometric one always takes the root
+    of the mantissas scaled by even powers of two, the route that
+    threshold_locate takes only where lo * hi is not a normal float.
     """
     if target not in THRESHOLD_TARGETS:
         raise SweepError(f"unknown target {target!r}; choose from {THRESHOLD_TARGETS}")
@@ -53,6 +57,12 @@ def reference_threshold_locate(base, axis, target="r0_eq_1"):
     def r0_at(x):
         params = replace(base, **{axis.name: x})
         return r0_from_T0(params, uninfected_equilibrium(params).state.T)
+
+    def midpoint(lo, hi):
+        if axis.scale != "log":
+            return 0.5 * lo + 0.5 * hi
+        k1, k2 = math.frexp(lo)[1] // 2, math.frexp(hi)[1] // 2
+        return math.ldexp(math.sqrt(math.ldexp(lo, -2 * k1) * math.ldexp(hi, -2 * k2)), k1 + k2)
 
     def gap_at(x):
         params = replace(base, **{axis.name: x})
@@ -71,7 +81,7 @@ def reference_threshold_locate(base, axis, target="r0_eq_1"):
         inside, g = points[k], gaps[k]
         width = 1e-10 * max(abs(inside), abs(outside))
         while abs(outside - inside) > width:
-            mid = 0.5 * (inside + outside)
+            mid = 0.5 * inside + 0.5 * outside
             if mid == inside or mid == outside:
                 break  # no float lies between the two
             try:
@@ -106,9 +116,8 @@ def reference_threshold_locate(base, axis, target="r0_eq_1"):
     else:
         return ThresholdResult(target, False, None, None, None)
 
-    logspace = axis.scale == "log"
     for _ in range(200):
-        mid = math.sqrt(lo * hi) if logspace else 0.5 * (lo + hi)
+        mid = midpoint(lo, hi)
         g_mid = gap_at(mid)
         if g_mid == 0.0:
             lo = hi = mid
@@ -119,7 +128,7 @@ def reference_threshold_locate(base, axis, target="r0_eq_1"):
             hi = mid
         if hi - lo <= 1e-10 * max(abs(lo), abs(hi)):
             break
-    value = math.sqrt(lo * hi) if logspace else 0.5 * (lo + hi)
+    value = midpoint(lo, hi)
     return ThresholdResult(target, True, value, r0_at(value), (lo, hi))
 
 
@@ -186,6 +195,21 @@ def test_reference_agrees_on_the_pinned_and_edge_cases():
             assert outcome(threshold_locate, base, axis, target) == outcome(
                 reference_threshold_locate, base, axis, target
             ), (base, axis, target)
+
+
+@pytest.mark.parametrize("base, axis", [
+    # sqrt(lo * hi) overflowed: ParameterError, p must be finite, got inf.
+    (replace(SCENARIO_S2, beta=1e-207), Axis("p", 1e150, 1e300, 9, "log")),
+    # sqrt(lo * hi) underflowed to 0.0: found at p = 0.0 with r0 = 0.0007.
+    (replace(SCENARIO_S2, beta=1e193), Axis("p", 1e-300, 1e-150, 9, "log")),
+    # 0.5 * (lo + hi) overflowed past 8.99e307.
+    (replace(SCENARIO_S2, beta=4e-316), Axis("p", 1e308, 1.7e308, 5)),
+])
+def test_midpoints_neither_overflow_nor_underflow(base, axis):
+    result = threshold_locate(base, axis)
+    assert result.found and axis.lo < result.bracket[0] <= result.axis_value <= result.bracket[1] < axis.hi
+    assert abs(result.r0_at_value - 1.0) < 1e-8
+    assert outcome(threshold_locate, base, axis) == outcome(reference_threshold_locate, base, axis)
 
 
 @settings(max_examples=300, deadline=None)
