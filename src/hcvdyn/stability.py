@@ -2,10 +2,12 @@
 
 Local analysis runs two independent routes everywhere: specialised
 equilibrium Jacobians against the general Jacobian, closed-form
-characteristic coefficients against a minor-expansion oracle, and a closed
-cubic solver whose root signs must match the Routh-Hurwitz verdict.  Global
-analysis evaluates Lyapunov functions, both pointwise (with dual-evaluation
-integrity checks) and over sampling grids of the invariant region.
+characteristic coefficients against a minor-expansion oracle, and the
+characteristic cubic's roots (one real root by Newton's method, the other
+two from the shared quadratic solver), whose signs must match the
+Routh-Hurwitz verdict.  Global analysis evaluates Lyapunov functions, both
+pointwise (with dual-evaluation integrity checks) and over sampling grids
+of the invariant region.
 """
 
 from __future__ import annotations
@@ -156,17 +158,15 @@ class StabilityReport:
         return self.existence.e0_point
 
 
-def _classify(negatives: tuple[float, ...], positives: tuple[float, ...], band: float) -> str:
-    """Stable iff every entry of negatives is < -band and of positives > band.
+def _classify(*margins: tuple[float, float]) -> str:
+    """Stable iff every margin m of the (m, band) pairs exceeds its band.
 
-    A condition violated beyond the band is decisive: marginal is reserved
-    for points where no condition clearly fails but at least one sits on its
-    boundary.
+    A margin below -band is decisive: marginal is reserved for points where
+    no margin clearly fails but at least one sits within its band.
     """
-    margins = [-x for x in negatives] + list(positives)
-    if any(m < -band for m in margins):
+    if any(m < -band for m, band in margins):
         return UNSTABLE
-    if any(m <= band for m in margins):
+    if any(m <= band for m, band in margins):
         return MARGINAL
     return STABLE
 
@@ -218,9 +218,8 @@ def _uninfected_local(params: ModelParameters, T0: float) -> LocalReport:
     eigs = (complex(lam1), *(complex(_ldexp(z.real, m), _ldexp(z.imag, m)) for z in roots))
     if not all(cmath.isfinite(z) for z in eigs):
         raise DomainError(f"E0 eigenvalues are not finite: {eigs!r}")
-    classification = _classify(
-        negatives=(lam1, trace2), positives=(det2,), band=DEFAULT_TOLERANCES.marginal_band
-    )
+    band = DEFAULT_TOLERANCES.marginal_band
+    classification = _classify((-lam1, band), (-trace2, band), (det2, band))
     return LocalReport(jacobian=J, eigenvalues=eigs, classification=classification)
 
 
@@ -361,67 +360,49 @@ def _closed_coefficients(params, A, delta, T, I):
 
 
 def cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, complex]:
-    """Roots of lambda^3 + a1 lambda^2 + a2 lambda + a3, in closed form.
+    """Roots of lambda^3 + a1 lambda^2 + a2 lambda + a3 (Kahan 1986).
 
-    The cubic is rescaled so its coefficients are O(1) before branching,
-    which keeps every intermediate finite at extreme magnitudes.  Three real
-    roots go through the trigonometric branch, one real root through Cardano
-    with the cancellation-free cube choice, and near-degenerate discriminants
-    through Newton plus deflation.  Every root gets a final Newton polish on
-    the rescaled cubic.
+    The coefficients are scaled by 2^-e, 2^-2e and 2^-3e, e the exponent
+    of max(|a1|, sqrt|a2|, |a3|^(1/3)): exact unless a value underflows.
+    One real root comes from Newton's method, started from the inflection
+    point one step beyond the root so that the steps move one way until
+    they stop; the other two solve the deflated quadratic with
+    model._quadratic_roots.  Three real roots come in descending order;
+    otherwise the real root comes first, then the pair with +imag first.
     """
-    scale = max(abs(a1), math.sqrt(abs(a2)), abs(a3) ** (1.0 / 3.0), 1e-150)
-    b1 = a1 / scale
-    b2 = a2 / scale / scale
-    b3 = a3 / scale / scale / scale
-    p = b2 - b1 * b1 / 3.0
-    q = b1 * (2.0 * b1 * b1 / 9.0 - b2) / 3.0 + b3
-    shift = -b1 / 3.0
-    disc = -4.0 * p * p * p - 27.0 * q * q
-    band = 1e-12
-
-    def polish_real(t: float, steps: int = 3) -> float:
-        for _ in range(steps):
-            df = 3.0 * t * t + p
+    m = max(abs(a1), math.sqrt(abs(a2)), abs(a3) ** (1.0 / 3.0))
+    e = math.frexp(m)[1] if 0.0 < m < math.inf else 0
+    b1, b2, b3 = math.ldexp(a1, -e), math.ldexp(a2, -2 * e), math.ldexp(a3, -3 * e)
+    if b3 == 0.0:
+        x, c1, c0 = 0.0, b1, b2
+    else:
+        x = -b1 / 3.0
+        c1 = x + b1
+        c0 = c1 * x + b2
+        f, df = c0 * x + b3, (x + c1) * x + c0
+        s = math.copysign(1.0, f)
+        r = abs(f) ** (1.0 / 3.0)
+        if df < 0.0:
+            r = 1.324718 * max(r, math.sqrt(-df))
+        step = x - s * r
+        while True:
+            x = step
+            c1 = x + b1
+            c0 = c1 * x + b2
+            f, df = c0 * x + b3, (x + c1) * x + c0
             if df == 0.0:
                 break
-            t -= (t * (t * t + p) + q) / df
-        return t
-
-    if disc > band:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-        phi = math.acos(arg) / 3.0
-        ts = [polish_real(m * math.cos(phi - 2.0 * math.pi * k / 3.0)) for k in range(3)]
-        return tuple(complex(scale * (t + shift), 0.0) for t in ts)
-
-    if disc < -band:
-        sq = math.sqrt(q * q / 4.0 + p * p * p / 27.0)
-        if q <= 0.0:
-            u = (-q / 2.0 + sq) ** (1.0 / 3.0)
-        else:
-            u = -((q / 2.0 + sq) ** (1.0 / 3.0))
-        v = 0.0 if u == 0.0 else -p / (3.0 * u)
-        t0 = polish_real(u + v)
-        im = math.sqrt(max(3.0 * t0 * t0 + 4.0 * p, 0.0)) / 2.0
-        return (
-            complex(scale * (t0 + shift), 0.0),
-            scale * complex(-t0 / 2.0 + shift, im),
-            scale * complex(-t0 / 2.0 + shift, -im),
-        )
-
-    # Nearly repeated roots: Newton from the simple-root estimate, deflate.
-    if p != 0.0:
-        t0 = polish_real(3.0 * q / p, steps=24)
-    else:
-        t0 = polish_real(math.copysign(abs(q) ** (1.0 / 3.0), -q), steps=24)
-    disc_q = -3.0 * t0 * t0 - 4.0 * p
-    sq = cmath.sqrt(complex(disc_q, 0.0))
-    return (
-        complex(scale * (t0 + shift), 0.0),
-        scale * ((-t0 + sq) / 2.0 + shift),
-        scale * ((-t0 - sq) / 2.0 + shift),
-    )
+            step = x - f / df / 1.000000000000001
+            if not s * step > s * x:
+                break
+        if x * x * abs(x) > abs(b3):
+            c0 = -b3 / x
+            c1 = (c0 - b2) / x
+    pair = _quadratic_roots(1.0, c1, c0)
+    roots = (x, *pair)
+    if isinstance(pair[0], float):
+        roots = sorted(roots, reverse=True)
+    return tuple(complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in roots)
 
 
 def routh_hurwitz(a1: float, a2: float, a3: float) -> RouthHurwitzReport:
@@ -438,26 +419,23 @@ def routh_hurwitz(a1: float, a2: float, a3: float) -> RouthHurwitzReport:
         raise DomainError(f"Routh-Hurwitz needs finite coefficients, got ({a1!r}, {a2!r}, {a3!r})")
     delta2 = a1 * a2 - a3
     band = DEFAULT_TOLERANCES.marginal_band
-    margins = (
-        (a1, band * max(1.0, abs(a1))),
-        (a3, band * max(1.0, abs(a3))),
-        (delta2, band * max(1.0, abs(a1) * abs(a2), abs(a3))),
-    )
     # a2 clearly negative with the other margins near zero means the cubic
     # degenerates to lambda (lambda^2 + a2), which has a positive root.
-    if any(m < -b for m, b in margins) or a2 < -band * max(1.0, abs(a2)):
+    if a2 < -band * max(1.0, abs(a2)):
         classification = UNSTABLE
-    elif any(abs(m) <= b for m, b in margins):
-        classification = MARGINAL
     else:
-        classification = STABLE
+        classification = _classify(
+            (a1, band * max(1.0, abs(a1))),
+            (a3, band * max(1.0, abs(a3))),
+            (delta2, band * max(1.0, abs(a1) * abs(a2), abs(a3))),
+        )
     return RouthHurwitzReport(a1=a1, a2=a2, a3=a3, delta2=delta2, classification=classification)
 
 
 def infected_local(params: ModelParameters, estar: State | EquilibriumPoint) -> LocalReport:
     """Linearisation at the infected equilibrium.
 
-    Eigenvalues come from the closed cubic solver applied to the verified
+    Eigenvalues are the roots cubic_roots finds for the verified
     characteristic coefficients; the classification is the Routh-Hurwitz
     verdict on the same coefficients.
     """

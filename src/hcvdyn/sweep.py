@@ -75,10 +75,14 @@ STATUS_NO_EQUILIBRIUM = "no_equilibrium"
 _REGIME_TEXTS = (REGIME_NONE, REGIME_UNIQUE, REGIME_MULTIPLE, math.nan)
 _STATUS_TEXTS = (STATUS_OK, STATUS_INVALID, STATUS_NO_EQUILIBRIUM)
 
+# Most points on an axis and most cells in a grid.  A sweep holds about
+# 600 bytes per cell at its peak, so a grid at the bound stays near 0.6 GB.
+_MAX_POINTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Axis:
-    """One swept parameter: name, closed range, point count, and scale."""
+    """One swept parameter: name, closed range, point count (2 to 2**20), and scale."""
 
     name: str
     lo: float
@@ -94,6 +98,8 @@ class Axis:
             raise SweepError(f"axis {self.name}: need lo < hi, got [{self.lo!r}, {self.hi!r}]")
         if self.n < 2:
             raise SweepError(f"axis {self.name}: need at least 2 points, got {self.n}")
+        if self.n > _MAX_POINTS:
+            raise SweepError(f"axis {self.name}: at most {_MAX_POINTS} points, got {self.n}")
         if self.scale not in ("linear", "log"):
             raise SweepError(f"axis {self.name}: scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
@@ -124,6 +130,9 @@ class SweepSpec:
                 raise SweepError(f"output {name!r} is listed twice")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise SweepError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
+        cells = self.axis1.n * (1 if self.axis2 is None else self.axis2.n)
+        if cells > _MAX_POINTS:
+            raise SweepError(f"a grid holds at most {_MAX_POINTS} cells, got {cells}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -289,6 +290,25 @@ def test_sweep_spec_with_duplicate_outputs_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'r0' is listed twice" in captured.err
+
+
+def test_sweep_past_the_point_bound_exits_1_before_allocating(tmp_path, capsys):
+    spec = tmp_path / "huge.swp"
+    spec.write_text(SWEEP_SPEC.replace("axis1 = eta 0.0 1.0 3 linear", "axis1 = c 0.8 22 1000000000 log"))
+    target = tmp_path / "huge.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", str(spec), "--out", str(target)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {spec}:14: axis1: axis c: at most 1048576 points, got 1000000000"
+    ]
 
 
 def test_sweep_missing_file_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,40 @@ def test_spec_rejects_duplicate_outputs():
         SweepSpec(base=SCENARIO_S1, axis1=axis, outputs=("r0", "r0"))
     with pytest.raises(SweepError, match="'t0' is listed twice"):
         SweepSpec(base=SCENARIO_S1, axis1=axis, outputs=("t0", "regime", "t0"))
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_point_counts_past_the_bound_are_refused_before_allocating():
+    # 10**9 log points would ask np.logspace for 8 GB; a grid of 2**21
+    # cells would hold about 1.2 GB at its peak.  Both are refused on
+    # construction, which also covers threshold_locate's axis.
+    def huge_axis():
+        with pytest.raises(SweepError, match="at most 1048576 points, got 1000000000"):
+            Axis(name="c", lo=0.8, hi=22.0, n=10**9, scale="log")
+
+    def huge_grid():
+        axis1 = Axis(name="beta", lo=1e-8, hi=1e-6, n=2**10, scale="log")
+        axis2 = Axis(name="c", lo=0.8, hi=22.0, n=2**11, scale="log")
+        with pytest.raises(SweepError, match="at most 1048576 cells, got 2097152"):
+            SweepSpec(base=SCENARIO_S1, axis1=axis1, axis2=axis2)
+
+    assert _traced_peak(huge_axis) < 2**20
+    assert _traced_peak(huge_grid) < 2**20
+
+
+def test_point_counts_at_the_bound_are_accepted():
+    axis = Axis(name="beta", lo=1e-8, hi=1e-6, n=2**20, scale="log")
+    SweepSpec(base=SCENARIO_S1, axis1=axis)
+    square = Axis(name="c", lo=0.8, hi=22.0, n=2**10, scale="log")
+    SweepSpec(base=SCENARIO_S1, axis1=replace(axis, n=2**10), axis2=square)
 
 
 def test_one_dimensional_sweep_is_monotone_in_beta():
