@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -367,7 +368,9 @@ def cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, comp
     One real root comes from Newton's method, started from the inflection
     point one step beyond the root so that the steps move one way until
     they stop; the other two solve the deflated quadratic with
-    model._quadratic_roots.  Three real roots come in descending order;
+    model._quadratic_roots.  Where the scaled a3 underflows to 0, the
+    roots of least magnitude come from the unscaled a2 and a3 instead.
+    Three real roots come in descending order;
     otherwise the real root comes first, then the pair with +imag first.
     """
     m = max(abs(a1), math.sqrt(abs(a2)), abs(a3) ** (1.0 / 3.0))
@@ -399,6 +402,21 @@ def cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, comp
             c0 = -b3 / x
             c1 = (c0 - b2) / x
     pair = _quadratic_roots(1.0, c1, c0)
+    if b3 == 0.0 and a3 != 0.0:
+        # The scaled a3 underflowed, and the root 0 stands in for the roots
+        # it lost.  Deflate the unscaled cubic by the real root x of greatest
+        # magnitude: the other two solve -x z^2 + (a2 + a3/x) z + a3, whose
+        # coefficients stay in range where the monic quadratic's a3/x need
+        # not; its sign is taken so that a complex pair comes +imag first.
+        # Where the pair is complex, the lost root is -a3/a2.
+        if isinstance(pair[0], float):
+            x = _ldexp(max(pair, key=abs), e)
+            sign = math.copysign(1.0, -x)
+            pair = _quadratic_roots(abs(x), sign * (a2 + a3 / x), sign * a3)
+        else:
+            x = -a3 / a2
+            pair = tuple(complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in pair)
+        e = 0
     roots = (x, *pair)
     if isinstance(pair[0], float):
         roots = sorted(roots, reverse=True)
@@ -579,11 +597,12 @@ def lyapunov_infected(
     return L, dLdt
 
 
-# Grid points per certificate block: a block holds this many // N (T, I)
-# pairs, each against the N-point V axis, and at least one pair.  Larger
-# temporaries cost more in fresh page faults than fewer, larger numpy calls
-# save: at N = 140, 2**15 takes about 26 times the faults of 2**14 per
-# call, and 2**13 is slower.
+# Rate evaluations per certificate block: an Estar block holds this many
+# // N (T, I) pairs, each against the N-point V axis, and at least one
+# pair; an E0 block, three evaluations per pair, half as many evaluations.
+# Larger temporaries cost more in fresh page faults than fewer, larger
+# numpy calls save: at N = 140, 2**15 takes about 26 times the faults of
+# 2**14 per call, and 2**13 is slower.
 _CERTIFICATE_BLOCK = 1 << 14
 
 
@@ -611,12 +630,24 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     a term of the derivative leaves the float range raises DomainError.
 
     The region mask is taken once, on the N x N grid of (T, I) pairs, and
-    the pairs it keeps are evaluated in row-major blocks against the V axis
-    by broadcasting: terms of T and I alone are computed once per pair, not
-    once per grid point.  Working memory is bounded by one block (at most
-    about 2**14 points, or one V row of N points once that is larger), the
-    pair arrays (16 bytes per kept pair) and the violations found.  A
-    block whose peak is within the running tolerance is not scanned.
+    the pairs it keeps are evaluated in row-major blocks.  For Estar each
+    pair is evaluated against the V axis by broadcasting: terms of T and I
+    alone are computed once per pair, not once per grid point, and the grid
+    costs N**3 rate evaluations.  For E0 the weight (1 - eta) beta T0 / c
+    cancels every V term of dL/dt (Korobeinikov 2004), so a pair's rate at
+    V = 0 is its rate at every V and the grid costs N**2 evaluations: each
+    pair is evaluated at V = 0 and at the two ends of the V axis.  The
+    ends give the term scale, a sum of magnitudes of terms affine in V and
+    so largest at an end, and a cross-check: a rate there that differs
+    from the V = 0 rate by more than the margin of the pair's term scale
+    raises IntegrityError.  A violating E0 pair reports its N points, with the
+    V = 0 rate, so min_margin and the violations' dL/dt carry none of the
+    V terms' rounding.  points_sampled counts N points per pair for both.
+
+    Working memory is bounded by one block (at most about 2**14 rate
+    evaluations, or one V row of N points once that is larger), the pair
+    arrays (16 bytes per kept pair) and the violations found.  A block
+    whose peak is within the running tolerance is not scanned.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -666,7 +697,16 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
             keep = axis[:, None] + axis <= bound_TI * (1.0 + 1e-12)
         pair_T = np.broadcast_to(axis[:, None], keep.shape)[keep][:, None]
         pair_I = np.broadcast_to(axis, keep.shape)[keep][:, None]
-    pairs = max(1, _CERTIFICATE_BLOCK // grid_points)
+    if target == "E0":
+        # The rate does not depend on V: evaluate V = 0 and the axis ends, in
+        # blocks of 2730 pairs whose 64 KiB arrays stay below glibc's 128 KiB
+        # mmap threshold.  Blocks of 5461 pairs cross it: an N = 140 call on
+        # s1 then takes about 170 minor page faults instead of about 1.
+        V = np.array([0.0, axis_V[0], axis_V[-1]])
+        pairs = max(1, _CERTIFICATE_BLOCK // 6)
+    else:
+        V = axis_V
+        pairs = max(1, _CERTIFICATE_BLOCK // len(V))
 
     # One pass over the blocks keeps the running maxima and, per block, the
     # points above the tolerance the running scale maximum gives.  A term
@@ -675,30 +715,44 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     margin = DEFAULT_TOLERANCES.certificate_margin
     peak = np.float64(-math.inf)
     scale_peak = np.float64(0.0)
-    points = 0
     kept = []
     for start in range(0, len(pair_T), pairs):
         T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
         with np.errstate(over="ignore", invalid="ignore"):
-            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, axis_V)
-        points += dLdt.size
+            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
+            if target == "E0":
+                # Each pair's rates at the V ends must match its V = 0 rate
+                # to within the margin of the pair's own term scale.
+                dLdt, ends, term_scale = dLdt[:, :1], dLdt[:, 1:], term_scale[:, 1:]
+                pair_tolerance = margin * np.maximum(np.max(term_scale, axis=1, keepdims=True), 1.0)
+                depends_on_V = np.any(np.abs(ends - dLdt) > pair_tolerance)
         block_peak = np.max(dLdt, initial=-math.inf)
         peak = np.maximum(peak, block_peak)
         scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
         if not np.isfinite(scale_peak):
             raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
+        if target == "E0" and depends_on_V:
+            raise IntegrityError(
+                "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
+                "differs from the rate at V = 0 by more than the certificate margin"
+            )
         tolerance = margin * max(1.0, float(scale_peak))
         if not block_peak <= tolerance:  # a NaN peak is scanned too
             pair, v = np.nonzero(dLdt > tolerance)
-            kept.append((T[pair, 0], I[pair, 0], axis_V[v], dLdt[pair, v]))
+            kept.append((T[pair, 0], I[pair, 0], v, dLdt[pair, v]))
     violations = []
-    for T, I, V, dLdt in kept:
+    row_V = axis_V.tolist()
+    for T, I, v, dLdt in kept:
         hit = dLdt > tolerance
-        violations += zip(T[hit].tolist(), I[hit].tolist(), V[hit].tolist(), dLdt[hit].tolist())
+        if target == "E0":  # a violating pair violates at every V, in axis order
+            for t, i, d in zip(T[hit].tolist(), I[hit].tolist(), dLdt[hit].tolist()):
+                violations += zip(repeat(t), repeat(i), row_V, repeat(d))
+        else:
+            violations += zip(T[hit].tolist(), I[hit].tolist(), axis_V[v[hit]].tolist(), dLdt[hit].tolist())
     return CertificateReport(
         target=target,
         grid_shape=(grid_points, grid_points, grid_points),
-        points_sampled=points,
+        points_sampled=len(pair_T) * len(axis_V),
         min_margin=float(peak),
         tolerance=tolerance,
         violations=tuple(violations),

@@ -1,9 +1,14 @@
 """The blocked grid certificate against a whole-grid reference.
 
-reference_certificate evaluates the whole N^3 grid at once, as
-certify_global did before it worked in blocks of T-slices.  The blocked
-evaluation must give the same report bit for bit: points sampled, worst
-margin, tolerance, and the violations with their order.
+reference_certificate evaluates the whole grid at once, as certify_global
+did before it worked in blocks of T-slices.  The blocked evaluation must
+give the same report bit for bit: points sampled, worst margin, tolerance,
+and the violations with their order.  For E0 the reference takes the rate
+at V = 0 on the whole (T, I) grid, where certify_global drops the V axis
+because its weight cancels every V term, and the term scale over the whole
+N^3 grid, so each grid also checks that the ends of the V axis give the
+tolerance.  With v_inclusive=True it evaluates the E0 rate at every grid
+point instead, as certify_global did before; that route is kept here only.
 """
 
 import hashlib
@@ -12,9 +17,12 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import any_value
 
 from hcvdyn import (
     SCENARIO_S1,
@@ -31,7 +39,7 @@ from hcvdyn import (
 from hcvdyn import model, stability
 from hcvdyn.cli import main
 from hcvdyn.equilibria import REGIME_UNIQUE
-from hcvdyn.model import PLAUSIBLE_RANGES, _field
+from hcvdyn.model import PARAMETER_NAMES, PLAUSIBLE_RANGES, _field
 from hcvdyn.stability import CertificateReport, _grid_axis
 from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
@@ -44,7 +52,7 @@ SLICE_PARAMS = replace(
 )
 
 
-def reference_certificate(params, target="E0", grid_points=20):
+def reference_certificate(params, target="E0", grid_points=20, v_inclusive=False):
     """certify_global's report, evaluated over the whole grid at once."""
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -94,23 +102,37 @@ def reference_certificate(params, target="E0", grid_points=20):
         axis_I = _grid_axis(bound_TI, grid_points)
         axis_V = _grid_axis(bound_V, grid_points)
         T, I, V = (g.ravel() for g in np.meshgrid(axis_T, axis_I, axis_V, indexing="ij"))
-        keep = T + I <= bound_TI * (1.0 + 1e-12)
+        with np.errstate(over="ignore"):  # T + I may pass the float maximum
+            keep = T + I <= bound_TI * (1.0 + 1e-12)
         T, I, V = T[keep], I[keep], V[keep]
 
-    f0, f1, f2 = _field(params, T, I, V)
     b_eff = (1.0 - params.eta) * params.beta
-    g_T = 1.0 - anchor.T / T
-    if target == "E0":
-        g_I = np.ones_like(T)
-        g_V = np.full_like(T, b_eff * anchor.T / params.c)
-    else:
-        g_I = 1.0 - anchor.I / I
-        w = b_eff * anchor.T * anchor.V / ((1.0 - params.epsilon) * params.p * anchor.I)
-        g_V = w * (1.0 - anchor.V / V)
-    dLdt = g_T * f0 + g_I * f1 + g_V * f2
 
-    term_scale = np.abs(g_T * f0) + np.abs(g_I * f1) + np.abs(g_V * f2)
-    tolerance = DEFAULT_TOLERANCES.certificate_margin * max(1.0, float(np.max(term_scale, initial=0.0)))
+    def rate_terms(T, I, V):
+        f0, f1, f2 = _field(params, T, I, V)
+        g_T = 1.0 - anchor.T / T
+        if target == "E0":
+            g_I = np.ones_like(T)
+            g_V = np.full_like(T, b_eff * anchor.T / params.c)
+        else:
+            g_I = 1.0 - anchor.I / I
+            w = b_eff * anchor.T * anchor.V / ((1.0 - params.epsilon) * params.p * anchor.I)
+            g_V = w * (1.0 - anchor.V / V)
+        return g_T * f0, g_I * f1, g_V * f2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0, t1, t2 = rate_terms(T, I, V)
+        dLdt = t0 + t1 + t2
+        term_scale = np.abs(t0) + np.abs(t1) + np.abs(t2)
+        if target == "E0" and not v_inclusive:
+            # Each (T, I) pair's rate at V = 0, repeated along its V row.
+            pair_T, pair_I = T[::grid_points], I[::grid_points]
+            t0, t1, t2 = rate_terms(pair_T, pair_I, np.zeros_like(pair_T))
+            dLdt = np.repeat(t0 + t1 + t2, grid_points)
+    scale_peak = np.max(term_scale, initial=0.0)
+    if not np.isfinite(scale_peak):
+        raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
+    tolerance = DEFAULT_TOLERANCES.certificate_margin * max(1.0, float(scale_peak))
     min_margin = float(np.max(dLdt, initial=-math.inf))
     bad = np.flatnonzero(dLdt > tolerance)
     violations = tuple((float(T[k]), float(I[k]), float(V[k]), float(dLdt[k])) for k in bad)
@@ -228,6 +250,36 @@ def test_blocks_equal_the_whole_grid_over_plausible_sets(params, target, grid_po
     assert repr(certify_global(params, target, grid_points)) == repr(ref)
 
 
+whole_domain_params = st.fixed_dictionaries({name: any_value(name) for name in PARAMETER_NAMES}).map(
+    lambda fields: ModelParameters(**fields)
+)
+
+
+def _report_or_error(route, *args):
+    try:
+        return route(*args), None
+    except ModelError as exc:
+        return None, exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.one_of(plausible_params(), whole_domain_params), grid_points=st.integers(1, 24))
+def test_v_free_e0_report_matches_the_v_inclusive_route(params, grid_points):
+    # The V-free report drops the V terms' rounding from the rates only: the
+    # same error or none, the same violating points in the same order, the
+    # same tolerance bit for bit, and a worst margin within the tolerance.
+    old, old_error = _report_or_error(reference_certificate, params, "E0", grid_points, True)
+    new, new_error = _report_or_error(certify_global, params, "E0", grid_points)
+    assert (type(new_error), str(new_error)) == (type(old_error), str(old_error))
+    if old is None:
+        return
+    assert [row[:3] for row in new.violations] == [row[:3] for row in old.violations]
+    assert repr(new.tolerance) == repr(old.tolerance)
+    difference = abs(new.min_margin - old.min_margin)
+    assert difference <= new.tolerance
+    hypothesis.target(difference / new.tolerance, label="|min_margin difference| / tolerance")
+
+
 def _traced_peak(params, target, grid_points):
     tracemalloc.start()
     try:
@@ -247,20 +299,22 @@ def test_certificate_memory_is_bounded_by_a_block():
 
 # (scenario, target, grid) -> (exit code, SHA-256 of stdout) of hcvdyn certify,
 # recorded before each block evaluated its (T, I) pairs against the V axis
-# by broadcasting.  --machine does not change the output.
+# by broadcasting.  The E0 pins of grids above one point were recorded again
+# when E0 dropped the V axis: min_margin and the violations' dL/dt changed in
+# their last digits, nothing else did.  --machine does not change the output.
 CLI_PINS = {
     ("s1", "e0", 1): (3, "c422af4dd979fe169a2d9e9c8dfa3b5b4f2b54530707a3b363caf77cbc321b63"),
     ("s1", "e0", 2): (3, "83a03cac10d085eaae20621509f9bd59e74d1773799439a80b3bb3d1e3ea5f60"),
-    ("s1", "e0", 40): (3, "82d841508e2bc9215175b724418fd7925216caea3e24ed9b5568106d5670d1a6"),
-    ("s1", "e0", 129): (3, "cc0fdb6e6a2ba79545b520e30898a838b5ff014507a013d4dda7dd991ac05969"),
+    ("s1", "e0", 40): (3, "5b32ee80ef65243e66412a9185561efa7e2d01b5960e52ae9c01ca33c3a2fbbe"),
+    ("s1", "e0", 129): (3, "8520cf691adb24587998acc59eddebe67e7bbdbfe5093dead5298ce2b15a519f"),
     ("s1", "estar", 1): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("s1", "estar", 2): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("s1", "estar", 40): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("s1", "estar", 129): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("s2", "e0", 1): (3, "153a49ef681bae988ad904c01765c749d3b76c1e10f378ab433fc9517b47fdc6"),
-    ("s2", "e0", 2): (3, "4ac21c4831bec4def05c7ae48cc823714a1dbf6cc92f8a621ebf479b0174ae36"),
-    ("s2", "e0", 40): (2, "6c1747b85c94c8809f5117152e19b2f6f889ea40d562aaca63b35798351b57cf"),
-    ("s2", "e0", 129): (2, "6b9912ebdee77fe61e901e7189d8a7d3c40c3784fc733e25529ffdb18aaf1392"),
+    ("s2", "e0", 2): (3, "5bb78bd114ae3fa20d2722c18ab6ab77a465022b4b3d965fc9313f6bdbb26e68"),
+    ("s2", "e0", 40): (2, "d13b2d3487a9917cbff3873e3a98c97ae1542ce3ec7fbc62a719113eca1d8861"),
+    ("s2", "e0", 129): (2, "f620a3b22b4e522859dc94903ff8f6a724f821bf518cd3127e80f75049a586d8"),
     ("s2", "estar", 1): (3, "9f91987e02c80d7556af60e9dfc347dcb3c68a3a04dcac59c498b6fed5e371d6"),
     ("s2", "estar", 2): (3, "eb52e6b522d9d594eeca6a81237b8d4a356a85b7a7b1424391d7af2bda4f136a"),
     ("s2", "estar", 40): (3, "5750e19c9631fe3f4cfb9aab4b304a8d1eeb0231996234f46560d8cc3b63658e"),

@@ -112,20 +112,22 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
     # An overflow that made a term scale NaN raises (test_certify_blocks), so
     # stand in for a NaN derivative at a point that is no violation, in a
     # block that holds violations.  The NaN is that block's peak; the block
-    # is still scanned.
+    # is still scanned.  An E0 block evaluates each pair at V = 0 (column 0)
+    # and at the ends of the V axis; blocks of 409 pairs make four.
     ref = reference_certificate(MANY_VIOLATIONS, "E0", 40)
+    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", 6 * 409)
     calls = _recording_rate(monkeypatch)
     real = stability._lyapunov_rate
 
     def nan_in_second_block(*args):
         rate, scale = real(*args)
         if len(calls) == 2:
-            rate[np.unravel_index(np.argmin(rate), rate.shape)] = math.nan
+            rate[np.argmin(rate[:, 0]), 0] = math.nan
         return rate, scale
 
     monkeypatch.setattr(stability, "_lyapunov_rate", nan_in_second_block)
     got = certify_global(MANY_VIOLATIONS, "E0", 40)
-    assert len(calls) == 4 and np.count_nonzero(calls[1][0] > ref.tolerance) > 0
+    assert len(calls) == 4 and np.count_nonzero(calls[1][0][:, 0] > ref.tolerance) > 0
     assert repr(got) == repr(replace(ref, min_margin=math.nan))
 
 

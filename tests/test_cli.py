@@ -241,7 +241,7 @@ def test_certify_prints_the_first_violation_rows(tmp_path, capsys):
     assert len(rows) == 10
     assert rows[0] == (
         "violation = state=(613875.6008306626, 52515047.42679953, 21.61834982598133)"
-        " dLdt=181255.5548585942"
+        " dLdt=181255.55485859327"
     )
 
 

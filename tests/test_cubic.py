@@ -12,7 +12,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcvdyn import SCENARIO_S2, cubic_roots, stability_report
@@ -76,6 +76,30 @@ def test_large_coefficients_keep_the_small_pair():
     assert abs(minus - complex(-0.5, -math.sqrt(3.0) / 2.0)) <= 1e-15
 
 
+def deflated_reference(a1, a2, a3, dps=400):
+    """Roots of a monic cubic whose a1 dwarfs a2 and a3, at dps digits: the
+    root near -a1 by Newton's method, the pair from the deflated quadratic."""
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(x) for x in (a1, a2, a3)]
+        cubic = lambda x: ((x + a[0]) * x + a[1]) * x + a[2]
+        big = mpmath.findroot(cubic, -a[0], solver="newton", verify=False)
+        c1 = big + a[0]
+        c0 = c1 * big + a[1]
+        root = mpmath.sqrt(mpmath.mpc(c1 * c1 - 4 * c0))
+        return [complex(big), complex((-c1 + root) / 2), complex((-c1 - root) / 2)]
+
+
+@pytest.mark.parametrize("k", [1e162, 1e300, 1e308])
+def test_an_underflowing_scaled_a3_keeps_the_small_pair(k):
+    # Scaled by 2^-3e, a3 = k underflows to 0 for these k (1.5e161 does not).
+    # The pair -1/2 +- i sqrt(3)/2 then comes from the unscaled a2 and a3,
+    # deflated by the large root; the scaled cubic alone gave (0, -1, -k).
+    ours = cubic_roots(k, k, k)
+    check_order(ours)
+    ref = deflated_reference(k, k, k)
+    assert within(ours, ref, [4 * EPS * abs(w) for w in ref])
+
+
 SIGNED_MAGNITUDE = st.builds(
     lambda sign, exponent: sign * 10.0 ** exponent,
     st.sampled_from((-1.0, 1.0)),
@@ -85,6 +109,9 @@ SIGNED_MAGNITUDE = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(SIGNED_MAGNITUDE, SIGNED_MAGNITUDE, SIGNED_MAGNITUDE)
+# The scaled a3 underflows and the pair, -5e-91 +- 1e-72 i, comes from the
+# unscaled a2 and a3 (with a negative large root, +imag first).
+@example(-1e90, -1.0, -1e-54)
 def test_roots_are_accurate_over_two_hundred_decades(a1, a2, a3):
     ours = cubic_roots(a1, a2, a3)
     check_order(ours)

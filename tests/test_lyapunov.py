@@ -137,14 +137,14 @@ def test_certificate_finds_violations_although_the_hypothesis_holds():
     assert report.preconditions_met
     assert report.notes == ("hypothesis R0 < 1 - q/delta: gap 0.08281287660913036",)
     assert report.points_sampled == 1688640
-    assert report.min_margin == 217169348.67326283
+    assert report.min_margin == 217169348.67326272
     assert report.tolerance == 1124.2966469170203
     assert len(report.violations) == 83280
     assert report.violations[0] == (
-        655060.6067838593, 38105473.75937086, 21.61834982598133, 1194097.377167273
+        655060.6067838593, 38105473.75937086, 21.61834982598133, 1194097.3771672777
     )
     assert report.violations[-1] == (
-        5946544.544253885, 121671551.54785872, 21618349.825981308, 3354810.6445975527
+        5946544.544253885, 121671551.54785872, 21618349.825981308, 3354810.64459756
     )
     # The collected form agrees with the gradient route at the worst point,
     # so the violation is the function's, not a rounding artefact.

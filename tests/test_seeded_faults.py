@@ -19,6 +19,7 @@ from hcvdyn import (
     Axis,
     IntegrityError,
     SweepSpec,
+    certify_global,
     characteristic_coefficients,
     infected_equilibrium,
     lyapunov_uninfected,
@@ -145,3 +146,18 @@ def test_lyapunov_routes_catch_a_fault_in_the_gradient_route(monkeypatch, params
     monkeypatch.setattr(stability, "_lyapunov_rate", faulty_rate)
     with pytest.raises(IntegrityError, match="Lyapunov derivative routes disagree"):
         lyapunov_uninfected(params, DEFAULT_INITIAL_STATE)
+
+
+@pytest.mark.parametrize("params", [SCENARIO_S1, SCENARIO_S2])
+def test_certificate_v_check_catches_a_fault_in_the_e0_weight(monkeypatch, params):
+    # The E0 grid drops the V axis because the weight cancels every V term;
+    # a wrong weight leaves them in, and the rates at the ends of the V axis
+    # then differ from the rate at V = 0.  The check compares each pair
+    # against its own term scale, so it sees a fault of ten margins in the
+    # weight where the V terms carry a pair's scale, as on s1 and s2.  On
+    # the seeded draw of E0_SETS they stay below b T0 V_max = 1.4, and the
+    # same fault moves no pair's rate by more than 2e-3 of its margin.
+    weight = faulty(stability._lyapunov_weight, 1.0 + 10 * TOL.certificate_margin)
+    monkeypatch.setattr(stability, "_lyapunov_weight", weight)
+    with pytest.raises(IntegrityError, match="E0 Lyapunov derivative depends on V"):
+        certify_global(params, "E0", 20)
