@@ -5,8 +5,8 @@ The uninfected equilibrium E0 = (T0, 0, 0) solves a scalar quadratic.  The
 infected equilibrium solves a quadratic in T whose coefficients come from
 eliminating I and V; every surviving root is positivity-filtered, polished,
 and residual-checked before being reported; both quadratics go through
-model._quadratic_roots.  An independent radical closed form of T*
-cross-checks the quadratic route whenever it is defined.
+model._quadratic_roots, as does the paper's radical closed form of T*, from
+D, H and F, which cross-checks the quadratic route whenever it is defined.
 """
 
 from __future__ import annotations
@@ -169,25 +169,32 @@ def _infected_from_T(params: ModelParameters, cons: DerivedConstants, T: float) 
 def infected_T_closed_form(
     params: ModelParameters, constants: DerivedConstants | None = None
 ) -> float:
-    """Radical closed form of T*, independent of the quadratic solver.
+    """Radical closed form of T*, with coefficients apart from equilibrium_quadratic's.
 
-    T* = (1/2) (-D/H + sqrt((D/H)^2 + F + 4 s T_max / (r_T H))).
-    Raises DomainError when H = 0 (the quadratic degenerates) or when the
-    radicand is negative.
+    T* = (1/2) (-D/H + sqrt((D/H)^2 + G)), G = F + 4 s T_max / (r_T H): the
+    larger root of T^2 + (D/H) T - G/4, which model._quadratic_roots solves
+    without cancellation.  Raises DomainError when H = 0 (the quadratic
+    degenerates) or when the roots are complex.
     """
     cons = constants if constants is not None else derive_constants(params)
     if cons.H == 0.0 or cons.F is None:
         raise DomainError("closed-form T* is undefined when H = 0")
-    ratio, radicand = _radical(params, cons)
-    if radicand < 0.0:
-        raise DomainError(f"closed-form T* has negative radicand {radicand!r}")
-    return 0.5 * (-ratio + math.sqrt(radicand))
+    x1, x2 = _radical_roots(params, cons, _quadratic_roots)
+    if isinstance(x1, complex):
+        raise DomainError(f"closed-form T* has complex roots {x1!r}, {x2!r}")
+    return x2 if x1 < x2 else x1
 
 
 def _radical(params, cons):
-    """(D/H, radicand) of the radical closed form; broadcasts over arrays."""
-    ratio = cons.D / cons.H
-    return ratio, ratio * ratio + cons.F + 4.0 * params.s * params.T_max / (params.r_T * cons.H)
+    """(1, D/H, -G/4): the radical form's monic quadratic, whose roots are
+    (1/2) (-D/H +- sqrt((D/H)^2 + G)); broadcasts over arrays."""
+    G = cons.F + 4.0 * params.s * params.T_max / (params.r_T * cons.H)
+    return 1.0, cons.D / cons.H, -0.25 * G
+
+
+def _radical_roots(params, cons, solve):
+    """solve's roots of _radical's quadratic: model._quadratic_roots or its array twin."""
+    return solve(*_radical(params, cons))
 
 
 def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
@@ -261,18 +268,16 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     else:
         regime = REGIME_MULTIPLE
 
-    closed_T = None
-    closed_diff = None
+    closed_T = closed_diff = None
     if cons.H != 0.0:
-        try:
-            closed_T = infected_T_closed_form(params, cons)
-        except DomainError:
-            closed_T = None
+        x1, x2 = _radical_roots(params, cons, _quadratic_roots)
+        if not isinstance(x1, complex):
+            closed_T, lo = (x2, x1) if x1 < x2 else (x1, x2)
         if closed_T is not None and regime == REGIME_UNIQUE:
             T_star = candidates[0].state.T
-            # The radical solves the same quadratic, so E* may be its -sqrt
-            # branch, -D/H - closed_T; ties keep the +sqrt branch.
-            closed_T = min(closed_T, -cons.D / cons.H - closed_T, key=lambda x: abs(x - T_star))
+            # The radical has the same roots, so E* may be its -sqrt branch,
+            # lo; ties keep the +sqrt branch.
+            closed_T = lo if abs(lo - T_star) < abs(closed_T - T_star) else closed_T
             closed_diff = abs(closed_T - T_star) / max(abs(T_star), 1e-300)
             if closed_diff > DEFAULT_TOLERANCES.t_star_radical:
                 raise IntegrityError(

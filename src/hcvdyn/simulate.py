@@ -219,10 +219,8 @@ class _Monitor:
 # Smallest adaptive step; a step size below it fails the run.
 _MIN_STEP = 1e-12
 
-# Sample intervals above which a run that cannot finish is refused before
-# its sample list is built (see integrate).  Below it, such a run still
-# steps out its budget and returns its partial trajectory; above it, the
-# list alone would take tens of megabytes or, for t_end = 1e15, all memory.
+# Most sample intervals a run holds; integrate refuses more before building
+# its sample list.  At about 250 bytes a sample, 2**20 take about 260 MB.
 _SAMPLE_LIST_LIMIT = 1 << 20
 
 
@@ -248,7 +246,6 @@ _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 
 
 def _error_norm(*terms: tuple[float, float]) -> float:
@@ -276,11 +273,9 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
     and admissible, also with abs_tol = 0).  On step underflow, budget
     exhaustion (checked by RK4 before each sample interval), or a non-finite
     state, raises IntegrationError with the partial trajectory attached.
-    Each sample interval takes at least one step, so a run with more sample
-    intervals (t_end / sample_every) than max_steps cannot finish.  It
-    still steps out its budget, unless it also has more than 2**20
-    intervals: then it raises before the first step, without building its
-    list of sample times.
+    A run holds at most 2**20 sample intervals (t_end / sample_every): more
+    raise before the first step, without a list of sample times.  Every
+    stage passes t, which the autonomous field's closure ignores.
     """
     config = config or IntegratorConfig()
     if not initial.nonnegative:
@@ -313,9 +308,9 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
     T, I, V = initial.T, initial.I, initial.V
     samples.append((T, I, V))
     intervals = config.t_end / config.sample_every
-    if intervals > max(config.max_steps, _SAMPLE_LIST_LIMIT):
-        raise fail(f"step budget {config.max_steps} exhausted at t = 0.0: "
-                   f"{intervals!r} sample intervals up to t = {config.t_end!r}", 0)
+    if intervals > _SAMPLE_LIST_LIMIT:
+        raise fail(f"a run holds at most {_SAMPLE_LIST_LIMIT} sample intervals, got "
+                   f"{intervals!r} up to t = {config.t_end!r}", 0)
     sample_times = _sample_times(config)
     t = 0.0
     taken = rejected = 0
@@ -331,9 +326,9 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
             hh, h6 = 0.5 * h, h / 6.0
             for _ in range(n_sub):
                 aT, aI, aV = f(t, (T, I, V))
-                bT, bI, bV = f(t + hh, (T + hh * aT, I + hh * aI, V + hh * aV))
-                cT, cI, cV = f(t + hh, (T + hh * bT, I + hh * bI, V + hh * bV))
-                dT, dI, dV = f(t + h, (T + h * cT, I + h * cI, V + h * cV))
+                bT, bI, bV = f(t, (T + hh * aT, I + hh * aI, V + hh * aV))
+                cT, cI, cV = f(t, (T + hh * bT, I + hh * bI, V + hh * bV))
+                dT, dI, dV = f(t, (T + h * cT, I + h * cI, V + h * cV))
                 T = T + h6 * (aT + 2.0 * bT + 2.0 * cT + dT)
                 I = I + h6 * (aI + 2.0 * bI + 2.0 * cI + dI)
                 V = V + h6 * (aV + 2.0 * bV + 2.0 * cV + dV)
@@ -353,7 +348,6 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
     A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
     B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
     E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
-    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
     abs_tol, rel_tol, max_steps, min_step = config.abs_tol, config.rel_tol, config.max_steps, _MIN_STEP
     isfinite, sqrt = math.isfinite, math.sqrt
     h = min(config.sample_every, 1.0)
@@ -363,25 +357,25 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
             left = t_next - t
             h_try = left if left < h else h
             h2 = h_try * A21
-            bT, bI, bV = f(t + C2 * h_try, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
-            cT, cI, cV = f(t + C3 * h_try, (T + h_try * (A31 * aT + A32 * bT),
-                                            I + h_try * (A31 * aI + A32 * bI),
-                                            V + h_try * (A31 * aV + A32 * bV)))
-            dT, dI, dV = f(t + C4 * h_try, (T + h_try * (A41 * aT + A42 * bT + A43 * cT),
-                                            I + h_try * (A41 * aI + A42 * bI + A43 * cI),
-                                            V + h_try * (A41 * aV + A42 * bV + A43 * cV)))
-            eT, eI, eV = f(t + C5 * h_try, (T + h_try * (A51 * aT + A52 * bT + A53 * cT + A54 * dT),
-                                            I + h_try * (A51 * aI + A52 * bI + A53 * cI + A54 * dI),
-                                            V + h_try * (A51 * aV + A52 * bV + A53 * cV + A54 * dV)))
-            gT, gI, gV = f(t + h_try, (T + h_try * (A61 * aT + A62 * bT + A63 * cT + A64 * dT + A65 * eT),
-                                       I + h_try * (A61 * aI + A62 * bI + A63 * cI + A64 * dI + A65 * eI),
-                                       V + h_try * (A61 * aV + A62 * bV + A63 * cV + A64 * dV + A65 * eV)))
+            bT, bI, bV = f(t, (T + h2 * aT, I + h2 * aI, V + h2 * aV))
+            cT, cI, cV = f(t, (T + h_try * (A31 * aT + A32 * bT),
+                               I + h_try * (A31 * aI + A32 * bI),
+                               V + h_try * (A31 * aV + A32 * bV)))
+            dT, dI, dV = f(t, (T + h_try * (A41 * aT + A42 * bT + A43 * cT),
+                               I + h_try * (A41 * aI + A42 * bI + A43 * cI),
+                               V + h_try * (A41 * aV + A42 * bV + A43 * cV)))
+            eT, eI, eV = f(t, (T + h_try * (A51 * aT + A52 * bT + A53 * cT + A54 * dT),
+                               I + h_try * (A51 * aI + A52 * bI + A53 * cI + A54 * dI),
+                               V + h_try * (A51 * aV + A52 * bV + A53 * cV + A54 * dV)))
+            gT, gI, gV = f(t, (T + h_try * (A61 * aT + A62 * bT + A63 * cT + A64 * dT + A65 * eT),
+                               I + h_try * (A61 * aI + A62 * bI + A63 * cI + A64 * dI + A65 * eI),
+                               V + h_try * (A61 * aV + A62 * bV + A63 * cV + A64 * dV + A65 * eV)))
             nT = T + h_try * (B1 * aT + B3 * cT + B4 * dT + B5 * eT + B6 * gT)
             nI = I + h_try * (B1 * aI + B3 * cI + B4 * dI + B5 * eI + B6 * gI)
             nV = V + h_try * (B1 * aV + B3 * cV + B4 * dV + B5 * eV + B6 * gV)
             if not (isfinite(nT) and isfinite(nI) and isfinite(nV)):
                 raise fail(f"state became non-finite near t = {t!r}", taken, rejected)
-            kT, kI, kV = f(t + h_try, (nT, nI, nV))
+            kT, kI, kV = f(t, (nT, nI, nV))
             xT = h_try * (E1 * aT + E3 * cT + E4 * dT + E5 * eT + E6 * gT + E7 * kT)
             xI = h_try * (E1 * aI + E3 * cI + E4 * dI + E5 * eI + E6 * gI + E7 * kI)
             xV = h_try * (E1 * aV + E3 * cV + E4 * dV + E5 * eV + E6 * gV + E7 * kV)

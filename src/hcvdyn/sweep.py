@@ -26,7 +26,7 @@ from .equilibria import (
     REGIME_NONE,
     REGIME_UNIQUE,
     _infected_from_T,
-    _radical,
+    _radical_roots,
     _root_within_an_ulp,
     equilibrium_quadratic,
     uninfected_equilibrium,
@@ -327,12 +327,11 @@ def _evaluate_grid(
             # Codes into _REGIME_TEXTS.
             regime = np.where(found == 0, 0, np.where(unique, 1, 2))
 
-            ratio, radicand = _radical(params, cons)
-            closed = 0.5 * (-ratio + np.sqrt(radicand))
-            other = -cons.D / cons.H - closed
+            x1, x2, real = _radical_roots(params, cons, _quadratic_roots_array)
+            closed, other = np.where(x1 < x2, (x2, x1), (x1, x2))
             nearer = np.where(abs(other - T) < abs(closed - T), other, closed)
             closed_diff = abs(nearer - T) / np.maximum(abs(T), 1e-300)
-            radical = (H != 0.0) & ~(radicand < 0.0)
+            radical = (H != 0.0) & real
             radical_raises = unique & radical & (closed_diff > DEFAULT_TOLERANCES.t_star_radical)
             # Report fields that infected_equilibrium refuses when not finite.
             threshold_T = params.T_max * (delta - params.r_I) / (A - params.r_I)
@@ -419,13 +418,14 @@ def threshold_locate(base: ModelParameters, axis: Axis, target: str = "r0_eq_1")
 
     Scans the axis grid for the first sign change, then bisects (in log
     space for log axes, by _midpoint, which neither overflows nor
-    underflows) until the bracket width shrinks below relative 1e-10.  Every point goes through the scalar route, with E0 solved once
-    per distinct set of the fields it reads.  Grid points where that route
-    raises a ModelError, exactly the cells run_sweep marks invalid_params,
-    are skipped: a bracket never spans one, but where one borders a valid
-    point the scan also visits the domain's edge between the two, so a
-    crossing inside the domain is found even when the grid steps past that
-    edge.  No sign change yields found = False.
+    underflows) until the bracket spans at most relative 1e-10.  Each point
+    takes the scalar route, E0 solved once per distinct set of the fields
+    it reads.  Grid points where that route raises a ModelError, exactly the
+    cells run_sweep marks invalid_params, are skipped: a bracket never spans
+    one, but where one borders a valid point the scan also visits the
+    domain's edge between the two, so a crossing inside the domain is found
+    even when the grid steps past that edge.  No sign change yields
+    found = False.
     """
     if target not in THRESHOLD_TARGETS:
         raise SweepError(f"unknown target {target!r}; choose from {THRESHOLD_TARGETS}")

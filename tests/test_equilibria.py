@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from conftest import E0_WITHIN_AN_ULP, OVERFLOWING_CONSTANT_TERM, bisect_root, draw_supercritical_params
+from conftest import E0_WITHIN_AN_ULP, OVERFLOWING_CONSTANT_TERM, bisect_root, draw_params, draw_supercritical_params
 
 from hcvdyn import (
     REGIME_NONE,
@@ -27,8 +28,8 @@ from hcvdyn import (
     stability_report,
     uninfected_equilibrium,
 )
-from hcvdyn.equilibria import _root_within_an_ulp, equilibrium_quadratic
-from hcvdyn.model import derive_constants
+from hcvdyn.equilibria import _radical, _root_within_an_ulp, equilibrium_quadratic
+from hcvdyn.model import _quadratic_roots, derive_constants
 from hcvdyn.sweep import STATUS_INVALID
 
 
@@ -166,9 +167,49 @@ def test_radical_cross_check_uses_the_nearer_branch():
     assert report.regime == REGIME_UNIQUE
     T_star = report.candidates[0].state.T
     assert T_star == pytest.approx(3944671.275, rel=1e-9)
-    cons = derive_constants(params)
-    assert report.closed_form_T == -cons.D / cons.H - infected_T_closed_form(params)
+    # Both branches are the roots the shared solver gives for the radical's
+    # own quadratic; the report carries the smaller.
+    x1, x2 = _quadratic_roots(*_radical(params, derive_constants(params)))
+    assert infected_T_closed_form(params) == max(x1, x2)
+    assert report.closed_form_T == min(x1, x2)
     assert report.closed_form_rel_diff <= 1e-9
+
+
+# draw_params(np.random.default_rng(7)), draw 1529: the other root of E*'s
+# quadratic is 1.43e12, about 2.6e8 times T*.  The textbook radical,
+# (1/2) (-D/H + sqrt((D/H)^2 + G)) and its Vieta partner, cancelled to
+# 5581.016357421875 and its cross-check raised at relative 4.7e-9.
+FAR_OTHER_ROOT = ModelParameters(
+    s=2185.0321735216853, r_T=0.0025077385819624954, r_I=0.10574076309273685,
+    d_T=0.607866865393771, d_I=0.014084290940136574, T_max=151897.15483804976,
+    beta=1.1308660201217082e-08, p=0.013571394300483807, c=5.9423769574003975,
+    q=0.010905605146507236, eta=0.8648843738615724, epsilon=0.8733255213868786,
+)
+# E*'s T, the smaller root of equilibrium_quadratic's coefficients taken
+# exactly from the float parameters, to 80 digits (decimal module).
+FAR_OTHER_ROOT_T = Decimal(
+    "5581.0163837861434625996949254428811980285254370194795663151540665513044551835191"
+)
+
+
+def test_radical_cross_check_holds_where_the_other_root_is_far():
+    report = infected_equilibrium(FAR_OTHER_ROOT)
+    (point,) = report.candidates
+    exact = float(FAR_OTHER_ROOT_T)
+    assert point.state.T == pytest.approx(exact, rel=2e-16)
+    assert report.closed_form_T == pytest.approx(exact, rel=2e-16)
+    assert report.closed_form_rel_diff <= 1e-15
+
+
+def test_radical_cross_check_agrees_to_1e_12_on_plausible_sets():
+    rng = np.random.default_rng(7)
+    reported = 0
+    for _ in range(20_000):
+        diff = infected_equilibrium(draw_params(rng)).closed_form_rel_diff
+        if diff is not None:
+            assert diff <= 1e-12
+            reported += 1
+    assert reported > 1000
 
 
 def test_random_supercritical_sets_have_verified_equilibria():

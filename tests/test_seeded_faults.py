@@ -7,6 +7,8 @@ supercritical draw for those at E* (s1 has no E*).  J(E*) has its own test
 in test_stability.py.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,16 +59,17 @@ def test_e0_residual_catches_a_fault_in_the_quadratic_solver(monkeypatch, params
 
 @pytest.mark.parametrize("params", ESTAR_SETS)
 def test_polish_absorbs_a_fault_in_the_quadratic_solver(monkeypatch, params):
-    # Three Newton steps on the same quadratic remove a fault in the roots
-    # (up to about 1e-2 relative on s2; a larger one moves the root out of
-    # (0, T_max], where it is rejected).  So the radical check, which takes
-    # the nearer of its two branches, never sees a faulty solver; the E0
-    # residual catches it, and the radical check its own fault below.
+    # Three Newton steps on E*'s quadratic remove a fault in the solver's
+    # roots, so the quadratic route still finds T* (up to about 1e-2
+    # relative on s2; a larger fault moves the root out of (0, T_max]).
+    # The radical route takes its roots from the same solver unpolished, so
+    # its check catches the fault, as the E0 residual does.
     expected = infected_equilibrium(params).candidates[0].state.T
     monkeypatch.setattr(equilibria, "_quadratic_roots", faulty(equilibria._quadratic_roots, SOLVER_FAULT))
-    report = infected_equilibrium(params)
-    assert report.candidates[0].state.T == pytest.approx(expected, rel=1e-12)
-    assert report.closed_form_rel_diff <= TOL.t_star_radical
+    with pytest.raises(IntegrityError, match="radical T") as raised:
+        infected_equilibrium(params)
+    polished = float(re.search(r"from quadratic root (\S+) by", str(raised.value)).group(1))
+    assert polished == pytest.approx(expected, rel=1e-12)
 
 
 def test_sweep_marks_cells_of_a_faulty_solver_invalid(monkeypatch):
@@ -93,8 +96,9 @@ def test_estar_residual_rejects_a_fault_in_i_star(monkeypatch, params):
 
 @pytest.mark.parametrize("params", ESTAR_SETS)
 def test_radical_check_catches_a_fault_in_the_closed_form(monkeypatch, params):
-    fault = faulty(equilibria.infected_T_closed_form, 1.0 + 10 * TOL.t_star_radical)
-    monkeypatch.setattr(equilibria, "infected_T_closed_form", fault)
+    # Both branches of the radical come from _radical_roots.
+    fault = faulty(equilibria._radical_roots, 1.0 + 10 * TOL.t_star_radical)
+    monkeypatch.setattr(equilibria, "_radical_roots", fault)
     with pytest.raises(IntegrityError, match="radical T"):
         infected_equilibrium(params)
 

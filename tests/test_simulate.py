@@ -335,11 +335,22 @@ def test_many_more_sample_intervals_than_steps_fail_before_the_run(t_end, max_st
     # to build a list until memory ran out.
     config = IntegratorConfig(t_end=t_end, max_steps=max_steps)
     start = time.perf_counter()
-    with pytest.raises(IntegrationError, match="exhausted at t = 0.0: .* sample intervals") as info:
+    with pytest.raises(IntegrationError, match="a run holds at most 1048576 sample intervals") as info:
         integrate(SCENARIO_S1, START, config)
     assert time.perf_counter() - start < 0.5
     partial = info.value.trajectory
     assert partial.times.tolist() == [0.0] and partial.steps_taken == 0
+
+
+def test_more_sample_intervals_than_a_run_holds_fail_within_the_budget(monkeypatch):
+    # 2**21 intervals fit the default budget of 5e7 steps, but their samples
+    # alone would take about 500 MB: refused before the list is built.
+    def no_list(config):
+        raise AssertionError("the sample list was built")
+
+    monkeypatch.setattr(simulate, "_sample_times", no_list)
+    with pytest.raises(IntegrationError, match="a run holds at most 1048576 sample intervals, got 2097152.0"):
+        integrate(SCENARIO_S2, START, IntegratorConfig(t_end=2.0**21))
 
 
 def test_few_more_sample_intervals_than_steps_step_out_the_budget():

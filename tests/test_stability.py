@@ -153,7 +153,7 @@ def test_characteristic_coefficients_raise_when_t_max_squared_overflows():
         characteristic_coefficients(params, State(1e3, 1e3, 1.0))
 
 
-# A unique infected equilibrium at T* = 4.5e-163: T_max**2 and T* T_max
+# A unique infected equilibrium at T* = 9e-163: T_max**2 and T* T_max
 # underflow to 0, and the closed forms divide by both.
 TINY_LIVER = ModelParameters(
     s=0.0, r_T=1e-162, r_I=1.0, d_T=0.0, d_I=0.05, T_max=1e-162,
@@ -161,10 +161,19 @@ TINY_LIVER = ModelParameters(
 )
 
 
+def test_infected_equilibrium_holds_where_its_quadratics_underflow():
+    # Both E*'s quadratic and the radical's own take the solver's scaled
+    # route: (D/H)^2 underflows, and the textbook radical gave 4.5e-163.
+    report = infected_equilibrium(TINY_LIVER)
+    (point,) = report.candidates
+    assert point.state.T == pytest.approx(9e-163, rel=1e-15)
+    assert report.closed_form_T == pytest.approx(9e-163, rel=1e-15)
+    assert report.closed_form_rel_diff <= 1e-15
+
+
 def test_characteristic_coefficients_raise_when_the_denominators_underflow():
-    # E* at the exact root T* = 9e-163 of its quadratic.  infected_equilibrium
-    # refuses the set: the radical route's radicand (D/H)^2 underflows, so it
-    # gives 4.5e-163 and its cross-check raises IntegrityError.
+    # E* at the exact root T* = 9e-163 of its quadratic, as
+    # infected_equilibrium reports it.
     estar = State(9e-163, 5e-164, 5e-164)
     with pytest.raises(DomainError, match="within the float range"):
         characteristic_coefficients(TINY_LIVER, estar)

@@ -183,15 +183,15 @@ def test_batched_sweep_matches_scalar_route_on_plausible_supercritical_cells():
 
 
 def test_batched_sweep_matches_scalar_route_where_the_radical_check_raises():
-    # A set (outside the plausible ranges) whose radical T* cancels
-    # catastrophically: the other root is about 1e7 times larger.  Most
-    # cells of a small grid around it raise IntegrityError in
-    # infected_equilibrium.
+    # A whole-domain set where the radical's constant term G/4 reads 0: F
+    # and 4 s T_max underflow, so its roots are 0 and -D/H, while E*'s
+    # quadratic gives T* = 8.4e-266.  Every cell of a small grid around it
+    # raises IntegrityError in infected_equilibrium.
     base = ModelParameters(
-        s=2.1264013161432933, r_T=0.13335190006255698, r_I=0.19559575062752832,
-        d_T=0.6498168582318279, d_I=0.012611602191665731, T_max=760937.608164384,
-        beta=1.098455752868703e-09, p=0.02221800903378173, c=11.322468564292777,
-        q=0.054363009043615074, eta=0.5772727191294079, epsilon=0.3768440007620401,
+        s=1.9868860402564492e-233, r_T=5.9741810418835434e-242, r_I=7.431133223150112e74,
+        d_T=2.368814500851648e32, d_I=1.3835788767442456e-90, T_max=1.6949817018941011e-264,
+        beta=7.962479257254006e-13, p=6.37927867972775e250, c=7.296424408185082e237,
+        q=7.84214568592925e-151, eta=0.09604468691424639, epsilon=0.5665607986977953,
     )
     spec = SweepSpec(
         base,
@@ -205,7 +205,7 @@ def test_batched_sweep_matches_scalar_route_where_the_radical_check_raises():
             infected_equilibrium(replace(base, beta=cell.axis_values[0], q=cell.axis_values[1]))
         except IntegrityError:
             raised += 1
-    assert raised > 50
+    assert raised == 100
 
 
 def test_sweep_past_the_float_range_of_t_max_squared_matches_scalar_route():
@@ -288,12 +288,13 @@ def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():
     assert math.isnan(columns["delta2"][0])
 
 
-# A valid set whose radical route overflows and whose r0 is nan.
+# A valid set whose r0 is nan and whose radical's constant term overflows:
+# 4 s T_max does, so G is inf and the radical's roots are -inf and nan.
 NAN_R0_CLOSED_FORM = dict(
-    s=5.808416457538508e83, r_T=1.1536278212632302e-56, r_I=2.2125511563748815e-16,
-    d_T=1.4800907220980345e-227, d_I=2.4079659434682037e111, T_max=1.1170742289303628e33,
-    beta=1.0360263853378529e263, p=5.057072768322029e-150, c=2.5147568576328087e298,
-    q=4.1994626153980043e-187, eta=0.7660715206488092, epsilon=0.05695979755531344,
+    s=2.006516852469215e272, r_T=3.8603049758061387e-277, r_I=1.7567284178861894e-27,
+    d_T=2.1792769386615854e-297, d_I=8.1580074811900315e-143, T_max=2.0464175293424157e27,
+    beta=1.8405025084188527e271, p=6.202268563696184e-108, c=3.740952780355154e208,
+    q=0.0, eta=0.16131704805011549, epsilon=0.4563598693605089,
 )
 
 # Valid sets where one field of infected_equilibrium's report overflows; r0
