@@ -15,10 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
+from . import _rowbounds
 from .equilibria import (
     REGIME_UNIQUE,
     EquilibriumPoint,
@@ -630,10 +632,15 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     a term of the derivative leaves the float range raises DomainError.
 
     The region mask is taken once, on the N x N grid of (T, I) pairs, and
-    the pairs it keeps are evaluated in row-major blocks.  For Estar each
-    pair is evaluated against the V axis by broadcasting: terms of T and I
-    alone are computed once per pair, not once per grid point, and the grid
-    costs N**3 rate evaluations.  For E0 the weight (1 - eta) beta T0 / c
+    the pairs it keeps are evaluated in row-major blocks.  For Estar,
+    _rowbounds.kept_rows first bounds each pair's rate and term scale over
+    the V axis in closed form and evaluates three of its grid points; only
+    the V rows those bounds cannot rule out are evaluated, against the
+    whole V axis by broadcasting (terms of T and I alone once per pair),
+    and the report is the one every row gives.  A rate or term scale above
+    its row's bound raises IntegrityError.
+
+    For E0 the weight (1 - eta) beta T0 / c
     cancels every V term of dL/dt (Korobeinikov 2004), so a pair's rate at
     V = 0 is its rate at every V and the grid costs N**2 evaluations: each
     pair is evaluated at V = 0 and at the two ends of the V axis.  The
@@ -646,8 +653,9 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
 
     Working memory is bounded by one block (at most about 2**14 rate
     evaluations, or one V row of N points once that is larger), the pair
-    arrays (16 bytes per kept pair) and the violations found.  A block
-    whose peak is within the running tolerance is not scanned.
+    arrays (16 bytes per kept pair), the Estar rows the bounds keep and the
+    violations found.  A block whose peak is within the running tolerance
+    is not scanned.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -707,6 +715,14 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     else:
         V = axis_V
         pairs = max(1, _CERTIFICATE_BLOCK // len(V))
+    points_sampled = len(pair_T) * len(axis_V)
+    if target == "Estar":
+        # The bounds' seeds are three V per pair, in blocks of E0's size.
+        rows, row_rate, row_scale = _rowbounds.kept_rows(
+            partial(_lyapunov_rate, params, target, anchor), _lyapunov_weight(params, target, anchor),
+            params, anchor, pair_T, pair_I, axis_V, max(1, _CERTIFICATE_BLOCK // 6),
+        )
+        pair_T, pair_I = pair_T[rows], pair_I[rows]
 
     # One pass over the blocks keeps the running maxima and, per block, the
     # points above the tolerance the running scale maximum gives.  A term
@@ -736,6 +752,10 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
                 "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
                 "differs from the rate at V = 0 by more than the certificate margin"
             )
+        if target == "Estar" and (
+            np.any(dLdt > row_rate[start : start + pairs]) or np.any(term_scale > row_scale[start : start + pairs])
+        ):
+            raise IntegrityError(_rowbounds.FAULT)
         tolerance = margin * max(1.0, float(scale_peak))
         if not block_peak <= tolerance:  # a NaN peak is scanned too
             pair, v = np.nonzero(dLdt > tolerance)
@@ -752,7 +772,7 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     return CertificateReport(
         target=target,
         grid_shape=(grid_points, grid_points, grid_points),
-        points_sampled=len(pair_T) * len(axis_V),
+        points_sampled=points_sampled,
         min_margin=float(peak),
         tolerance=tolerance,
         violations=tuple(violations),

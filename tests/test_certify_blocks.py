@@ -295,6 +295,11 @@ def test_certificate_memory_is_bounded_by_a_block():
     # Blocks of whole T-slices, each up to N**2 points, peaked at 5.5 MiB
     # here; blocks of 2**14 points and 16 bytes per (T, I) pair take 2.3.
     assert _traced_peak(SCENARIO_S1, "E0", 300) < 4 * 2**20
+    # E*'s row bounds are computed in blocks of pairs, and only the rows
+    # they keep are held: 1.15 and 2.38 MiB here (1.21 and 2.32 when every
+    # row was scanned).  One more float per pair would take 0.15 and 0.68.
+    assert _traced_peak(SLICE_PARAMS, "Estar", 140) < 1.5 * 2**20
+    assert _traced_peak(SLICE_PARAMS, "Estar", 300) < 3 * 2**20
 
 
 # (scenario, target, grid) -> (exit code, SHA-256 of stdout) of hcvdyn certify,

@@ -5,7 +5,10 @@ place; on arrays it must give the float route's values point for point and
 leave its inputs alone.  certify_global scans a block for violations only
 when the block's peak is above the running tolerance; the report must still
 equal the whole-grid reference of tests/test_certify_blocks.py, whatever
-the block size.
+the block size.  For E* it scans only the V rows whose per-pair bounds
+reach the grid's peak, its term-scale peak or its tolerance; the report
+must equal the reference bit for bit on supercritical sets, and on sets
+carried to extreme magnitudes by the model's scaling symmetries.
 """
 
 import math
@@ -13,20 +16,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hcvdyn import SCENARIO_S1, SCENARIO_S2, State, certify_global
+from conftest import draw_supercritical_params
+from hcvdyn import SCENARIO_S1, SCENARIO_S2, ModelError, State, certify_global
 from hcvdyn import stability
 from hcvdyn.model import _field
 from hcvdyn.stability import _lyapunov_rate, _lyapunov_weight
-from test_certify_blocks import plausible_params, reference_certificate
+from test_certify_blocks import _report_or_error, plausible_params, reference_certificate
 
 # r_I far below r_T: the E0 grid has violations in many T-slices.
 MANY_VIOLATIONS = replace(SCENARIO_S1, r_I=1e-3 * SCENARIO_S1.r_T, q=0.0)
 
-# Its E* grid at N = 40 is clean, but its first blocks hold points above the
-# tolerance their running scale maximum gives.
+# Its E* grid at N = 40 is clean.  Two of its V rows are scanned, and the
+# first holds points above the tolerance its running scale maximum gives.
 EARLY_POINTS = replace(SCENARIO_S2, r_I=1e-4)
 
 positive = st.floats(-6.0, 9.0).map(lambda x: 10.0**x)
@@ -95,17 +99,21 @@ def _recording_rate(monkeypatch):
 
 def test_points_above_an_early_running_tolerance_are_not_violations(monkeypatch):
     ref = reference_certificate(EARLY_POINTS, "Estar", 40)
+    # One V row per block, so that the rows the row bounds keep span blocks.
+    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", 40)
     calls = _recording_rate(monkeypatch)
     got = certify_global(EARLY_POINTS, "Estar", 40)
     assert repr(got) == repr(ref)
     assert got.violations == ()
     # The grid is what the test needs: an early block holds points above its
-    # running tolerance that the final tolerance does not count.
+    # running tolerance that the final tolerance does not count.  The
+    # calls on three points per pair are the row bounds' seeds.
+    blocks = [(rate, scale) for rate, scale in calls if rate.shape[1] == 40]
     scale_peak, early = 1.0, 0
-    for rate, scale in calls[:-1]:
+    for rate, scale in blocks[:-1]:
         scale_peak = max(scale_peak, float(np.max(scale)))
         early += np.count_nonzero(rate > stability.DEFAULT_TOLERANCES.certificate_margin * scale_peak)
-    assert len(calls) == 4 and early > 0
+    assert len(blocks) > 1 and early > 0
 
 
 def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
@@ -146,3 +154,44 @@ def test_violations_are_rows_of_plain_floats():
     for row in report.violations:
         assert type(row) is tuple and len(row) == 4
         assert all(type(x) is float for x in row)
+
+
+# Every rate constant of the model, in 1/day.
+RATES = ("s", "r_T", "r_I", "d_T", "d_I", "beta", "p", "c", "q")
+
+supercritical = st.integers(0, 2**32 - 1).map(lambda seed: draw_supercritical_params(np.random.default_rng(seed)))
+
+
+def assert_same_estar_outcome(params, grid_points):
+    # The same report bit for bit, or the same error.
+    ref, ref_error = _report_or_error(reference_certificate, params, "Estar", grid_points)
+    got, got_error = _report_or_error(certify_global, params, "Estar", grid_points)
+    assert (type(got_error), str(got_error)) == (type(ref_error), str(ref_error))
+    assert repr(got) == repr(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=supercritical, grid_points=st.integers(1, 60))
+def test_estar_row_bounds_keep_the_report_on_supercritical_sets(params, grid_points):
+    # Off the theorem slice; some of these grids have violations.
+    assert_same_estar_outcome(params, grid_points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=supercritical,
+    scale=st.floats(-150.0, 150.0).map(lambda x: 10.0**x),
+    time=st.floats(-150.0, 150.0).map(lambda x: 10.0**x),
+    grid_points=st.integers(1, 40),
+)
+def test_estar_row_bounds_keep_the_report_at_extreme_magnitudes(params, scale, time, grid_points):
+    # T, I and V times scale solve the model with s and T_max times scale
+    # and beta divided by it; every rate times time runs its clock faster.
+    # Both keep the draw supercritical wherever the floats hold it, so the
+    # grids reach reports at magnitudes where whole-domain draws rarely do.
+    try:
+        params = replace(params, s=params.s * scale, T_max=params.T_max * scale, beta=params.beta / scale)
+        params = replace(params, **{name: getattr(params, name) * time for name in RATES})
+    except ModelError:
+        assume(False)
+    assert_same_estar_outcome(params, grid_points)

@@ -30,7 +30,7 @@ from hcvdyn import (
     uninfected_equilibrium,
     uninfected_local,
 )
-from hcvdyn import equilibria, model, reproduction, stability, sweep
+from hcvdyn import _rowbounds, equilibria, model, reproduction, stability, sweep
 from hcvdyn.equilibria import REGIME_NONE
 from hcvdyn.sweep import STATUS_INVALID
 from hcvdyn.tolerances import DEFAULT_TOLERANCES as TOL
@@ -165,3 +165,48 @@ def test_certificate_v_check_catches_a_fault_in_the_e0_weight(monkeypatch, param
     monkeypatch.setattr(stability, "_lyapunov_weight", weight)
     with pytest.raises(IntegrityError, match="E0 Lyapunov derivative depends on V"):
         certify_global(params, "E0", 20)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_certificate_row_bounds_catch_a_low_rate_bound(monkeypatch, params):
+    # The E* certificate scans only the V rows whose bounds can reach its
+    # peak or its tolerance, and checks every rate it evaluates against its
+    # row's bound.  A bound ten allowances too low falls below the rate at
+    # the end of a V row where that row peaks.
+    monkeypatch.setattr(_rowbounds, "ALLOWANCE", -9 * _rowbounds.ALLOWANCE)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its"):
+        certify_global(params, "Estar", 20)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_certificate_row_bounds_catch_a_low_scale_bound(monkeypatch, params):
+    # The term-scale bound needs no allowance.  Halved, it falls below the
+    # term scale at an end of some V row: those reach 0.95 of their bound
+    # on s2 and 0.90 on the seeded draw at N = 20.
+    bounds = _rowbounds.bounds
+
+    def halved(*args):
+        rate, scale, vertex = bounds(*args)
+        return rate, 0.5 * scale, vertex
+
+    monkeypatch.setattr(_rowbounds, "bounds", halved)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its"):
+        certify_global(params, "Estar", 20)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_certificate_row_bounds_catch_a_fault_in_a_scanned_row(monkeypatch, params):
+    # The bounds' seeds are right; the rows the certificate scans carry a
+    # term scale twice the true one, which passes the scale bound on the
+    # row of the grid's scale peak.
+    rate = stability._lyapunov_rate
+
+    def doubled_on_rows(params, target, anchor, T, I, V):
+        value, scale = rate(params, target, anchor, T, I, V)
+        if np.ndim(V) == 1:  # a scanned row; the seeds take a V column per pair
+            scale = 2.0 * scale
+        return value, scale
+
+    monkeypatch.setattr(stability, "_lyapunov_rate", doubled_on_rows)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its"):
+        certify_global(params, "Estar", 20)
