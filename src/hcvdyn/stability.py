@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -616,6 +616,80 @@ def _grid_axis(bound: float, n: int) -> np.ndarray:
     return np.logspace(math.log10(low), math.log10(bound), n)
 
 
+def _region_counts(axis: np.ndarray, bound: float) -> np.ndarray:
+    """How many points of axis, as I, each point of axis, as T, keeps in the
+    region T + I <= bound (1 + 1e-12), tested in floats: fl(T + I) grows
+    with I, so each T line keeps a prefix of the axis.  A search on the
+    rounded bound - T finds the prefix to within a point or two, and the
+    exact test moves each count until it holds."""
+    limit = bound * (1.0 + 1e-12)
+    n = len(axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # T + I may pass the float maximum
+        counts = np.searchsorted(axis, limit - axis, side="right")
+        while True:
+            grow = (counts < n) & (axis + axis[np.minimum(counts, n - 1)] <= limit)
+            shrink = (counts > 0) & ~(axis + axis[np.maximum(counts - 1, 0)] <= limit)
+            if not (grow.any() or shrink.any()):
+                return counts
+            counts += grow
+            counts -= shrink
+
+
+def _in_range(scale):
+    """Raise DomainError unless every term scale is finite."""
+    if not np.isfinite(scale.max(initial=0.0)):
+        raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
+
+
+def _rate_in_range(rate, T, I, V):
+    """rate(T, I, V), checked by _in_range."""
+    value, scale = rate(T, I, V)
+    _in_range(scale)
+    return value, scale
+
+
+def _e0_pairs(rate, V, T, I):
+    """(rate at V = 0, term scales at the two ends of the V axis) of E0 on
+    the (T, I) pairs T and I (columns); V is (0, V_lo, V_hi).
+
+    The weight (1 - eta) beta T0 / c cancels every V term of dL/dt
+    (Korobeinikov 2004), so the rate at V = 0 is the rate at every V, and
+    the term scale, a sum of magnitudes of terms affine in V, peaks at an
+    end in exact arithmetic.  A term scale at an end that is not finite
+    raises DomainError, and a rate at an end that differs from the V = 0
+    rate by more than the margin of the pair's term scale raises
+    IntegrityError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dLdt, scale = rate(T, I, V)
+        dLdt, ends, scale = dLdt[:, :1], dLdt[:, 1:], scale[:, 1:]
+        _in_range(scale)
+        pair_tolerance = DEFAULT_TOLERANCES.certificate_margin * np.maximum(np.maximum(scale[:, :1], scale[:, 1:]), 1.0)
+        if np.any(np.abs(ends - dLdt) > pair_tolerance):
+            raise IntegrityError(
+                "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
+                "differs from the rate at V = 0 by more than the certificate margin"
+            )
+    return dLdt, scale
+
+
+def _whole_row_scale_peak(rate, near, scale_peak, axis_V):
+    """The term-scale peak scale_peak of E0's V ends, raised to the peak
+    over the whole V rows of the (T, I, reach) pairs of near whose reach,
+    a bound on the route's scale inside the axis, attains it; a line whose
+    allowance is not finite is left at its ends.  Rows are evaluated in
+    blocks of about 2**14 points."""
+    T, I, reach = (np.concatenate(arrays) for arrays in zip(*near))
+    close = (reach >= scale_peak) & (reach < math.inf)
+    T, I = T[close], I[close]
+    rows = max(1, _CERTIFICATE_BLOCK // len(axis_V))
+    for start in range(0, len(T), rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, scale = _rate_in_range(rate, T[start : start + rows], I[start : start + rows], axis_V)
+        scale_peak = np.maximum(scale_peak, np.max(scale))
+    return scale_peak
+
+
 def certify_global(params: ModelParameters, target: str = "E0", grid_points: int = 20) -> CertificateReport:
     """Sample a Lyapunov derivative over the invariant region.
 
@@ -631,31 +705,35 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     under met preconditions would contradict the theorem.  A grid on which
     a term of the derivative leaves the float range raises DomainError.
 
-    The region mask is taken once, on the N x N grid of (T, I) pairs, and
-    the pairs it keeps are evaluated in row-major blocks.  For Estar,
-    _rowbounds.kept_rows first bounds each pair's rate and term scale over
-    the V axis in closed form and evaluates three of its grid points; only
-    the V rows those bounds cannot rule out are evaluated, against the
-    whole V axis by broadcasting (terms of T and I alone once per pair),
-    and the report is the one every row gives.  A rate or term scale above
-    its row's bound raises IntegrityError.
+    The region is taken per T line: each keeps a prefix of the I axis
+    (_region_counts).  _rowbounds.kept_lines bounds each line's rate and
+    term scale over its (I, V) box in closed form and evaluates a few of
+    its grid points; (T, I) pairs are built only on the lines those bounds
+    cannot rule out, and evaluated in row-major blocks.  For Estar,
+    _rowbounds.kept_rows then bounds each pair's rate and term scale over
+    the V axis and evaluates three of its grid points; only the V rows
+    those bounds cannot rule out are evaluated, against the whole V axis by
+    broadcasting (terms of T and I alone once per pair).  The report is the
+    one every point gives.  A rate or term scale above its line's or row's
+    bound raises IntegrityError.
 
-    For E0 the weight (1 - eta) beta T0 / c
-    cancels every V term of dL/dt (Korobeinikov 2004), so a pair's rate at
-    V = 0 is its rate at every V and the grid costs N**2 evaluations: each
-    pair is evaluated at V = 0 and at the two ends of the V axis.  The
-    ends give the term scale, a sum of magnitudes of terms affine in V and
-    so largest at an end, and a cross-check: a rate there that differs
-    from the V = 0 rate by more than the margin of the pair's term scale
-    raises IntegrityError.  A violating E0 pair reports its N points, with the
-    V = 0 rate, so min_margin and the violations' dL/dt carry none of the
-    V terms' rounding.  points_sampled counts N points per pair for both.
+    For E0 the weight (1 - eta) beta T0 / c cancels every V term of dL/dt
+    (Korobeinikov 2004), so a pair's rate at V = 0 is its rate at every V:
+    each pair is evaluated at V = 0 and at the two ends of the V axis, which
+    give the term scale and a cross-check (_e0_pairs).  Rounding can lift
+    the scale at a V inside the axis above both ends where the exact scale
+    is flat in V, so the pairs whose rows could so reach the scale peak
+    are evaluated on their whole V rows too (_whole_row_scale_peak).  A
+    violating E0 pair reports its N points, with the V = 0 rate, so
+    min_margin and the violations' dL/dt carry none of the V terms'
+    rounding.  points_sampled counts N points per pair of the region for
+    both.
 
     Working memory is bounded by one block (at most about 2**14 rate
-    evaluations, or one V row of N points once that is larger), the pair
-    arrays (16 bytes per kept pair), the Estar rows the bounds keep and the
-    violations found.  A block whose peak is within the running tolerance
-    is not scanned.
+    evaluations, or one V row of N points once that is larger), a few
+    floats per T line, 40 bytes per pair of a kept line, the Estar rows
+    the bounds keep and the violations found.  A block whose peak is
+    within the running tolerance is not scanned.
     """
     if grid_points < 1:
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
@@ -697,32 +775,41 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         )
 
     if grid_points == 1:
-        pair_T, pair_I, axis_V = np.array([[anchor.T]]), np.array([[anchor.I]]), np.array([anchor.V])
+        axis_T, axis_I, axis_V = np.array([anchor.T]), np.array([anchor.I]), np.array([anchor.V])
+        counts = np.ones(1, dtype=np.intp)
     else:
-        axis = _grid_axis(bound_TI, grid_points)
+        axis_T = axis_I = _grid_axis(bound_TI, grid_points)
         axis_V = _grid_axis(bound_V, grid_points)
-        with np.errstate(over="ignore"):  # T + I may pass the float maximum
-            keep = axis[:, None] + axis <= bound_TI * (1.0 + 1e-12)
-        pair_T = np.broadcast_to(axis[:, None], keep.shape)[keep][:, None]
-        pair_I = np.broadcast_to(axis, keep.shape)[keep][:, None]
+        counts = _region_counts(axis_T, bound_TI)
+    points_sampled = int(np.sum(counts)) * len(axis_V)
+    rate = partial(_lyapunov_rate, params, target, anchor)
+    w = _lyapunov_weight(params, target, anchor)
     if target == "E0":
         # The rate does not depend on V: evaluate V = 0 and the axis ends, in
         # blocks of 2730 pairs whose 64 KiB arrays stay below glibc's 128 KiB
         # mmap threshold.  Blocks of 5461 pairs cross it: an N = 140 call on
         # s1 then takes about 170 minor page faults instead of about 1.
-        V = np.array([0.0, axis_V[0], axis_V[-1]])
+        evaluate = partial(_e0_pairs, rate, np.array([0.0, axis_V[0], axis_V[-1]]))
         pairs = max(1, _CERTIFICATE_BLOCK // 6)
     else:
-        V = axis_V
-        pairs = max(1, _CERTIFICATE_BLOCK // len(V))
-    points_sampled = len(pair_T) * len(axis_V)
+        evaluate = partial(_rate_in_range, rate)
+        pairs = max(1, _CERTIFICATE_BLOCK // len(axis_V))
+    lines, line_rate, line_scale, line_allowance = _rowbounds.kept_lines(
+        evaluate, w, params, anchor, axis_T, axis_I, counts, axis_V, target == "E0"
+    )
+    # The pairs of the kept lines in row-major order, with their lines' bounds.
+    size = counts[lines]
+    pair_T = np.repeat(axis_T[lines], size)[:, None]
+    pair_I = axis_I[np.arange(len(pair_T)) - np.repeat(np.cumsum(size) - size, size)][:, None]
+    cap_rate, cap_scale = np.repeat(line_rate, size)[:, None], np.repeat(line_scale, size)[:, None]
+    cap_allowance = np.repeat(line_allowance, size)
+    part = "T line"
     if target == "Estar":
-        # The bounds' seeds are three V per pair, in blocks of E0's size.
-        rows, row_rate, row_scale = _rowbounds.kept_rows(
-            partial(_lyapunov_rate, params, target, anchor), _lyapunov_weight(params, target, anchor),
-            params, anchor, pair_T, pair_I, axis_V, max(1, _CERTIFICATE_BLOCK // 6),
+        # The row bounds' seeds are three V per pair, in blocks of E0's size.
+        rows, cap_rate, cap_scale = _rowbounds.kept_rows(
+            rate, w, params, anchor, pair_T, pair_I, (cap_rate, cap_scale), axis_V, max(1, _CERTIFICATE_BLOCK // 6)
         )
-        pair_T, pair_I = pair_T[rows], pair_I[rows]
+        pair_T, pair_I, part = pair_T[rows], pair_I[rows], "(T, I) row"
 
     # One pass over the blocks keeps the running maxima and, per block, the
     # points above the tolerance the running scale maximum gives.  A term
@@ -732,50 +819,57 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     peak = np.float64(-math.inf)
     scale_peak = np.float64(0.0)
     kept = []
+    # E0 pairs whose rows could pass the scale peak inside the V axis, and
+    # the fraction of the V range from each end of the axis to its neighbour.
+    near = [] if target == "E0" and len(axis_V) > 2 else None
+    if near is not None:
+        width = axis_V[-1] - axis_V[0]
+        inner = (axis_V[1] - axis_V[0]) / width, (axis_V[-1] - axis_V[-2]) / width
     for start in range(0, len(pair_T), pairs):
         T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
         with np.errstate(over="ignore", invalid="ignore"):
-            dLdt, term_scale = _lyapunov_rate(params, target, anchor, T, I, V)
-            if target == "E0":
-                # Each pair's rates at the V ends must match its V = 0 rate
-                # to within the margin of the pair's own term scale.
-                dLdt, ends, term_scale = dLdt[:, :1], dLdt[:, 1:], term_scale[:, 1:]
-                pair_tolerance = margin * np.maximum(np.max(term_scale, axis=1, keepdims=True), 1.0)
-                depends_on_V = np.any(np.abs(ends - dLdt) > pair_tolerance)
+            dLdt, term_scale = evaluate(T, I) if target == "E0" else evaluate(T, I, axis_V)
         block_peak = np.max(dLdt, initial=-math.inf)
         peak = np.maximum(peak, block_peak)
         scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
-        if not np.isfinite(scale_peak):
-            raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
-        if target == "E0" and depends_on_V:
-            raise IntegrityError(
-                "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
-                "differs from the rate at V = 0 by more than the certificate margin"
-            )
-        if target == "Estar" and (
-            np.any(dLdt > row_rate[start : start + pairs]) or np.any(term_scale > row_scale[start : start + pairs])
-        ):
-            raise IntegrityError(_rowbounds.FAULT)
+        if np.any(dLdt > cap_rate[start : start + pairs]) or np.any(term_scale > cap_scale[start : start + pairs]):
+            raise IntegrityError(_rowbounds.FAULT.format(part))
         tolerance = margin * max(1.0, float(scale_peak))
         if not block_peak <= tolerance:  # a NaN peak is scanned too
             pair, v = np.nonzero(dLdt > tolerance)
             kept.append((T[pair, 0], I[pair, 0], v, dLdt[pair, v]))
-    violations = []
+        if near is not None:
+            # E0's exact term scale is convex in V: inside the axis it is at
+            # most the chord of its ends, whose largest value at a grid V is
+            # next to the larger end, and rounding lifts the route's scale
+            # above that by at most the line's allowance.  These are the
+            # pairs whose rows could so pass the scale peak.
+            lo, hi = term_scale[:, 0], term_scale[:, 1]
+            reach = np.maximum(lo, hi) - np.abs(hi - lo) * np.where(hi < lo, inner[0], inner[1])
+            reach += cap_allowance[start : start + pairs]
+            close = reach >= scale_peak
+            near.append((T[close], I[close], reach[close]))
+    if near:
+        scale_peak = _whole_row_scale_peak(rate, near, scale_peak, axis_V)
+        tolerance = margin * max(1.0, float(scale_peak))
     row_V = axis_V.tolist()
-    for T, I, v, dLdt in kept:
+
+    def violating(T, I, v, dLdt):
         hit = dLdt > tolerance
         if target == "E0":  # a violating pair violates at every V, in axis order
-            for t, i, d in zip(T[hit].tolist(), I[hit].tolist(), dLdt[hit].tolist()):
-                violations += zip(repeat(t), repeat(i), row_V, repeat(d))
-        else:
-            violations += zip(T[hit].tolist(), I[hit].tolist(), axis_V[v[hit]].tolist(), dLdt[hit].tolist())
+            hits = zip(T[hit].tolist(), I[hit].tolist(), dLdt[hit].tolist())
+            return chain.from_iterable(zip(repeat(t), repeat(i), row_V, repeat(d)) for t, i, d in hits)
+        return zip(T[hit].tolist(), I[hit].tolist(), axis_V[v[hit]].tolist(), dLdt[hit].tolist())
+
+    # One tuple, grown in place: no list of every row beside it.
+    violations = tuple(chain.from_iterable(violating(*block) for block in kept))
     return CertificateReport(
         target=target,
         grid_shape=(grid_points, grid_points, grid_points),
         points_sampled=points_sampled,
         min_margin=float(peak),
         tolerance=tolerance,
-        violations=tuple(violations),
+        violations=violations,
         preconditions_met=preconditions_met,
         r0=R0,
         notes=tuple(notes),

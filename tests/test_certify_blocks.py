@@ -300,6 +300,12 @@ def test_certificate_memory_is_bounded_by_a_block():
     # row was scanned).  One more float per pair would take 0.15 and 0.68.
     assert _traced_peak(SLICE_PARAMS, "Estar", 140) < 1.5 * 2**20
     assert _traced_peak(SLICE_PARAMS, "Estar", 300) < 3 * 2**20
+    # Pairs are built only on the T lines the line bounds keep, so the
+    # N x N region mask is gone: these four now take 0.10, 0.21, 0.10 and
+    # 0.24 MiB.  At N = 2000, where the mask and the pairs of every line
+    # took 65 MiB for E0, a few floats per line take 1.2 and 1.3 MiB.
+    assert _traced_peak(SCENARIO_S1, "E0", 2000) < 3 * 2**20
+    assert _traced_peak(SLICE_PARAMS, "Estar", 2000) < 3 * 2**20
 
 
 # (scenario, target, grid) -> (exit code, SHA-256 of stdout) of hcvdyn certify,

@@ -210,3 +210,54 @@ def test_certificate_row_bounds_catch_a_fault_in_a_scanned_row(monkeypatch, para
     monkeypatch.setattr(stability, "_lyapunov_rate", doubled_on_rows)
     with pytest.raises(IntegrityError, match="exceeds the bound of its"):
         certify_global(params, "Estar", 20)
+
+
+# The E0 sets, and E*'s seeded draw: on s2 no E* seed comes within 170
+# allowances of its T line's bound (N = 20 to 60), where the rows' bounds
+# are tight enough to catch the same fault (the row-bound test above).
+LINE_ALLOWANCE_SETS = [(params, "E0") for params in E0_SETS] + [(ESTAR_SETS[1], "Estar")]
+LINE_SETS = [(params, "E0") for params in E0_SETS] + [(params, "Estar") for params in ESTAR_SETS]
+
+
+@pytest.mark.parametrize("params, target", LINE_ALLOWANCE_SETS)
+def test_certificate_line_bounds_catch_a_low_rate_bound(monkeypatch, params, target):
+    # Each T line is bounded before its (T, I) pairs are built, and its
+    # seeds' rates are checked against the bound.  A bound ten allowances
+    # too low falls below a seed where the line's bound is tight: E0's
+    # concave quadratic in I peaks at a seed on some line, one allowance
+    # below its bound, and on the seeded draw an E* seed comes within 1.3
+    # allowances of its line's bound at N = 20.
+    monkeypatch.setattr(_rowbounds, "ALLOWANCE", -9 * _rowbounds.ALLOWANCE)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
+        certify_global(params, target, 20)
+
+
+@pytest.mark.parametrize("params, target", LINE_SETS)
+def test_certificate_line_bounds_catch_a_low_scale_bound(monkeypatch, params, target):
+    # The term-scale bound takes each factor at its worst end of the line's
+    # box; a seed reaches 0.9995 of it or more on these sets at N = 20.
+    line_bounds = _rowbounds.line_bounds
+
+    def halved(*args):
+        rate, scale, *rest = line_bounds(*args)
+        return rate, 0.5 * scale, *rest
+
+    monkeypatch.setattr(_rowbounds, "line_bounds", halved)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
+        certify_global(params, target, 20)
+
+
+@pytest.mark.parametrize("params", E0_SETS)
+def test_certificate_checks_each_scanned_e0_pair_against_its_line(monkeypatch, params):
+    # The seeds pass their lines' bounds; the bounds the scan then gets are
+    # half the true scale bounds, which the pairs of the line that holds
+    # the grid's scale peak pass.
+    kept_lines = _rowbounds.kept_lines
+
+    def halved_after_the_seeds(*args):
+        lines, rate, scale, allowance = kept_lines(*args)
+        return lines, rate, 0.5 * scale, allowance
+
+    monkeypatch.setattr(_rowbounds, "kept_lines", halved_after_the_seeds)
+    with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
+        certify_global(params, "E0", 20)
