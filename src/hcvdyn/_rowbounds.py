@@ -9,8 +9,10 @@ from a few real grid points, rule out the lines that cannot hold the
 grid's worst margin, its term-scale peak or a violation (kept_lines, for
 both targets: E0 is the anchor (T0, 0, 0)).  On each pair of a kept line
 the E* derivative has a closed-form maximum over V, and per-row bounds
-rule out its V rows the same way (kept_rows).  certify_global evaluates
-only what these keep, and its report is the full scan's.
+rule out its V rows the same way (kept_rows); certify_global takes them
+only where the kept lines' rows hold more points than one block, fewer
+being cheaper to scan than to bound.  certify_global evaluates only what
+these keep, and its report is the full scan's.
 """
 
 from __future__ import annotations
@@ -272,29 +274,33 @@ def kept_lines(evaluate, w: float, params: ModelParameters, anchor: State, axis_
     every other line holds only points below the worst margin, below the
     scale peak and within the tolerance.
     """
-    lines = np.flatnonzero(counts)
+    lines = counts.nonzero()[0]
     T, last = axis_T[lines], counts[lines] - 1
     top = len(axis_V) - 1
+    I_lo, I_hi = axis_I[0], axis_I[last]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        V_lo = 0.0 if V_free else axis_V[0]
         rate_bound, scale_bound, allowance, vertex_I, vertex_r = line_bounds(
-            params, anchor, w, T, axis_I[0], axis_I[last], V_lo, axis_V[top]
+            params, anchor, w, T, I_lo, I_hi, 0.0 if V_free else axis_V[0], axis_V[top]
         )
-        first, nearest = np.zeros_like(last), _nearest(axis_I, vertex_I, last)
+        nearest = axis_I[_nearest(axis_I, vertex_I, last)]
         if V_free:
-            I = axis_I[np.stack([first, last, nearest], axis=1)]
-            value, scale = evaluate(np.repeat(T, 3)[:, None], I.reshape(-1, 1))
-            value, scale = value.reshape(I.shape), np.max(scale, axis=1).reshape(I.shape)
+            I = np.empty((len(T), 3))
+            I[:, 0], I[:, 1], I[:, 2] = I_lo, I_hi, nearest
+            value, scale = evaluate(T.repeat(3)[:, None], I.reshape(-1, 1))
+            # One row per line: its seeds' rates, and their scales at the V ends.
+            value, scale = value.reshape(I.shape), scale.reshape(len(T), 6)
         else:
-            I = axis_I[np.stack([nearest, _nearest(axis_I, anchor.I, last), first, first, last, last], axis=1)]
+            I = np.empty((len(T), 6))
+            I[:, 0], I[:, 1] = nearest, axis_I[_nearest(axis_I, anchor.I, last)]
+            I[:, 2:4], I[:, 4:] = I_lo, I_hi[:, None]
             V = np.empty_like(I)
-            V[:, 0] = axis_V[_nearest(axis_V, vertex_r * I[:, 0], top)]
+            V[:, 0] = axis_V[_nearest(axis_V, vertex_r * nearest, top)]
             V[:, 1] = axis_V[_nearest(axis_V, anchor.V, top)]
             V[:, 2::2], V[:, 3::2] = axis_V[0], axis_V[top]
             value, scale = evaluate(T[:, None], I, V)
-        if np.any(value > rate_bound[:, None]) or np.any(scale > scale_bound[:, None]):
+        if (value > rate_bound[:, None]).any() or (scale > scale_bound[:, None]).any():
             raise IntegrityError(FAULT.format("T line"))
-    keep = reaches(rate_bound, scale_bound, value.max(), scale.max())
+    keep = reaches(rate_bound, scale_bound, value.max(), scale.max()).nonzero()[0]
     return lines[keep], rate_bound[keep], scale_bound[keep], allowance[keep]
 
 
@@ -330,11 +336,11 @@ def kept_rows(rate, w: float, params: ModelParameters, anchor: State, pair_T, pa
             limit = np.fmin(limit, caps[1][start : start + pairs])
             seeds[: len(T), 2] = axis_V[_nearest(axis_V, vertex[:, 0], len(axis_V) - 1)]
             value, scale = rate(T, I, seeds[: len(T)])
-            if np.any(value > bound) or np.any(scale > limit):
+            if (value > bound).any() or (scale > limit).any():
                 raise IntegrityError(FAULT.format("(T, I) row"))
-        peak = np.maximum(peak, np.max(value))
-        scale_peak = np.maximum(scale_peak, np.max(scale))
-        rows = np.flatnonzero(reaches(bound, limit, peak, scale_peak))
+        peak = np.maximum(peak, value.max())
+        scale_peak = np.maximum(scale_peak, scale.max())
+        rows = reaches(bound, limit, peak, scale_peak).nonzero()[0]
         found.append((start + rows, bound[rows], limit[rows]))
     rows, bound, limit = (np.concatenate(arrays) for arrays in zip(*found))
     keep = reaches(bound, limit, peak, scale_peak)[:, 0]

@@ -38,6 +38,7 @@ from .errors import (
 from .formats import (
     METHOD_TOKENS,
     Scenario,
+    _read_text,
     check_svg_size,
     parse_scenario,
     parse_sweep_spec,
@@ -313,7 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = Path(args.file)
     if not path.exists():
         raise ScenarioError("no such sweep-spec file", source=args.file)
-    spec = parse_sweep_spec(path.read_text(encoding="utf-8"), source=args.file)
+    spec = parse_sweep_spec(_read_text(path, args.file), source=args.file)
     grid = run_sweep(spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -247,12 +247,22 @@ def parse_sweep_spec(text: str, source: str = "<sweep>") -> SweepSpec:
         raise ScenarioError(str(exc), source=source) from exc
 
 
+def _read_text(path: Path, source: str) -> str:
+    """The text of a scenario or sweep-spec file, which must be UTF-8
+    whatever the locale (a leading byte-order mark is dropped); raises
+    ScenarioError if it is not."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", source=source) from None
+
+
 def bundled_scenarios() -> dict[str, str]:
     """Names of the scenario files shipped with the package."""
     out = {}
     for entry in resources.files("hcvdyn.data").iterdir():
         if entry.name.endswith(".scn"):
-            out[entry.name[: -len(".scn")]] = entry.read_text()
+            out[entry.name[: -len(".scn")]] = entry.read_text(encoding="utf-8")
     return out
 
 
@@ -260,7 +270,7 @@ def resolve_scenario_path(argument: str) -> str:
     """Scenario text for a CLI argument: a file path or a bundled name."""
     path = Path(argument)
     if path.exists():
-        return path.read_text()
+        return _read_text(path, argument)
     stem = argument[: -len(".scn")] if argument.endswith(".scn") else argument
     bundled = bundled_scenarios()
     if stem in bundled:

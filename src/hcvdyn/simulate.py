@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -83,10 +84,17 @@ class IntegratorConfig:
             raise ParameterError(f"t_end must be finite and nonnegative, got {self.t_end!r}")
         if not self.sample_every > 0:
             raise ParameterError(f"sample_every must be positive, got {self.sample_every!r}")
-        if not self.step > 0:
-            raise ParameterError(f"step must be positive, got {self.step!r}")
-        if not self.rel_tol > 0 or not self.abs_tol >= 0:
-            raise ParameterError("rel_tol must be positive and abs_tol nonnegative")
+        # An infinite step or tolerance would switch off substepping or
+        # error control.
+        if not 0 < self.step < math.inf:
+            raise ParameterError(f"step must be positive and finite, got {self.step!r}")
+        if not (0 < self.rel_tol < math.inf and 0 <= self.abs_tol < math.inf):
+            raise ParameterError(
+                f"rel_tol must be positive and abs_tol nonnegative, both finite, "
+                f"got {self.rel_tol!r} and {self.abs_tol!r}"
+            )
+        if not (isinstance(self.max_steps, Integral) and self.max_steps >= 0):
+            raise ParameterError(f"max_steps must be a nonnegative integer, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)

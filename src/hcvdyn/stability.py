@@ -637,7 +637,7 @@ def _region_counts(axis: np.ndarray, bound: float) -> np.ndarray:
 
 def _in_range(scale):
     """Raise DomainError unless every term scale is finite."""
-    if not np.isfinite(scale.max(initial=0.0)):
+    if not math.isfinite(scale.max(initial=0.0)):
         raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
 
 
@@ -658,18 +658,17 @@ def _e0_pairs(rate, V, T, I):
     end in exact arithmetic.  A term scale at an end that is not finite
     raises DomainError, and a rate at an end that differs from the V = 0
     rate by more than the margin of the pair's term scale raises
-    IntegrityError.
+    IntegrityError.  Callers set numpy's error state.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        dLdt, scale = rate(T, I, V)
-        dLdt, ends, scale = dLdt[:, :1], dLdt[:, 1:], scale[:, 1:]
-        _in_range(scale)
-        pair_tolerance = DEFAULT_TOLERANCES.certificate_margin * np.maximum(np.maximum(scale[:, :1], scale[:, 1:]), 1.0)
-        if np.any(np.abs(ends - dLdt) > pair_tolerance):
-            raise IntegrityError(
-                "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
-                "differs from the rate at V = 0 by more than the certificate margin"
-            )
+    dLdt, scale = rate(T, I, V)
+    dLdt, ends, scale = dLdt[:, :1], dLdt[:, 1:], scale[:, 1:]
+    _in_range(scale)
+    pair_tolerance = DEFAULT_TOLERANCES.certificate_margin * np.maximum(scale.max(axis=1, keepdims=True), 1.0)
+    if (np.abs(ends - dLdt) > pair_tolerance).any():
+        raise IntegrityError(
+            "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
+            "differs from the rate at V = 0 by more than the certificate margin"
+        )
     return dLdt, scale
 
 
@@ -686,7 +685,7 @@ def _whole_row_scale_peak(rate, near, scale_peak, axis_V):
     for start in range(0, len(T), rows):
         with np.errstate(over="ignore", invalid="ignore"):
             _, scale = _rate_in_range(rate, T[start : start + rows], I[start : start + rows], axis_V)
-        scale_peak = np.maximum(scale_peak, np.max(scale))
+        scale_peak = np.maximum(scale_peak, scale.max())
     return scale_peak
 
 
@@ -709,13 +708,15 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     (_region_counts).  _rowbounds.kept_lines bounds each line's rate and
     term scale over its (I, V) box in closed form and evaluates a few of
     its grid points; (T, I) pairs are built only on the lines those bounds
-    cannot rule out, and evaluated in row-major blocks.  For Estar,
-    _rowbounds.kept_rows then bounds each pair's rate and term scale over
-    the V axis and evaluates three of its grid points; only the V rows
-    those bounds cannot rule out are evaluated, against the whole V axis by
-    broadcasting (terms of T and I alone once per pair).  The report is the
-    one every point gives.  A rate or term scale above its line's or row's
-    bound raises IntegrityError.
+    cannot rule out, and evaluated in row-major blocks.  For Estar, each
+    pair is a V row, evaluated against the whole V axis by broadcasting
+    (terms of T and I alone once per pair).  Where the kept lines' rows
+    hold more points than one block, _rowbounds.kept_rows first bounds each
+    pair's rate and term scale over the V axis and evaluates three of its
+    grid points, and only the rows those bounds cannot rule out are
+    scanned; fewer rows cost less to scan whole than to bound.  The report
+    is the one every point gives.  A rate or term scale above its line's or
+    row's bound raises IntegrityError.
 
     For E0 the weight (1 - eta) beta T0 / c cancels every V term of dL/dt
     (Korobeinikov 2004), so a pair's rate at V = 0 is its rate at every V:
@@ -781,7 +782,7 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         axis_T = axis_I = _grid_axis(bound_TI, grid_points)
         axis_V = _grid_axis(bound_V, grid_points)
         counts = _region_counts(axis_T, bound_TI)
-    points_sampled = int(np.sum(counts)) * len(axis_V)
+    points_sampled = int(counts.sum()) * len(axis_V)
     rate = partial(_lyapunov_rate, params, target, anchor)
     w = _lyapunov_weight(params, target, anchor)
     if target == "E0":
@@ -799,13 +800,14 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     )
     # The pairs of the kept lines in row-major order, with their lines' bounds.
     size = counts[lines]
-    pair_T = np.repeat(axis_T[lines], size)[:, None]
-    pair_I = axis_I[np.arange(len(pair_T)) - np.repeat(np.cumsum(size) - size, size)][:, None]
-    cap_rate, cap_scale = np.repeat(line_rate, size)[:, None], np.repeat(line_scale, size)[:, None]
-    cap_allowance = np.repeat(line_allowance, size)
+    pair_T = axis_T[lines].repeat(size)[:, None]
+    pair_I = axis_I[np.arange(len(pair_T)) - (size.cumsum() - size).repeat(size)][:, None]
+    cap_rate, cap_scale = line_rate.repeat(size)[:, None], line_scale.repeat(size)[:, None]
+    cap_allowance = line_allowance.repeat(size)
     part = "T line"
-    if target == "Estar":
-        # The row bounds' seeds are three V per pair, in blocks of E0's size.
+    if target == "Estar" and len(pair_T) * len(axis_V) > _CERTIFICATE_BLOCK:
+        # Rows that fit in one block are cheaper to scan than to bound.  The
+        # row bounds' seeds are three V per pair, in blocks of E0's size.
         rows, cap_rate, cap_scale = _rowbounds.kept_rows(
             rate, w, params, anchor, pair_T, pair_I, (cap_rate, cap_scale), axis_V, max(1, _CERTIFICATE_BLOCK // 6)
         )
@@ -829,10 +831,10 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
         with np.errstate(over="ignore", invalid="ignore"):
             dLdt, term_scale = evaluate(T, I) if target == "E0" else evaluate(T, I, axis_V)
-        block_peak = np.max(dLdt, initial=-math.inf)
+        block_peak = dLdt.max(initial=-math.inf)
         peak = np.maximum(peak, block_peak)
-        scale_peak = np.maximum(scale_peak, np.max(term_scale, initial=0.0))
-        if np.any(dLdt > cap_rate[start : start + pairs]) or np.any(term_scale > cap_scale[start : start + pairs]):
+        scale_peak = np.maximum(scale_peak, term_scale.max(initial=0.0))
+        if (dLdt > cap_rate[start : start + pairs]).any() or (term_scale > cap_scale[start : start + pairs]).any():
             raise IntegrityError(_rowbounds.FAULT.format(part))
         tolerance = margin * max(1.0, float(scale_peak))
         if not block_peak <= tolerance:  # a NaN peak is scanned too

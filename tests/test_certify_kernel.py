@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 
 from conftest import draw_params, draw_supercritical_params
 from hcvdyn import SCENARIO_S1, SCENARIO_S2, ModelError, ModelParameters, State, certify_global
-from hcvdyn import stability
+from hcvdyn import _rowbounds, stability
 from hcvdyn.model import _field, _region
 from hcvdyn.stability import _grid_axis, _lyapunov_rate, _lyapunov_weight, _region_counts
-from test_certify_blocks import _report_or_error, plausible_params, reference_certificate
+from test_certify_blocks import SLICE_PARAMS, _report_or_error, plausible_params, reference_certificate
 from test_lyapunov import FAR_R_I_PARAMS
 
 # r_I far below r_T: the E0 grid has violations in many T-slices.
@@ -178,11 +178,41 @@ def assert_same_outcome(params, grid_points, target="Estar"):
     assert repr(got) == repr(ref)
 
 
+def assert_same_outcome_with_and_without_row_bounds(params, grid_points):
+    # E* bounds the kept lines' rows only when they hold more points than
+    # one block: at these grids mostly not, and always with a block of one
+    # V row unless a single pair is kept.
+    assert_same_outcome(params, grid_points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_CERTIFICATE_BLOCK", grid_points)
+        assert_same_outcome(params, grid_points)
+
+
 @settings(max_examples=150, deadline=None)
 @given(params=supercritical, grid_points=st.integers(1, 60))
 def test_estar_row_bounds_keep_the_report_on_supercritical_sets(params, grid_points):
     # Off the theorem slice; some of these grids have violations.
-    assert_same_outcome(params, grid_points)
+    assert_same_outcome_with_and_without_row_bounds(params, grid_points)
+
+
+@pytest.mark.parametrize("grid_points, bounded", [(20, False), (55, False), (140, True)])
+@pytest.mark.parametrize("params", [SCENARIO_S2, SLICE_PARAMS])
+def test_estar_bounds_rows_only_beyond_one_block(monkeypatch, params, grid_points, bounded):
+    # One to three T lines are kept on these sets: their 19 to 157 pairs
+    # fit in one block at N = 20 and 55 and are scanned whole, and the 251
+    # and 394 pairs at N = 140 do not and are bounded row by row.
+    ref = certify_global(params, "Estar", grid_points)
+    calls = []
+    kept_rows = _rowbounds.kept_rows
+
+    def counted(*args):
+        calls.append(len(args[4]))
+        return kept_rows(*args)
+
+    monkeypatch.setattr(_rowbounds, "kept_rows", counted)
+    assert repr(certify_global(params, "Estar", grid_points)) == repr(ref)
+    assert bool(calls) == bounded
+    assert all(pairs * grid_points > stability._CERTIFICATE_BLOCK for pairs in calls)
 
 
 def scaled(params, scale, time):
@@ -206,7 +236,7 @@ magnitudes = st.floats(-150.0, 150.0).map(lambda x: 10.0**x)
 @given(params=supercritical, scale=magnitudes, time=magnitudes, grid_points=st.integers(1, 40))
 def test_estar_row_bounds_keep_the_report_at_extreme_magnitudes(params, scale, time, grid_points):
     # Scaling keeps the draw supercritical.
-    assert_same_outcome(scaled(params, scale, time), grid_points)
+    assert_same_outcome_with_and_without_row_bounds(scaled(params, scale, time), grid_points)
 
 
 drawn = st.integers(0, 2**32 - 1).map(lambda seed: draw_params(np.random.default_rng(seed)))

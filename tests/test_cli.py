@@ -1,9 +1,13 @@
 """Command-line interface: outputs, file emission, exit-status contract."""
 
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conftest import OVERFLOWING_MINORS
 from test_lyapunov import FAR_R_I_PARAMS
 from test_stability import RESIDUAL_BREAKS_JACOBIAN
 
+import hcvdyn
 from hcvdyn import State, cli
 from hcvdyn.cli import main
 from hcvdyn.formats import Scenario, bundled_scenarios, render_scenario
@@ -314,6 +319,47 @@ def test_sweep_past_the_point_bound_exits_1_before_allocating(tmp_path, capsys):
 def test_sweep_missing_file_exits_1(capsys):
     assert main(["sweep", "/no/such/spec.swp"]) == 1
     assert "no such sweep-spec file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "simulate", "certify", "sweep"])
+def test_input_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, capsys, command):
+    # A Latin-1 name: a byte that no UTF-8 text holds, whatever the locale.
+    text = SWEEP_SPEC if command == "sweep" else S1_Q0_LOW_BETA
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("ascii") + 'name = "Hôpital"\n'.encode("latin-1"))
+    start = len(text) + len('name = "H')
+    out = tmp_path / "out.csv"
+    assert main([command, str(path), *(["--out", str(out)] if command in ("simulate", "sweep") else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: {path}: not UTF-8 text: invalid continuation byte at byte {start}"]
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    # Some editors start UTF-8 files with one.
+    text = SWEEP_SPEC if command == "sweep" else S1_Q0_LOW_BETA
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert main([command, str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main([command, str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_utf8_input_reads_the_same_whatever_the_locale(tmp_path):
+    # Under the C locale without UTF-8 mode the locale's encoding is ASCII,
+    # which cannot read the name's two-byte character.
+    path = tmp_path / "utf8.scn"
+    path.write_bytes(S1_Q0_LOW_BETA.encode("ascii") + 'name = "Hôpital"\n'.encode("utf-8"))
+    src = str(Path(hcvdyn.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "hcvdyn", "validate", str(path)], capture_output=True, env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert "scenario = Hôpital\n".encode("utf-8") in done.stdout
 
 
 @pytest.mark.parametrize("command, options", [

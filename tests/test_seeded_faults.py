@@ -167,12 +167,31 @@ def test_certificate_v_check_catches_a_fault_in_the_e0_weight(monkeypatch, param
         certify_global(params, "E0", 20)
 
 
+def bound_rows(monkeypatch, grid_points=20):
+    """Send E* through the row bounds at grid_points, and count their calls.
+
+    The kept lines' rows are bounded only when they hold more points than
+    one block, so a block of one V row takes every grid of more than one
+    kept pair there."""
+    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", grid_points)
+    kept_rows, calls = _rowbounds.kept_rows, []
+
+    def counted(*args):
+        calls.append(len(args[4]))
+        return kept_rows(*args)
+
+    monkeypatch.setattr(_rowbounds, "kept_rows", counted)
+    return calls
+
+
 @pytest.mark.parametrize("params", ESTAR_SETS)
 def test_certificate_row_bounds_catch_a_low_rate_bound(monkeypatch, params):
     # The E* certificate scans only the V rows whose bounds can reach its
     # peak or its tolerance, and checks every rate it evaluates against its
     # row's bound.  A bound ten allowances too low falls below the rate at
     # the end of a V row where that row peaks.
+    # On the seeded draw a line's seed is caught first (see below).
+    bound_rows(monkeypatch)
     monkeypatch.setattr(_rowbounds, "ALLOWANCE", -9 * _rowbounds.ALLOWANCE)
     with pytest.raises(IntegrityError, match="exceeds the bound of its"):
         certify_global(params, "Estar", 20)
@@ -189,9 +208,11 @@ def test_certificate_row_bounds_catch_a_low_scale_bound(monkeypatch, params):
         rate, scale, vertex = bounds(*args)
         return rate, 0.5 * scale, vertex
 
+    calls = bound_rows(monkeypatch)
     monkeypatch.setattr(_rowbounds, "bounds", halved)
-    with pytest.raises(IntegrityError, match="exceeds the bound of its"):
+    with pytest.raises(IntegrityError, match=r"exceeds the bound of its \(T, I\) row"):
         certify_global(params, "Estar", 20)
+    assert calls
 
 
 @pytest.mark.parametrize("params", ESTAR_SETS)
@@ -207,9 +228,11 @@ def test_certificate_row_bounds_catch_a_fault_in_a_scanned_row(monkeypatch, para
             scale = 2.0 * scale
         return value, scale
 
+    calls = bound_rows(monkeypatch)
     monkeypatch.setattr(stability, "_lyapunov_rate", doubled_on_rows)
-    with pytest.raises(IntegrityError, match="exceeds the bound of its"):
+    with pytest.raises(IntegrityError, match=r"exceeds the bound of its \(T, I\) row"):
         certify_global(params, "Estar", 20)
+    assert calls
 
 
 # The E0 sets, and E*'s seeded draw: on s2 no E* seed comes within 170
@@ -261,3 +284,22 @@ def test_certificate_checks_each_scanned_e0_pair_against_its_line(monkeypatch, p
     monkeypatch.setattr(_rowbounds, "kept_lines", halved_after_the_seeds)
     with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
         certify_global(params, "E0", 20)
+
+
+@pytest.mark.parametrize("params", ESTAR_SETS)
+def test_certificate_checks_each_scanned_estar_row_against_its_line(monkeypatch, params):
+    # At N = 20 the kept lines' rows fit in one block, so E* scans them
+    # without row bounds.  As for E0 above, the scan gets half the true
+    # scale bounds of the lines, which the rows of the line that holds the
+    # grid's scale peak pass.
+    kept_lines, kept_rows = _rowbounds.kept_lines, []
+
+    def halved_after_the_seeds(*args):
+        lines, rate, scale, allowance = kept_lines(*args)
+        return lines, rate, 0.5 * scale, allowance
+
+    monkeypatch.setattr(_rowbounds, "kept_lines", halved_after_the_seeds)
+    monkeypatch.setattr(_rowbounds, "kept_rows", lambda *args: kept_rows.append(args))
+    with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
+        certify_global(params, "Estar", 20)
+    assert kept_rows == []

@@ -52,6 +52,23 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", math.inf), ("rel_tol", math.inf), ("abs_tol", math.inf),
+    ("step", math.nan), ("rel_tol", math.nan), ("abs_tol", math.nan),
+    ("max_steps", -1), ("max_steps", 1.5), ("max_steps", 1e6), ("max_steps", math.inf),
+])
+def test_config_refuses_settings_that_switch_off_control(field, value):
+    # An infinite step is never subdivided, an infinite tolerance accepts
+    # every step, and a step budget is a count of steps.
+    with pytest.raises(ParameterError, match=field):
+        IntegratorConfig(**{field: value})
+
+
+def test_config_keeps_its_limits():
+    assert IntegratorConfig(abs_tol=0.0, max_steps=0).max_steps == 0
+    assert IntegratorConfig(max_steps=np.int64(7), rel_tol=1e300, step=1e300).max_steps == 7
+
+
 def test_asymptotic_bounds_reference_values():
     b1 = asymptotic_bounds(SCENARIO_S1, START)
     assert b1.t_tilde0 == pytest.approx(4375204.072113698, rel=1e-12)
