@@ -248,9 +248,11 @@ def parse_sweep_spec(text: str, source: str = "<sweep>") -> SweepSpec:
 
 
 def _read_text(path: Path, source: str) -> str:
-    """The text of a scenario or sweep-spec file, which must be UTF-8
-    whatever the locale (a leading byte-order mark is dropped); raises
-    ScenarioError if it is not."""
+    """The text of a scenario or sweep-spec file, which must be a regular
+    file of UTF-8 whatever the locale (a leading byte-order mark is
+    dropped); raises ScenarioError if it is not."""
+    if not path.is_file():
+        raise ScenarioError("not a regular file", source=source)
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:

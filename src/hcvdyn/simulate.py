@@ -1,13 +1,18 @@
 """Time integration with runtime invariant monitoring.
 
 Two integrators are provided: a classical fixed-step RK4 and an adaptive
-Dormand-Prince 5(4) pair with FSAL reuse and PI-free step control.  Both
-step exactly onto the sample cadence, so CSV output and invariant checks
-see the same time points regardless of method.  The stepping loops keep the
-state and each stage's slope in scalar locals (T, I, V; aT, aI, aV; ...),
-not tuples built over zip: most of a step's cost was that interpreter
-overhead, and each component repeats the same floating-point operations in
-the same order, so trajectories are bit for bit those of the tuple form.
+Dormand-Prince 5(4) pair with FSAL reuse and Gustafsson's PI step-size
+control (see _PI_BETA): an I-controller's step size oscillates about DP5's
+stability limit once the clearance rate c is large, and most of its
+rejected steps and negative dips came from that oscillation.  Both step
+exactly onto the sample cadence, so CSV output and invariant checks see
+the same time points regardless of method; a step cut short onto its
+sample time leaves the step size and the previous error as they were.
+The stepping loops keep the state and each stage's slope in scalar locals
+(T, I, V; aT, aI, aV; ...), not tuples built over zip: most of a step's
+cost was that interpreter overhead, and each component repeats the same
+floating-point operations in the same order, so trajectories are bit for
+bit those of the tuple form.
 The adaptive loop also reads its tableau, tolerances and math functions
 from locals, and takes each min and max as the comparison that returns
 what the builtin returned.
@@ -256,6 +261,16 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
+# Gustafsson's PI step-size control (Gustafsson 1991, ACM TOMS 17:533-554;
+# Hairer & Wanner, Solving ODEs II, section IV.2): an accepted step scales h by
+# 0.9 * err**-(0.2 - 0.75 * beta) * err_old**beta, at most 5, where err_old is
+# the previous accepted step's error, at least _PI_ERR_FLOOR; a rejected step
+# only shrinks h, by max(0.2, 0.9 * err**-(0.2 - 0.75 * beta)).
+_PI_BETA = 0.08
+_PI_EXPONENT = 0.2 - 0.75 * _PI_BETA
+_PI_ERR_FLOOR = 1e-4
+
+
 def _error_norm(*terms: tuple[float, float]) -> float:
     """RMS of error / scale over (error, scale) pairs, for when the plain sum raises.
 
@@ -358,6 +373,8 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
     E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
     abs_tol, rel_tol, max_steps, min_step = config.abs_tol, config.rel_tol, config.max_steps, _MIN_STEP
     isfinite, sqrt = math.isfinite, math.sqrt
+    beta, expo, err_floor = _PI_BETA, _PI_EXPONENT, _PI_ERR_FLOOR
+    err_old = err_floor
     h = min(config.sample_every, 1.0)
     aT, aI, aV = f(t, (T, I, V))
     for t_next in sample_times[1:]:
@@ -397,18 +414,25 @@ def integrate(params: ModelParameters, initial: State, config: IntegratorConfig 
                 err = sqrt(((xT / sT) ** 2 + (xI / sI) ** 2 + (xV / sV) ** 2) / 3.0)
             except (ZeroDivisionError, OverflowError):
                 err = _error_norm((xT, sT), (xI, sI), (xV, sV))
-            # max(0.2, x), also for a NaN err, whose factor is then 0.2.
-            factor = 0.9 * err**-0.2 if err != 0.0 else 5.0
-            factor = factor if factor > 0.2 else 0.2
             if err <= 1.0:
-                t = t_next if h_try >= left else t + h_try
                 T, I, V = nT, nI, nV
                 aT, aI, aV = kT, kI, kV
                 taken += 1
-                factor = factor if factor < 5.0 else 5.0
+                if h_try < h:
+                    # Cut short onto the sample time: h and err_old stay.
+                    t = t_next
+                else:
+                    t = t_next if h_try >= left else t + h_try
+                    # err <= 1 and err_old >= err_floor keep the factor above
+                    # 0.9 * err_floor**beta = 0.43, so only the upper clip applies.
+                    factor = 0.9 * err**-expo * err_old**beta if err != 0.0 else 5.0
+                    h = h_try * (factor if factor < 5.0 else 5.0)
+                    err_old = err if err > err_floor else err_floor
             else:
                 rejected += 1
-            h = h_try * factor
+                # max(0.2, x), also for a NaN err, whose factor is then 0.2.
+                factor = 0.9 * err**-expo
+                h = h_try * (factor if factor > 0.2 else 0.2)
             # A step onto its sample time may itself be below the minimum.
             if h < min_step and t < t_next:
                 raise fail(f"step size underflow ({h!r} < min_step) at t = {t!r}", taken, rejected)

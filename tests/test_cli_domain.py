@@ -6,7 +6,8 @@ Scenario files are drawn far outside the plausible ranges: each rate is
 log-uniform over [1e-300, 1e300], or exactly 0 where the model allows it,
 or the smallest subnormal 5e-324.  simulate is left out: its step count on
 such sets is unbounded, because an explicit integrator's step shrinks with
-the fastest rate.
+the fastest rate.  A directory given as the input file exits 1 as well, on
+every command that reads one.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,3 +72,15 @@ def test_every_command_exits_with_a_documented_code(scenario):
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (command, caught)
             if (command == ["analyze"] and code == 0) or (command[0] == "certify" and code != 1):
                 assert not NON_FINITE.search(out.getvalue()), (command, out.getvalue())
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_a_directory_as_input_exits_1_with_one_error_line(tmp_path, capsys, command):
+    # A directory passes the existence checks; reading it raised
+    # IsADirectoryError, which exited 4 like an I/O failure mid-run.
+    out = tmp_path / "out.csv"
+    argv = [command, str(tmp_path), *(["--out", str(out)] if command != "analyze" else [])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: {tmp_path}: not a regular file"]

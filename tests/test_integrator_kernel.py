@@ -1,7 +1,8 @@
 """The scalar stepping loops of integrate against the tuple-based reference.
 
 reference_integrate keeps the loops that preceded the scalar ones: each stage
-builds its state as a tuple over zip, and the error norm is a Python loop.
+builds its state as a tuple over zip, the error norm is a Python loop, and
+the PI step-size rule takes builtin min and max.
 The scalar loops repeat the same floating-point operations in the same
 order, so every sample, step count, benign dip and violation must be equal
 bit for bit.
@@ -33,6 +34,9 @@ from hcvdyn.simulate import (
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7,
     _MIN_STEP,
+    _PI_BETA,
+    _PI_ERR_FLOOR,
+    _PI_EXPONENT,
     _inside_omega,
     _Monitor,
     _sample_times,
@@ -118,6 +122,7 @@ def reference_integrate(params, initial, config):
         return result()
 
     h = min(config.sample_every, 1.0)
+    err_old = _PI_ERR_FLOOR
     k1 = f(t, y)
     for t_next in sample_times[1:]:
         while t < t_next:
@@ -160,11 +165,14 @@ def reference_integrate(params, initial, config):
                 y = y_new
                 k1 = k7
                 stats["taken"] += 1
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+                # A step cut short onto its sample time leaves h and err_old.
+                if h_try == h:
+                    pi = 0.9 * err**-_PI_EXPONENT * err_old**_PI_BETA if err != 0.0 else 5.0
+                    h = h_try * min(5.0, max(0.2, pi))
+                    err_old = max(err, _PI_ERR_FLOOR)
             else:
                 stats["rejected"] += 1
-                factor = max(0.2, 0.9 * err**-0.2)
-            h = h_try * factor
+                h = h_try * max(0.2, 0.9 * err**-_PI_EXPONENT)
             if h < _MIN_STEP:
                 return result("underflow")
             if stats["taken"] + stats["rejected"] > config.max_steps:
