@@ -38,6 +38,7 @@ from .errors import (
 from .formats import (
     METHOD_TOKENS,
     Scenario,
+    _name_text,
     _read_text,
     check_svg_size,
     parse_scenario,
@@ -86,8 +87,7 @@ def _fmt(value) -> str:
 
 
 def _emit(pairs: list[tuple[str, object]], fh: IO[str]) -> None:
-    for key, value in pairs:
-        fh.write(f"{key} = {_fmt(value)}\n")
+    fh.write("".join(f"{key} = {_fmt(value)}\n" for key, value in pairs))
 
 
 def _load_scenario(argument: str) -> Scenario:
@@ -112,7 +112,7 @@ def _analysis_pairs(scenario: Scenario, machine: bool) -> list[tuple[str, object
     existence = report.existence
     pairs: list[tuple[str, object]] = []
     if scenario.name is not None:
-        pairs.append(("scenario", scenario.name))
+        pairs.append(("scenario", _name_text(scenario.name)))
 
     delta = scenario.params.d_I + scenario.params.q
     pairs += [
@@ -329,7 +329,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     warnings = validate_params(scenario.params)
     pairs: list[tuple[str, object]] = [("ok", True)]
     if scenario.name is not None:
-        pairs.append(("scenario", scenario.name))
+        pairs.append(("scenario", _name_text(scenario.name)))
     pairs.append(("warnings", len(warnings)))
     for warning in warnings:
         pairs.append(("warning", warning))

@@ -12,7 +12,7 @@ D, H and F, which cross-checks the quadratic route whenever it is defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError
 from .model import (
@@ -210,7 +210,11 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     existence_condition, threshold_T, a rejected root, a kept root's I* or
     V*, or the radical route is not finite.
     """
-    cons = derive_constants(params)
+    return ExistenceReport(**_infected_fields(params, derive_constants(params)))
+
+
+def _infected_fields(params: ModelParameters, cons: DerivedConstants) -> dict:
+    """infected_equilibrium's report fields, as keyword arguments."""
     a, b, d = equilibrium_quadratic(params, cons)
     threshold_T = None
     if cons.A != params.r_I:
@@ -291,7 +295,7 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} is not finite: {value!r}")
 
-    return ExistenceReport(
+    return dict(
         existence_condition=d,
         threshold_T=threshold_T,
         regime=regime,
@@ -302,31 +306,34 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     )
 
 
-def existence_regime(params: ModelParameters) -> ExistenceReport:
+def existence_regime(
+    params: ModelParameters, constants: DerivedConstants | None = None
+) -> ExistenceReport:
     """Existence analysis annotated with every published criterion verdict.
 
     Each criterion is evaluated as stated by its source, without checking
     the source's own standing assumptions, and compared against the verified
     root count; contradictions are listed in disagreements rather than
     raised, because reproducing them is part of this package's contract.
-    E0 is computed once and returned in e0_point.  Raises DomainError when
-    r0 is not finite, and infected_equilibrium's errors.
+    E0 is computed once and returned in e0_point; constants, when given,
+    are derive_constants(params).  Raises DomainError when r0 is not
+    finite, and infected_equilibrium's errors.
     """
     from .reproduction import r0_from_T0
 
     # derive_constants (infected_equilibrium's first step) raises first, then
     # E0 and r0, then the rest of infected_equilibrium: a non-finite r0 is
     # reported before the report's non-finite fields.
-    cons = derive_constants(params)
+    cons = constants if constants is not None else derive_constants(params)
     e0 = uninfected_equilibrium(params)
     T0 = e0.state.T
     R0 = r0_from_T0(params, T0)
-    report = infected_equilibrium(params)
-    exists = report.regime == REGIME_UNIQUE
+    fields = _infected_fields(params, cons)
+    exists = fields["regime"] == REGIME_UNIQUE
 
     criteria = {
         "r0_above_one": R0 > 1.0,
-        "constant_term_positive": report.existence_condition > 0.0,
+        "constant_term_positive": fields["existence_condition"] > 0.0,
         "infection_pressure_exceeds_r_I": cons.A > params.r_I,
         "r0_below_r_I_over_delta": R0 < params.r_I / cons.delta if cons.delta > 0 else False,
     }
@@ -339,14 +346,15 @@ def existence_regime(params: ModelParameters) -> ExistenceReport:
 
     # The sign-change threshold has a second derivation through R0; both must
     # agree when delta*R0 != r_I.
-    if report.threshold_T is not None and cons.delta > 0:
+    threshold_T = fields["threshold_T"]
+    if threshold_T is not None and cons.delta > 0:
         denom = params.r_I - cons.delta * R0
         if denom != 0.0:
             alt = (params.r_I - cons.delta) * T0 / denom
-            scale = max(abs(report.threshold_T), abs(alt), 1.0)
-            if abs(alt - report.threshold_T) > 1e-6 * scale:
+            scale = max(abs(threshold_T), abs(alt), 1.0)
+            if abs(alt - threshold_T) > 1e-6 * scale:
                 disagreements.append("threshold_T_routes")
 
-    return replace(
-        report, r0=R0, criteria=criteria, disagreements=tuple(disagreements), e0_point=e0
+    return ExistenceReport(
+        **fields, r0=R0, criteria=criteria, disagreements=tuple(disagreements), e0_point=e0
     )

@@ -156,17 +156,21 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     return Scenario(params=params, initial=initial, **options)
 
 
+def _name_text(name: str) -> str:
+    """A scenario name as its `name = ...` line writes it: as is where the
+    line parses back to the name (one line, no comment, no surrounding
+    whitespace), else a JSON string with # escaped."""
+    plain = name == name.strip() and "#" not in name and not name.startswith('"')
+    if not plain or len((name + ".").splitlines()) > 1:
+        return json.dumps(name).replace("#", "\\u0023")
+    return name
+
+
 def render_scenario(scenario: Scenario) -> str:
     """Render a scenario back to file text; parse(render(s)) == s."""
     lines = []
-    name = scenario.name
-    if name is not None:
-        # As is where the line parses back to the name: one line, no comment,
-        # no surrounding whitespace.  Else quoted, with # escaped.
-        plain = name == name.strip() and "#" not in name and not name.startswith('"')
-        if not plain or len((name + ".").splitlines()) > 1:
-            name = json.dumps(name).replace("#", "\\u0023")
-        lines.append(f"name = {name}")
+    if scenario.name is not None:
+        lines.append(f"name = {_name_text(scenario.name)}")
     for key in PARAMETER_NAMES:
         lines.append(f"{key} = {getattr(scenario.params, key)!r}")
     for key, value in zip(STATE_KEYS, scenario.initial):

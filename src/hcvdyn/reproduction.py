@@ -80,8 +80,9 @@ def r0_spectral(params: ModelParameters) -> NextGenDecomposition:
     return _next_generation(params, T0)
 
 
-def _next_generation(params: ModelParameters, T0: float) -> NextGenDecomposition:
-    """r0_spectral at a given infection-free level T0."""
+def _next_generation(params: ModelParameters, T0: float, R0: float | None = None) -> NextGenDecomposition:
+    """r0_spectral at a given infection-free level T0; R0, when given, is
+    r0_from_T0(params, T0) computed already."""
     delta = params.d_I + params.q
     if params.c * delta == 0:
         raise DomainError("transfer matrix is singular when d_I + q = 0 or c (d_I + q) underflows to 0")
@@ -99,7 +100,7 @@ def _next_generation(params: ModelParameters, T0: float) -> NextGenDecomposition
 
     checked = DF_00 >= 0.0 and DF_01 >= 0.0
     if checked:
-        closed = r0_from_T0(params, T0)
+        closed = r0_from_T0(params, T0) if R0 is None else R0
         if abs(closed - rho) > DEFAULT_TOLERANCES.r0_agreement * max(1.0, abs(closed)):
             raise IntegrityError(
                 f"spectral radius {rho!r} disagrees with closed-form r0 {closed!r}"

@@ -39,7 +39,6 @@ from .model import (
     _quadratic_roots,
     _region,
     derive_constants,
-    jacobian,
 )
 from .reproduction import _next_generation, r0_from_T0
 from .tolerances import DEFAULT_TOLERANCES
@@ -195,18 +194,16 @@ def _uninfected_local(params: ModelParameters, T0: float) -> LocalReport:
     p_eff = (1.0 - params.epsilon) * params.p
     delta = params.d_I + params.q
     block_11 = params.r_I * (1.0 - T0 / params.T_max) - delta
-    J = np.array(
-        [
-            [-params.s / T0 - params.r_T * T0 / params.T_max,
-             -params.r_T * T0 / params.T_max + params.q,
-             -b_eff * T0],
-            [0.0, block_11, b_eff * T0],
-            [0.0, p_eff, -params.c],
-        ]
+    J = (
+        (-params.s / T0 - params.r_T * T0 / params.T_max,
+         -params.r_T * T0 / params.T_max + params.q,
+         -b_eff * T0),
+        (0.0, block_11, b_eff * T0),
+        (0.0, p_eff, -params.c),
     )
-    _check_jacobian_agreement(J, jacobian(params, (T0, 0.0, 0.0)), "E0")
+    _check_jacobian_agreement(J, _jacobian_entries(params, T0, 0.0, 0.0), "E0")
 
-    lam1 = J[0, 0]
+    lam1 = J[0][0]
     trace2 = block_11 - params.c
     det2 = -params.c * block_11 - b_eff * T0 * p_eff
     # Where a product in det2 overflows, take the block at 2^-m (exact unless
@@ -223,23 +220,34 @@ def _uninfected_local(params: ModelParameters, T0: float) -> LocalReport:
         raise DomainError(f"E0 eigenvalues are not finite: {eigs!r}")
     band = DEFAULT_TOLERANCES.marginal_band
     classification = _classify((-lam1, band), (-trace2, band), (det2, band))
-    return LocalReport(jacobian=J, eigenvalues=eigs, classification=classification)
+    return LocalReport(jacobian=np.array(J), eigenvalues=eigs, classification=classification)
 
 
-def _check_jacobian_agreement(closed: np.ndarray, general: np.ndarray, label: str) -> None:
-    # Entries that are pure cancellation (both routes far below the matrix
-    # scale) are compared against that scale instead of their own magnitude.
-    # A non-finite entry gives a NaN here, which the caller's finiteness
-    # checks report.
-    scale = np.max(np.abs(general))
-    denom = np.maximum(np.abs(general), 1e-6 * scale)
-    with np.errstate(invalid="ignore"):
-        rel = np.max(np.abs(closed - general) / denom)
+def _nanmax(values: list[float]) -> float:
+    """max of floats, NaN where any value is NaN, as np.max gives."""
+    return math.nan if any(x != x for x in values) else max(values)
+
+
+def _check_jacobian_agreement(closed, general, label: str) -> None:
+    # Rows of floats.  Entries that are pure cancellation (both routes far
+    # below the matrix scale) are compared against that scale instead of
+    # their own magnitude.  x/0 reads inf; 0/0 and a non-finite entry give
+    # a NaN, which passes here and which the caller's finiteness checks report.
+    pairs = [(abs(a - g), abs(g)) for row_a, row_g in zip(closed, general) for a, g in zip(row_a, row_g)]
+    floor = 1e-6 * _nanmax([g for _, g in pairs])
+    rel = _nanmax([d / max(g, floor) if max(g, floor) else d * math.inf for d, g in pairs])
     if rel > DEFAULT_TOLERANCES.jacobian_agreement:
         raise IntegrityError(
-            f"specialised J({label}) deviates from the general Jacobian by "
-            f"relative {float(rel)!r}"
+            f"specialised J({label}) deviates from the general Jacobian by relative {rel!r}"
         )
+
+
+def _infected_state(estar: State | EquilibriumPoint) -> State:
+    """The state of E*; raises DomainError unless T* and I* are positive."""
+    st = _as_state(estar)
+    if st.T <= 0 or st.I <= 0:
+        raise DomainError("infected equilibrium must have positive T* and I*")
+    return st
 
 
 def infected_jacobian(params: ModelParameters, estar: State | EquilibriumPoint) -> np.ndarray:
@@ -249,25 +257,24 @@ def infected_jacobian(params: ModelParameters, estar: State | EquilibriumPoint) 
     diagonal, then verifies the result against the general Jacobian with
     the field's residual at E* added back (_residual_jacobian_entries).
     """
-    st = _as_state(estar)
-    if st.T <= 0 or st.I <= 0:
-        raise DomainError("infected equilibrium must have positive T* and I*")
-    cons = derive_constants(params)
+    st = _infected_state(estar)
+    return np.array(_infected_rows(params, derive_constants(params).A, st, _residual_jacobian_entries(params, *st)))
+
+
+def _infected_rows(params, A, st, general):
+    """Rows of J(E*) at st from the steady-state identities, checked against general."""
     b_eff = (1.0 - params.eta) * params.beta
-    p_eff = (1.0 - params.epsilon) * params.p
     T_max = params.T_max
-    J = np.array(
-        [
-            [-(params.s + params.q * st.I) / st.T - params.r_T * st.T / T_max,
-             params.q - params.r_T * st.T / T_max,
-             -b_eff * st.T],
-            [(cons.A - params.r_I) * st.I / T_max,
-             -(cons.A * st.T + params.r_I * st.I) / T_max,
-             b_eff * st.T],
-            [0.0, p_eff, -params.c],
-        ]
+    J = (
+        (-(params.s + params.q * st.I) / st.T - params.r_T * st.T / T_max,
+         params.q - params.r_T * st.T / T_max,
+         -b_eff * st.T),
+        ((A - params.r_I) * st.I / T_max,
+         -(A * st.T + params.r_I * st.I) / T_max,
+         b_eff * st.T),
+        (0.0, (1.0 - params.epsilon) * params.p, -params.c),
     )
-    _check_jacobian_agreement(J, np.array(_residual_jacobian_entries(params, *st)), "Estar")
+    _check_jacobian_agreement(J, general, "Estar")
     return J
 
 
@@ -287,19 +294,13 @@ def _residual_jacobian_entries(params, T, I, V):
     return (j00 - f_T / T, j01, j02), (j10 + g, j11 - (f_I + T * g) / I, j12), row2
 
 
-def _principal_minors(J: np.ndarray) -> tuple[float, float, float]:
-    """(-trace, sum of principal 2x2 minors, -det) of a 3x3 matrix."""
-    a1 = -(J[0, 0] + J[1, 1] + J[2, 2])
-    a2 = (
-        J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        + J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
-        + J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1]
-    )
-    a3 = -(
-        J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
-        + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0])
-    )
+def _principal_minors(J) -> tuple[float, float, float]:
+    """(-trace, sum of principal 2x2 minors, -det) of a 3x3 matrix given by
+    its rows; the entries may be floats or arrays."""
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    a1 = -(j00 + j11 + j22)
+    a2 = j00 * j11 - j01 * j10 + j00 * j22 - j02 * j20 + j11 * j22 - j12 * j21
+    a3 = -(j00 * (j11 * j22 - j12 * j21) - j01 * (j10 * j22 - j12 * j20) + j02 * (j10 * j21 - j11 * j20))
     return a1, a2, a3
 
 
@@ -313,19 +314,18 @@ def characteristic_coefficients(
     (_residual_jacobian_entries); disagreement beyond the integrity ceiling
     raises IntegrityError rather than returning silently wrong coefficients.
     """
-    st = _as_state(estar)
-    if st.T <= 0 or st.I <= 0:
-        raise DomainError("infected equilibrium must have positive T* and I*")
-    cons = derive_constants(params)
+    st = _infected_state(estar)
+    return _coefficients(params, derive_constants(params), st, _residual_jacobian_entries(params, *st))
+
+
+def _coefficients(params, cons, st, general) -> CharacteristicCoefficients:
+    """characteristic_coefficients at st, checked against the minors of the rows general."""
     if not (0.0 < params.T_max * params.T_max < math.inf and st.T * params.T_max > 0.0):
         raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
-    # The minors come from numpy: overflow there prints no RuntimeWarning.
-    general = np.array(_residual_jacobian_entries(params, *st))
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2, m3 = map(float, _principal_minors(general))
-    # An overflowing minor gives a NaN difference; np.max keeps it and it fails.
-    rel = float(np.max([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))]))
+    m1, m2, m3 = _principal_minors(general)
+    # An overflowing minor gives a NaN difference; _nanmax keeps it and it fails.
+    rel = _nanmax([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))])
     if not rel <= DEFAULT_TOLERANCES.char_coeff_integrity:
         raise IntegrityError(
             f"closed-form characteristic coefficients deviate from the minor "
@@ -459,22 +459,20 @@ def infected_local(params: ModelParameters, estar: State | EquilibriumPoint) -> 
     characteristic coefficients; the classification is the Routh-Hurwitz
     verdict on the same coefficients.
     """
-    return _infected_local(params, estar)[2]
+    st = _infected_state(estar)
+    return _infected_local(params, derive_constants(params), st)[2]
 
 
-def _infected_local(
-    params: ModelParameters, estar: State | EquilibriumPoint
-) -> tuple[CharacteristicCoefficients, RouthHurwitzReport, LocalReport]:
-    """infected_local together with the coefficients and verdict behind it."""
-    coeffs = characteristic_coefficients(params, estar)
+def _infected_local(params: ModelParameters, cons, st: State):
+    """(coefficients, verdict, infected_local) at a positive E* state st; the
+    coefficients and J(E*) are checked against one set of
+    _residual_jacobian_entries rows."""
+    general = _residual_jacobian_entries(params, *st)
+    coeffs = _coefficients(params, cons, st, general)
     eigs = cubic_roots(coeffs.a1, coeffs.a2, coeffs.a3)
     verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3)
-    local = LocalReport(
-        jacobian=infected_jacobian(params, estar),
-        eigenvalues=eigs,
-        classification=verdict.classification,
-    )
-    return coeffs, verdict, local
+    J = np.array(_infected_rows(params, cons.A, st, general))
+    return coeffs, verdict, LocalReport(jacobian=J, eigenvalues=eigs, classification=verdict.classification)
 
 
 def _lyapunov_weight(params: ModelParameters, target: str, anchor: State) -> float:
@@ -881,10 +879,12 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
 def stability_report(params: ModelParameters) -> StabilityReport:
     """Assemble the full local-stability picture for one parameter set.
 
-    One pass: existence_regime computes E0 once, and its T0 feeds the local
-    analysis at E0 and the spectral r0.
+    One pass: the derived constants are computed once and passed down,
+    existence_regime computes E0 and r0 once, T0 feeds the local analysis
+    at E0 and the spectral r0, and r0 is the spectral r0's cross-check.
     """
-    existence = existence_regime(params)
+    cons = derive_constants(params)
+    existence = existence_regime(params, cons)
     T0 = existence.e0_point.state.T
     e0 = _uninfected_local(params, T0)
     flags = list(existence.disagreements)
@@ -892,14 +892,14 @@ def stability_report(params: ModelParameters) -> StabilityReport:
     estar = coeffs = verdict = estar_local_report = None
     if existence.regime == REGIME_UNIQUE:
         estar = existence.candidates[0]
-        coeffs, verdict, estar_local_report = _infected_local(params, estar)
+        coeffs, verdict, estar_local_report = _infected_local(params, cons, estar.state)
         max_re = max(z.real for z in estar_local_report.eigenvalues)
         if abs(max_re) > DEFAULT_TOLERANCES.marginal_band and verdict.classification != MARGINAL:
             eig_class = STABLE if max_re < 0 else UNSTABLE
             if eig_class != verdict.classification:
                 flags.append("routh_hurwitz_vs_eigenvalues")
 
-    spectral = _next_generation(params, T0)
+    spectral = _next_generation(params, T0, existence.r0)
     if not spectral.checked:
         flags.append("r0_spectral_unchecked")
     return StabilityReport(

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, file emission, exit-status contract."""
 
+import json
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from test_lyapunov import FAR_R_I_PARAMS
 from test_stability import RESIDUAL_BREAKS_JACOBIAN
 
 import hcvdyn
-from hcvdyn import State, cli
+from hcvdyn import SCENARIO_S2, State, cli
 from hcvdyn.cli import main
 from hcvdyn.formats import Scenario, bundled_scenarios, render_scenario
 
@@ -255,6 +256,28 @@ def test_analyze_reports_a_set_whose_e_star_residual_broke_the_jacobian_check(tm
     scn.write_text(render_scenario(Scenario(RESIDUAL_BREAKS_JACOBIAN, State(1e3, 2.0, 1.0))))
     assert main(["analyze", str(scn), "--machine"]) == 0
     assert any(line.startswith("routh_hurwitz = ") for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("command", [["analyze", "--machine"], ["analyze"], ["validate"]])
+@pytest.mark.parametrize("name", ["evil\nr0 = 99", "evil\rr0 = 99", "evil\u2028r0 = 99"])
+def test_a_name_with_a_line_break_prints_as_one_json_line(tmp_path, capsys, command, name):
+    scn = tmp_path / "evil.scn"
+    scn.write_text(render_scenario(Scenario(SCENARIO_S2, State(1e3, 2.0, 1.0), name=name)), encoding="utf-8")
+    assert main([command[0], str(scn), *command[1:]]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    scenario_lines = [line for line in lines if line.startswith("scenario = ")]
+    assert len(scenario_lines) == 1
+    assert json.loads(scenario_lines[0].removeprefix("scenario = ")) == name
+    assert not any(line.startswith("r0 = 99") or "\r" in line or "\u2028" in line for line in lines)
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_plain_name_prints_as_it_is(tmp_path, capsys, command):
+    scn = tmp_path / "plain.scn"
+    scn.write_text(render_scenario(Scenario(SCENARIO_S2, State(1e3, 2.0, 1.0), name="Höpital run 2")),
+                   encoding="utf-8")
+    assert main([command, str(scn)]) == 0
+    assert "scenario = Höpital run 2\n" in capsys.readouterr().out
 
 
 def test_certify_single_point_grid(capsys):

@@ -105,14 +105,13 @@ def test_radical_check_catches_a_fault_in_the_closed_form(monkeypatch, params):
 
 @pytest.mark.parametrize("params", E0_SETS)
 def test_e0_jacobian_check_catches_a_fault_in_the_general_jacobian(monkeypatch, params):
-    general = stability.jacobian
+    general = stability._jacobian_entries
 
-    def faulty_jacobian(*args):
-        J = general(*args)
-        J[1, 1] *= 1.0 + 10 * TOL.jacobian_agreement
-        return J
+    def faulty_entries(*args):
+        row0, (j10, j11, j12), row2 = general(*args)
+        return row0, (j10, j11 * (1.0 + 10 * TOL.jacobian_agreement), j12), row2
 
-    monkeypatch.setattr(stability, "jacobian", faulty_jacobian)
+    monkeypatch.setattr(stability, "_jacobian_entries", faulty_entries)
     with pytest.raises(IntegrityError, match=r"J\(E0\) deviates"):
         uninfected_local(params)
 

@@ -28,7 +28,7 @@ from hcvdyn import (
     stability_report,
     uninfected_local,
 )
-from hcvdyn import stability
+from hcvdyn import equilibria, model, stability
 from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 
@@ -119,6 +119,25 @@ def test_jacobian_check_still_catches_a_seeded_fault(monkeypatch):
     with pytest.raises(IntegrityError, match=r"J\(Estar\) deviates") as excinfo:
         infected_jacobian(RESIDUAL_BREAKS_JACOBIAN, point)
     assert float(str(excinfo.value).split()[-1]) == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_stability_report_derives_its_constants_and_e_star_rows_once(monkeypatch):
+    calls = {"derive_constants": 0, "_residual_jacobian_entries": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    derive = counted("derive_constants", model.derive_constants)
+    for module in (model, equilibria, stability):
+        monkeypatch.setattr(module, "derive_constants", derive)
+    monkeypatch.setattr(stability, "_residual_jacobian_entries",
+                        counted("_residual_jacobian_entries", stability._residual_jacobian_entries))
+    report = stability_report(SCENARIO_S2)
+    assert report.estar_present
+    assert calls == {"derive_constants": 1, "_residual_jacobian_entries": 1}
 
 
 @pytest.mark.parametrize(
