@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _not_finite, _refuse
 from .model import (
     DerivedConstants,
     ModelParameters,
@@ -88,43 +88,49 @@ class ExistenceReport:
     existence_regime."""
 
 
+# uninfected_equilibrium's refusals of T0 (0.0 where r_T = 0 and d_T = 0),
+# then of its residual: functions of the set, T0, residual and _residual_fails.
+_T0_REFUSALS = (
+    (DomainError, "no uninfected steady state: r_T = 0, d_T = 0 and s > 0",
+     lambda params, T0: (params.r_T <= 0) & (params.d_T <= 0) & (params.s != 0)),
+    (DomainError, "uninfected equilibrium T0 is not finite: {T0!r}", lambda params, T0: _not_finite(T0)),
+)
+_E0_REFUSALS = (
+    (DomainError, "vector field at T0 leaves the float range", lambda params, T0, residual, fails: fails & (residual == math.inf)),
+    (IntegrityError, f"uninfected equilibrium residual {{residual!r}} exceeds {DEFAULT_TOLERANCES.uninfected_residual!r}",
+     lambda params, T0, residual, fails: fails),
+    (DomainError, "uninfected equilibrium T0 underflows: the root is positive but below 5e-324",
+     lambda params, T0, *_: (T0 == 0.0) & (params.s > 0)),
+)
+
+
 def uninfected_equilibrium(params: ModelParameters) -> EquilibriumPoint:
     """Infection-free steady state (T0, 0, 0).
 
     T0 is the positive root of s + (r_T - d_T) T - (r_T/T_max) T^2 when
     r_T > 0, and s/d_T in the degenerate non-proliferating case r_T = 0.
-    Raises DomainError when no steady state exists (r_T = 0 with d_T = 0 and
-    s > 0: unbounded linear growth), r_T/T_max underflows to 0, T0 is not
-    finite (the root, or r_T/T_max, lies beyond the float range), the
-    vector field at T0 leaves the float range (residual inf), or s > 0 and
-    T0 is 0.0: the positive root then lies below the smallest subnormal,
-    and no float holds it.  s = 0 keeps T0 = 0.0.  A residual above the
-    tolerance raises IntegrityError unless a root lies within one ulp of T0
-    (_root_within_an_ulp); the residual is then reported as it is.
+    Refuses as positive_logistic_root, _T0_REFUSALS and _E0_REFUSALS write:
+    a residual above its tolerance is an IntegrityError unless a root lies
+    within one ulp of T0 (_root_within_an_ulp), and is then reported as it is.
     """
     if params.r_T > 0:
         T0 = positive_logistic_root(params.s, params.r_T - params.d_T, params.r_T / params.T_max)
-    elif params.d_T > 0:
-        T0 = params.s / params.d_T
-    elif params.s == 0:
-        T0 = 0.0
     else:
-        raise DomainError("no uninfected steady state: r_T = 0, d_T = 0 and s > 0")
-    if not math.isfinite(T0):
-        raise DomainError(f"uninfected equilibrium T0 is not finite: {T0!r}")
+        T0 = params.s / params.d_T if params.d_T > 0 else 0.0
+    _refuse(_T0_REFUSALS, params, T0)
     residual = residual_norm(params, (T0, 0.0, 0.0))
-    if residual > DEFAULT_TOLERANCES.uninfected_residual and not _root_within_an_ulp(
-        params, math.nextafter(T0, -math.inf), math.nextafter(T0, math.inf)
-    ):
-        if residual == math.inf:
-            raise DomainError("vector field at T0 leaves the float range")
-        raise IntegrityError(
-            f"uninfected equilibrium residual {residual!r} exceeds "
-            f"{DEFAULT_TOLERANCES.uninfected_residual!r}"
-        )
-    if T0 == 0.0 and params.s > 0:
-        raise DomainError("uninfected equilibrium T0 underflows: the root is positive but below 5e-324")
+    _refuse(_E0_REFUSALS, params, T0, residual, _residual_fails(params, T0, residual, math.nextafter))
     return EquilibriumPoint(kind="uninfected", state=State(T0, 0.0, 0.0), residual_norm=residual)
+
+
+def _residual_fails(params, T0, residual, nextafter):
+    """Whether the residual at T0 exceeds its tolerance and no root lies within
+    one ulp (at nextafter, math's or numpy's), bracketing only where it does."""
+    fails = residual > DEFAULT_TOLERANCES.uninfected_residual
+    if fails.any() if hasattr(fails, "any") else fails:
+        within = _root_within_an_ulp(params, nextafter(T0, -math.inf), nextafter(T0, math.inf))
+        fails = fails & (within == False)  # noqa: E712
+    return fails
 
 
 def _root_within_an_ulp(params, below, above):
@@ -197,6 +203,15 @@ def _radical_roots(params, cons, solve):
     return solve(*_radical(params, cons))
 
 
+# infected_equilibrium's refusals: of a kept root's I* and V*; of the radical
+# T*'s deviation from a unique E*; of each field of its report.
+_STATE_REFUSALS = ((DomainError, "infected equilibrium is not finite: I* = {I!r}, V* = {V!r}",
+                    lambda I, V: _not_finite(I) | _not_finite(V)),)
+_RADICAL_REFUSALS = ((IntegrityError, "radical T* {closed_T!r} deviates from quadratic root {T_star!r} by relative {closed_diff!r}",
+                      lambda closed_T, T_star, closed_diff: closed_diff > DEFAULT_TOLERANCES.t_star_radical),)
+_REPORT_REFUSALS = ((DomainError, "{name} is not finite: {value!r}", lambda name, value: _not_finite(value)),)
+
+
 def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     """Locate and verify infected steady states.
 
@@ -206,9 +221,8 @@ def infected_equilibrium(params: ModelParameters) -> ExistenceReport:
     Newton steps on the quadratic, completed to (T*, I*, V*) through the
     exact elimination relations, and accepted only with positive I*, V* and
     a vector-field residual within tolerance.  Finding no candidate is a
-    result (regime no_infected_eq), not an error.  Raises DomainError when
-    existence_condition, threshold_T, a rejected root, a kept root's I* or
-    V*, or the radical route is not finite.
+    result (regime no_infected_eq), not an error.  Refuses as
+    _STATE_REFUSALS, _RADICAL_REFUSALS and _REPORT_REFUSALS write.
     """
     return ExistenceReport(**_infected_fields(params, derive_constants(params)))
 
@@ -245,8 +259,7 @@ def _infected_fields(params: ModelParameters, cons: DerivedConstants) -> dict:
         if I <= 0.0 or V <= 0.0:
             rejected.append(T)
             continue
-        if not (math.isfinite(I) and math.isfinite(V)):
-            raise DomainError(f"infected equilibrium is not finite: I* = {I!r}, V* = {V!r}")
+        _refuse(_STATE_REFUSALS, I, V)
         state = State(T, I, V)
         res = residual_norm(params, state)
         if res > DEFAULT_TOLERANCES.equilibrium_residual:
@@ -283,17 +296,13 @@ def _infected_fields(params: ModelParameters, cons: DerivedConstants) -> dict:
             # lo; ties keep the +sqrt branch.
             closed_T = lo if abs(lo - T_star) < abs(closed_T - T_star) else closed_T
             closed_diff = abs(closed_T - T_star) / max(abs(T_star), 1e-300)
-            if closed_diff > DEFAULT_TOLERANCES.t_star_radical:
-                raise IntegrityError(
-                    f"radical T* {closed_T!r} deviates from quadratic root "
-                    f"{T_star!r} by relative {closed_diff!r}"
-                )
+            _refuse(_RADICAL_REFUSALS, closed_T, T_star, closed_diff)
 
     checked = [("existence_condition", d), ("threshold_T", threshold_T), ("closed_form_T", closed_T)]
     checked += [("closed_form_rel_diff", closed_diff)] + [("rejected_T_roots", T) for T in rejected]
     for name, value in checked:
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} is not finite: {value!r}")
+        if value is not None:
+            _refuse(_REPORT_REFUSALS, name, value)
 
     return dict(
         existence_condition=d,

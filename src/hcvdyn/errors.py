@@ -7,6 +7,10 @@ its exit-status contract.
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+from operator import or_
+
 
 class ModelError(Exception):
     """Base class for all errors raised by hcvdyn."""
@@ -63,3 +67,28 @@ class ScenarioError(ModelError, ValueError):
 
 class SweepError(ModelError, ValueError):
     """A sweep specification violates its invariants."""
+
+
+def _refuse(refusals, *args) -> None:
+    """Raise the first refusal whose predicate holds for args.
+
+    A refusal is an (exception class, message, failing predicate) triple;
+    a table of them lists one step's refusals in the order the scalar route
+    checks them, so the sweep kernel folds the same predicates over arrays
+    (_fails).  Predicates use comparisons, arithmetic, & and | only.  The
+    message is formatted with args under the predicate's parameter names.
+    """
+    for error, message, fails in refusals:
+        if fails(*args):
+            code = fails.__code__
+            raise error(message.format(**dict(zip(code.co_varnames[: code.co_argcount], args))))
+
+
+def _fails(refusals, *args):
+    """Where any of the refusals' predicates holds for args."""
+    return reduce(or_, (fails(*args) for _, _, fails in refusals))
+
+
+def _not_finite(x):
+    """x is inf or NaN, as a bool or a bool array (~ on a bool gives -2)."""
+    return (abs(x) < math.inf) == False  # noqa: E712

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
-from operator import add
+from operator import add, or_
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _not_finite, _refuse
 
 _NORMAL_MIN = 2.0**-1022
 
@@ -250,11 +250,14 @@ class DerivedConstants:
     """Quadratic constant of the radical form ((cells/ml)^2); None when H = 0."""
 
 
+# positive_logistic_root's refusal, a function of its coefficient k.
+_LOGISTIC_REFUSALS = ((DomainError, "quadratic coefficient must be positive, got {k!r}", lambda k: k <= 0),)
+
+
 def positive_logistic_root(s: float, g: float, k: float) -> float:
     """Largest root of s + g x - k x**2 for k > 0: u/a of _quadratic_roots
     where g counts as positive (copysign), else d/u; 0.0 when s = 0, g <= 0."""
-    if k <= 0:
-        raise DomainError(f"quadratic coefficient must be positive, got {k!r}")
+    _refuse(_LOGISTIC_REFUSALS, k)
     if s == 0.0 and g <= 0.0:
         return 0.0
     x1, x2 = _quadratic_roots(-k, g, s)
@@ -336,25 +339,28 @@ def _constant_F(params, delta, H):
     return 4.0 * params.q * (params.T_max * params.T_max) * (params.r_I - delta) / (params.r_I * params.r_T * H)
 
 
+# derive_constants' refusals at each step: of the rates, before _constants
+# divides by them; of H, before F divides by r_I r_T H; of the constants,
+# F among them where H != 0.
+_RATES_REFUSALS = ((DomainError, "derived constants require r_I r_T > 0, got r_T = {params.r_T!r}, r_I = {params.r_I!r}",
+                    lambda params: params.r_I * params.r_T <= 0),)
+_F_REFUSALS = ((DomainError, "radical constant F is undefined: r_I r_T H underflows to 0",
+                lambda params, H: (H != 0.0) & (params.r_I * params.r_T * H == 0.0)),)
+_CONSTANTS_REFUSALS = ((DomainError, "derived constants are not finite for this parameter set",
+                        lambda constants: reduce(or_, map(_not_finite, constants))),)
+
+
 def derive_constants(params: ModelParameters) -> DerivedConstants:
     """Compute the derived constants for a valid parameter set.
 
-    Raises DomainError when a constant is undefined or non-finite for the
-    given rates: the product of the proliferation rates must be positive
-    for H to exist.
+    Raises DomainError where _RATES_REFUSALS, _F_REFUSALS or
+    _CONSTANTS_REFUSALS hold: H needs r_I r_T > 0, for one.
     """
-    if params.r_I * params.r_T <= 0:
-        raise DomainError(
-            "derived constants require r_I r_T > 0, got "
-            f"r_T = {params.r_T!r}, r_I = {params.r_I!r}"
-        )
+    _refuse(_RATES_REFUSALS, params)
     theta, delta, A, H, D = _constants(params)
-    if H != 0.0 and params.r_I * params.r_T * H == 0.0:
-        raise DomainError("radical constant F is undefined: r_I r_T H underflows to 0")
+    _refuse(_F_REFUSALS, params, H)
     F = _constant_F(params, delta, H) if H != 0.0 else None
-    values = (theta, delta, A, H, D) + ((F,) if F is not None else ())
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError("derived constants are not finite for this parameter set")
+    _refuse(_CONSTANTS_REFUSALS, (theta, delta, A, H, D) + ((F,) if F is not None else ()))
     return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .equilibria import uninfected_equilibrium
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _not_finite, _refuse
 from .model import ModelParameters
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -38,19 +38,25 @@ class NextGenDecomposition:
     Watmough 2002); DF[0, 0] < 0 where T0 > T_max and r_I > 0."""
 
 
+# r0_from_T0's refusals of the set and T0, before R0 divides by c (d_I + q),
+# and of the R0 it computes.
+_R0_REFUSALS = (
+    (DomainError, "T0 must be positive, got {T0!r}", lambda params, T0: T0 <= 0),
+    (DomainError, "reproduction number is undefined when d_I + q = 0 or c (d_I + q) underflows to 0",
+     lambda params, T0: params.c * (params.d_I + params.q) == 0),
+)
+_R0_VALUE_REFUSALS = ((DomainError, "reproduction number is not finite: {R0!r}", lambda R0: _not_finite(R0)),)
+
+
 def r0_from_T0(params: ModelParameters, T0: float) -> float:
     """Closed-form reproduction number at an infection-free level T0.
 
     R0 = (r_I/delta)(1 - T0/T_max) + (1 - theta) beta T0 p / (c delta).
     Raises DomainError when T0 <= 0, or when R0 is undefined or not finite.
     """
-    if T0 <= 0:
-        raise DomainError(f"T0 must be positive, got {T0!r}")
-    if params.c * (params.d_I + params.q) == 0:
-        raise DomainError("reproduction number is undefined when d_I + q = 0 or c (d_I + q) underflows to 0")
+    _refuse(_R0_REFUSALS, params, T0)
     R0 = _r0_closed_form(params, T0)
-    if not math.isfinite(R0):
-        raise DomainError(f"reproduction number is not finite: {R0!r}")
+    _refuse(_R0_VALUE_REFUSALS, R0)
     return R0
 
 

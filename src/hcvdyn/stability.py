@@ -29,7 +29,7 @@ from .equilibria import (
     infected_equilibrium,
     uninfected_equilibrium,
 )
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, _refuse
 from .model import (
     ModelParameters,
     State,
@@ -304,6 +304,16 @@ def _principal_minors(J) -> tuple[float, float, float]:
     return a1, a2, a3
 
 
+# characteristic_coefficients' refusals: before the closed forms divide by
+# T_max**2 and T* T_max, and of their worst deviation from the minors.
+_RANGE_REFUSALS = ((DomainError, "characteristic coefficients need T_max**2 and T* T_max within the float range",
+                    lambda params, T: ((0.0 < params.T_max * params.T_max) & (params.T_max * params.T_max < math.inf)
+                                       & (T * params.T_max > 0.0)) == False),)  # noqa: E712
+_COEFFICIENT_REFUSALS = ((IntegrityError, "closed-form characteristic coefficients deviate from the minor expansion "
+                          "by relative {rel!r}",
+                          lambda rel: (rel <= DEFAULT_TOLERANCES.char_coeff_integrity) == False),)  # noqa: E712
+
+
 def characteristic_coefficients(
     params: ModelParameters, estar: State | EquilibriumPoint
 ) -> CharacteristicCoefficients:
@@ -320,17 +330,12 @@ def characteristic_coefficients(
 
 def _coefficients(params, cons, st, general) -> CharacteristicCoefficients:
     """characteristic_coefficients at st, checked against the minors of the rows general."""
-    if not (0.0 < params.T_max * params.T_max < math.inf and st.T * params.T_max > 0.0):
-        raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
+    _refuse(_RANGE_REFUSALS, params, st.T)
     a1, a2, a3 = _closed_coefficients(params, cons.A, cons.delta, st.T, st.I)
     m1, m2, m3 = _principal_minors(general)
     # An overflowing minor gives a NaN difference; _nanmax keeps it and it fails.
     rel = _nanmax([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))])
-    if not rel <= DEFAULT_TOLERANCES.char_coeff_integrity:
-        raise IntegrityError(
-            f"closed-form characteristic coefficients deviate from the minor "
-            f"expansion by relative {rel!r}"
-        )
+    _refuse(_COEFFICIENT_REFUSALS, rel)
     return CharacteristicCoefficients(
         a1=a1, a2=a2, a3=a3, minor_a1=m1, minor_a2=m2, minor_a3=m3, max_rel_diff=rel
     )

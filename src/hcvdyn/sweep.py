@@ -27,11 +27,10 @@ from .equilibria import (
     REGIME_UNIQUE,
     _infected_from_T,
     _radical_roots,
-    _root_within_an_ulp,
     equilibrium_quadratic,
     uninfected_equilibrium,
 )
-from .errors import ModelError, ParameterError, SweepError
+from .errors import ModelError, ParameterError, SweepError, _fails
 from .model import (
     _NORMAL_MIN,
     PARAMETER_NAMES,
@@ -47,6 +46,12 @@ from .model import (
 from .reproduction import _r0_closed_form, r0_from_T0
 from .stability import CharacteristicCoefficients, _closed_coefficients, _principal_minors, _residual_jacobian_entries
 from .tolerances import DEFAULT_TOLERANCES
+
+# The scalar route's refusals, which the kernel folds into its masks.
+from .equilibria import _E0_REFUSALS, _RADICAL_REFUSALS, _REPORT_REFUSALS, _STATE_REFUSALS, _T0_REFUSALS, _residual_fails
+from .model import _CONSTANTS_REFUSALS, _F_REFUSALS, _LOGISTIC_REFUSALS, _RATES_REFUSALS
+from .reproduction import _R0_REFUSALS, _R0_VALUE_REFUSALS
+from .stability import _COEFFICIENT_REFUSALS, _RANGE_REFUSALS
 
 # perfbench/tracing.py wraps these names in this module; keep them bound.
 from .equilibria import infected_equilibrium  # noqa: F401
@@ -94,6 +99,8 @@ class Axis:
     def __post_init__(self):
         if self.name not in PARAMETER_NAMES:
             raise SweepError(f"unknown parameter {self.name!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise SweepError(f"axis {self.name}: ends must be finite, got [{self.lo!r}, {self.hi!r}]")
         if not self.lo < self.hi:
             raise SweepError(f"axis {self.name}: need lo < hi, got [{self.lo!r}, {self.hi!r}]")
         if self.n < 2:
@@ -104,6 +111,8 @@ class Axis:
             raise SweepError(f"axis {self.name}: scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
             raise SweepError(f"axis {self.name}: log scale requires lo > 0, got {self.lo!r}")
+        if self.scale == "linear" and not math.isfinite(self.hi - self.lo):
+            raise SweepError(f"axis {self.name}: a linear axis needs a finite hi - lo, got [{self.lo!r}, {self.hi!r}]")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -239,8 +248,8 @@ def _residual(params, T, I, V):
 def _infected_candidate(params, cons, a, b, d, root, present):
     """One quadratic root through infected_equilibrium's polish and filters.
 
-    Returns (T, I, V, accepted, raises); raises marks cells whose non-finite
-    I* or V* makes infected_equilibrium raise.
+    Returns (T, I, V, accepted, raises); raises marks the cells where
+    _STATE_REFUSALS holds for a kept root.
     """
     bracket_hi = params.T_max * (1.0 + 1e-12)
     ok = present & (0.0 < root) & (root <= bracket_hi)
@@ -253,7 +262,7 @@ def _infected_candidate(params, cons, a, b, d, root, present):
     ok = ok & (0.0 < T) & (T <= bracket_hi)
     I, V = _infected_from_T(params, cons, T)
     ok &= ~(I <= 0.0) & ~(V <= 0.0)
-    raises = ok & ~(np.isfinite(I) & np.isfinite(V))
+    raises = ok & _fails(_STATE_REFUSALS, I, V)
     ok &= ~raises & ~(_residual(params, T, I, V) > DEFAULT_TOLERANCES.equilibrium_residual)
     return T, I, V, ok, raises
 
@@ -287,28 +296,22 @@ def _evaluate_grid(
         x1, x2, _ = _quadratic_roots_array(-k, g, params.s)
         root = np.where((params.s == 0.0) & (g <= 0.0), 0.0, np.where(np.copysign(1.0, g) > 0.0, x1, x2))
         T0 = np.where(proliferating, root, np.where(params.d_T > 0, params.s / params.d_T, 0.0))
-        ok = valid & ~(proliferating & (k <= 0))
-        ok &= proliferating | (params.d_T > 0) | (params.s == 0)
-        residual_fails = _residual(params, T0, 0.0, 0.0) > DEFAULT_TOLERANCES.uninfected_residual
-        if residual_fails.any():  # plausible grids skip the one-ulp bracket
-            below, above = np.nextafter(T0, -np.inf), np.nextafter(T0, np.inf)
-            residual_fails &= ~_root_within_an_ulp(params, below, above)
-        ok &= np.isfinite(T0) & ~residual_fails
-        ok &= ~(T0 <= 0) & (params.c * (params.d_I + params.q) != 0)
+        residual = _residual(params, T0, 0.0, 0.0)
+        ok = valid & ~(proliferating & _fails(_LOGISTIC_REFUSALS, k)) & ~_fails(_T0_REFUSALS, params, T0)
+        ok &= ~_fails(_E0_REFUSALS, params, T0, residual, _residual_fails(params, T0, residual, np.nextafter))
+        ok &= ~_fails(_R0_REFUSALS, params, T0)
         R0 = _r0_closed_form(params, T0)
-        ok &= np.isfinite(R0)
+        ok &= ~_fails(_R0_VALUE_REFUSALS, R0)
 
         wants_estar = "estar_T" in outputs or "delta2" in outputs
         regime = T = delta2 = math.nan
         unique, coefficients_ok = np.False_, np.True_
         if wants_estar or "regime" in outputs:
-            # derive_constants
+            # derive_constants; F is None where H = 0, so it is 0.0 there
             theta, delta, A, H, D = _constants(params)
-            F = _constant_F(params, delta, H)
-            ok &= (params.r_I > 0) & proliferating
-            for value in (theta, delta, A, H, D):
-                ok &= np.isfinite(value)
-            ok &= (H == 0.0) | np.isfinite(F)
+            F = np.where(H == 0.0, 0.0, _constant_F(params, delta, H))
+            ok &= ~_fails(_RATES_REFUSALS, params) & ~_fails(_F_REFUSALS, params, H)
+            ok &= ~_fails(_CONSTANTS_REFUSALS, (theta, delta, A, H, D, F))
             cons = DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)
 
             # infected_equilibrium
@@ -332,31 +335,23 @@ def _evaluate_grid(
             nearer = np.where(abs(other - T) < abs(closed - T), other, closed)
             closed_diff = abs(nearer - T) / np.maximum(abs(T), 1e-300)
             radical = (H != 0.0) & real
-            radical_raises = unique & radical & (closed_diff > DEFAULT_TOLERANCES.t_star_radical)
-            # Report fields that infected_equilibrium refuses when not finite.
+            ok &= ~(lo_raises | hi_raises | unique & radical & _fails(_RADICAL_REFUSALS, nearer, T, closed_diff))
+            # infected_equilibrium's report fields, 0.0 where the report holds none.
             threshold_T = params.T_max * (delta - params.r_I) / (A - params.r_I)
-            finite = np.isfinite(d) & ((A == params.r_I) | np.isfinite(threshold_T))
-            finite &= ~((count >= 1) & ~np.isfinite(lo)) & ~((count == 2) & ~np.isfinite(hi))
-            finite &= ~radical | np.isfinite(np.where(unique, nearer, closed))
-            finite &= ~(radical & unique) | np.isfinite(closed_diff)
-            ok &= ~lo_raises & ~hi_raises & ~radical_raises & finite
+            for value, present in ((d, True), (threshold_T, A != params.r_I), (lo, count >= 1), (hi, count == 2),
+                                   (np.where(unique, nearer, closed), radical), (closed_diff, radical & unique)):
+                ok &= ~_fails(_REPORT_REFUSALS, None, np.where(present, value, 0.0))
             unique = ok & unique
 
         if "delta2" in outputs:
             # characteristic_coefficients
             a1, a2, a3 = _closed_coefficients(params, A, delta, T, I)
-            J = np.array([
-                [np.broadcast_to(x, valid.shape) for x in row]
-                for row in _residual_jacobian_entries(params, T, I, V)
-            ])
-            m1, m2, m3 = _principal_minors(J)
+            m1, m2, m3 = _principal_minors(_residual_jacobian_entries(params, T, I, V))
             d1, d2, d3 = (
                 abs(a - m) / np.maximum(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))
             )
             rel = np.maximum(np.maximum(d1, d2), d3)
-            coefficients_ok = rel <= DEFAULT_TOLERANCES.char_coeff_integrity
-            T_max2 = params.T_max * params.T_max
-            coefficients_ok &= (0.0 < T_max2) & (T_max2 < math.inf) & (T * params.T_max > 0.0)
+            coefficients_ok = ~_fails(_RANGE_REFUSALS, params, T) & ~_fails(_COEFFICIENT_REFUSALS, rel)
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2
 
     columns = {

@@ -11,6 +11,7 @@ not share code with.
 from __future__ import annotations
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -72,6 +73,30 @@ def pytest_runtest_makereport(item, call):
         if report.failed and number not in CRITERION_LINES:
             record_criterion(number, item.name, passed=False)
     return report
+
+
+# Every test's call is bounded in wall time, so that a hang fails rather
+# than stalling the suite: a wrong integrator stage runs on toward its
+# 50,000,000-step budget.  The slowest test takes about 7 s.  pytest-timeout
+# is not installed; SIGALRM serves where the platform has it.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -339,6 +339,24 @@ def test_sweep_past_the_point_bound_exits_1_before_allocating(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("axis, message", [
+    # hi - lo overflows: the cells read nan,nan,invalid_params with exit 0.
+    ("c -1e308 1e308 3 linear", "axis1: axis c: a linear axis needs a finite hi - lo, got [-1e+308, 1e+308]"),
+    ("c 1.0 inf 3 linear", "axis1: must be finite, got 'inf'"),
+])
+def test_sweep_axis_with_a_non_finite_span_or_end_exits_1(tmp_path, capsys, axis, message):
+    spec = tmp_path / "grid.swp"
+    spec.write_text(SWEEP_SPEC.replace("axis1 = eta 0.0 1.0 3 linear", f"axis1 = {axis}"))
+    target = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", str(spec), "--out", str(target)]) == 1
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {spec}:14: {message}"]
+
+
 def test_sweep_missing_file_exits_1(capsys):
     assert main(["sweep", "/no/such/spec.swp"]) == 1
     assert "no such sweep-spec file" in capsys.readouterr().err

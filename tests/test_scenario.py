@@ -278,6 +278,10 @@ def test_svg_renders_a_single_polyline_with_extremes():
     assert 'width="640"' in svg and 'height="400"' in svg
     assert f"{ys.min():.6g}" in svg and f"{ys.max():.6g}" in svg
     assert ">T</text>" in svg
+    # The geometry: a 70 px margin, x from xs' range and y from ys' range,
+    # flipped so that larger values sit higher.
+    svg = render_line_svg((0.0, 1.0, 2.0), (0.0, 1.0, 0.5), "T", width=640, height=400)
+    assert 'points="70.00,330.00 320.00,70.00 570.00,200.00"' in svg
 
 
 @pytest.mark.parametrize("width, height", [(0, 500), (-10, 500), (140, 500), (800, 140), (800, -1)])

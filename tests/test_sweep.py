@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -34,6 +35,28 @@ def test_axis_validation():
         Axis(name="beta", lo=1e-8, hi=1e-6, n=3, scale="cubic")
     with pytest.raises(SweepError):
         Axis(name="beta", lo=0.0, hi=1e-6, n=3, scale="log")
+
+
+@pytest.mark.parametrize("lo, hi, scale, message", [
+    # An infinite end made every value nan or inf, the finite lo included.
+    (1.0, math.inf, "linear", "ends must be finite"),
+    (1.0, math.inf, "log", "ends must be finite"),
+    (-math.inf, 1.0, "linear", "ends must be finite"),
+    (math.nan, 1.0, "linear", "ends must be finite"),
+    # hi - lo overflows: linspace gave [nan, inf, 1e308] for a middle of 0.0.
+    (-1e308, 1e308, "linear", "finite hi - lo"),
+])
+def test_axis_refuses_non_finite_ends_and_spans(lo, hi, scale, message):
+    with pytest.raises(SweepError, match=message):
+        Axis(name="c", lo=lo, hi=hi, n=3, scale=scale)
+
+
+def test_axis_keeps_wide_finite_spans():
+    # A log axis has no span to overflow, and a linear one just inside the
+    # float range keeps every point finite.
+    assert Axis(name="c", lo=1e-300, hi=1e300, n=3, scale="log").values().tolist() == [1e-300, 1.0, 1e300]
+    values = Axis(name="c", lo=-8e307, hi=8e307, n=3).values().tolist()
+    assert values == [-8e307, 0.0, 8e307]
 
 
 def test_axis_values():
