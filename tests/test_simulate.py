@@ -254,26 +254,40 @@ def test_invariant_rescan_matches_online_log():
     assert summary.benign_dips == traj.benign_dips
 
 
+# A drawn set whose I, cleared at d_I = 4.5 per day, dips below zero at
+# every abs_tol below: by about abs_tol / 20 (4.8e-12, 4.8e-10, 4.9e-8).
+DIPPING_PARAMS = ModelParameters(
+    s=31.715263998057274, r_T=0.030429900818502564, r_I=0.06076572089420404,
+    d_T=0.003698212236315526, d_I=4.512318950054784, T_max=184363.57450394228,
+    beta=3.586775623626659e-07, p=12.495593714383618, c=0.1319370337449619,
+    q=0.2776725776807703, eta=0.5467180737174006, epsilon=0.04512716556577467,
+)
+
+
 @pytest.mark.parametrize("abs_tol", [1e-10, 1e-8, 1e-6])
 def test_invariant_summary_follows_the_runs_tolerance(abs_tol):
     # The summary used to re-scan the samples with a fixed dip tolerance of
     # 1e-10, so at a looser abs_tol it counted the run's benign dips as
     # negativity violations.
-    params = replace(SCENARIO_S2, c=22.0)
-    traj = integrate(params, START, IntegratorConfig(abs_tol=abs_tol))
+    traj = integrate(DIPPING_PARAMS, START, IntegratorConfig(abs_tol=abs_tol))
     summary = check_invariants(traj)
     assert summary.counts["negativity"] == 0
     assert summary.benign_dips == traj.benign_dips > 0
+    if abs_tol > 1e-10:
+        assert traj.states.min() < -1e-10
 
 
 def test_a_dense_benchmark_c_logs_no_dip_beyond_abs_tol():
     # One of the 13 c values of the simulate benchmark's dense runs that
     # exited 2 under the I-controller (5120 + 1926 steps, one negativity
-    # violation at t = 63): the PI rule keeps its dips within abs_tol.  The
-    # monitor's verdict and the step counts of that run are pinned.
+    # violation at t = 63): the PI rule kept its dips within abs_tol (4929 +
+    # 5 steps, 969 benign dips).  Taking V's clearance exactly once V is
+    # within abs_tol frees the step size from DP5's stability limit, and the
+    # dips go.  The monitor's verdict and the step counts of that run are
+    # pinned.
     params = replace(SCENARIO_S2, c=14.589615372592593)
     traj = integrate(params, START, IntegratorConfig(t_end=1000.0))
-    assert (traj.steps_taken, traj.steps_rejected, traj.benign_dips) == (4929, 5, 969)
+    assert (traj.steps_taken, traj.steps_rejected, traj.benign_dips) == (1294, 5, 0)
     assert traj.violation_log == ()
 
 
@@ -281,7 +295,9 @@ def test_dense_runs_near_the_stability_limit_rarely_reject():
     # The simulate benchmark's dense runs: s2 at the midpoints of 117
     # log-uniform slices of c in [0.8, 22], daily samples.  The I-controller
     # rejected 12 % of its attempts there, as its step size oscillated about
-    # DP5's stability limit, and 13 runs logged negativity violations.
+    # DP5's stability limit, and 13 runs logged negativity violations; the
+    # PI rule left 2 (c = 3.75 and 4.08), which the gated integrating factor
+    # removes.
     attempts = rejected = 0
     violating = []
     for k in range(117):
@@ -292,7 +308,35 @@ def test_dense_runs_near_the_stability_limit_rarely_reject():
         if traj.violation_log:
             violating.append(c)
     assert rejected <= 0.01 * attempts
-    assert len(violating) <= 2
+    assert violating == []
+
+
+@pytest.mark.parametrize("c, most", [(0.5, 873), (2.0, 1000), (22.0, 2000), (200.0, 10_000)])
+def test_one_sample_runs_stop_growing_with_c(c, most):
+    # s2 with one sample at 1000 d.  DP5 caps h near 3.3 / c, so the plain
+    # loop took 6,841 + 5 steps at c = 22 and 60,594 + 6 at c = 200.  Once V
+    # is within abs_tol its clearance is taken exactly.  At c = 0.5, V never
+    # gets there, and the run is DP5's 868 + 5.
+    params = replace(SCENARIO_S2, c=c)
+    traj = integrate(params, START, IntegratorConfig(t_end=1000.0, sample_every=1000.0))
+    assert traj.steps_taken + traj.steps_rejected <= most
+    assert traj.violation_log == ()
+    assert convergence_report(params, traj).converged
+
+
+def test_s1_at_c_1_ends_at_lsodas_state():
+    # The PI rule used up 400,000 steps by t = 445 on this run: its V falls
+    # below abs_tol, where DP5 held h near its stability limit.  scipy's
+    # Radau diverged at these tolerances; LSODA does not.
+    from scipy.integrate import solve_ivp
+
+    params = replace(SCENARIO_S1, c=1.0)
+    traj = integrate(params, START, IntegratorConfig(t_end=1000.0, sample_every=1000.0, max_steps=2000))
+    assert traj.steps_taken + traj.steps_rejected < 2000
+    f = field_function(params)
+    ref = solve_ivp(lambda t, y: f(t, tuple(y)), (0.0, 1000.0), list(START), method="LSODA",
+                    rtol=1e-11, atol=1e-14, jac=lambda t, y: jacobian(params, y)).y[:, -1]
+    assert max(abs(a - b) / b for a, b in zip(traj.final_state, ref)) <= 1e-6
 
 
 def test_a_supercritical_s1_run_ends_at_radaus_state():
@@ -413,7 +457,7 @@ def test_few_more_sample_intervals_than_steps_step_out_the_budget():
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["s1"], "9819a87c9d67982711703b75c94c819720ae405736da9d90756ddbb32d02ef10"),
+    (["s1"], "552db84016b664bbb0de93b5a94fc1607c0e856d836c14f5d721deb1feca5a11"),
     (["s2"], "3b4d68a3ba5a61ed06f4359bc23a7f8409b2d2cf29e8b1ab3d1e86b567eb2b1f"),
     (["s1", "--method", "rk4", "--t-end", "50"],
      "0e96e6d19a99df21ae55a8b82026cc8b4b45203cb1ac36361f82777b63b95f37"),
@@ -424,8 +468,10 @@ def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # SHA-256 of the CSV.  The RK4 digests predate the scalar stepping loops;
     # the RK45 ones were taken under the PI step-size rule, whose last rows
     # agree with scipy's Radau (rtol 1e-12) to 1e-6 relative in every s2
-    # component and in s1's T (s1's I and V, below 1e-68, are held by abs_tol
-    # alone, not relative to themselves).
+    # component and in s1's T.  s1's I and V fall below abs_tol, where V's
+    # clearance is taken exactly; its last row's I and V (1.2e-68, 6.4e-69)
+    # are within 5e-69 of Radau, LSODA and DOP853 (rtol 1e-12, atol 1e-90
+    # for I and V), held by abs_tol alone, not relative to themselves.
     out = tmp_path / "run.csv"
     assert main(["simulate", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -42,6 +42,16 @@ def test_v_drops_out_of_the_e0_rate():
     assert exact(rate - e0_rate(weight)) == 0
 
 
+def test_v_is_cleared_linearly():
+    # integrate takes V's clearance -c V exactly once |V| <= abs_tol, and
+    # steps N_V = f_V + c V by DP5's weights: N_V must not depend on V.
+    closure = model.field_function(P)(0.0, (T, I, V))[2]
+    signed = model._signed(*model._field_terms(P, T, I, V))[2]
+    for f_v in (closure, signed):
+        assert exact(f_v - ((1 - P.epsilon) * P.p * I - P.c * V)) == 0
+        assert exact(sympy.diff(f_v + P.c * V, V)) == 0
+
+
 def test_the_package_does_not_import_sympy():
     for path in Path(model.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
