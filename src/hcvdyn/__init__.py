@@ -51,22 +51,19 @@ from .stability import (
     MARGINAL,
     STABLE,
     UNSTABLE,
-    CertificateReport,
     CharacteristicCoefficients,
     LocalReport,
     RouthHurwitzReport,
     StabilityReport,
-    certify_global,
     characteristic_coefficients,
     cubic_roots,
     infected_jacobian,
     infected_local,
-    lyapunov_infected,
-    lyapunov_uninfected,
     routh_hurwitz,
     stability_report,
     uninfected_local,
 )
+from .lyapunov import CertificateReport, certify_global, lyapunov_infected, lyapunov_uninfected
 from .simulate import (
     RK4_FIXED,
     RK45_ADAPTIVE,
@@ -126,11 +123,12 @@ __all__ = [
     # stability
     "STABLE", "UNSTABLE", "MARGINAL",
     "LocalReport", "CharacteristicCoefficients", "RouthHurwitzReport",
-    "CertificateReport", "StabilityReport",
+    "StabilityReport",
     "uninfected_local", "infected_jacobian", "infected_local",
     "characteristic_coefficients", "cubic_roots", "routh_hurwitz",
-    "lyapunov_uninfected", "lyapunov_infected", "certify_global",
     "stability_report",
+    # Lyapunov functions and certificates
+    "CertificateReport", "lyapunov_uninfected", "lyapunov_infected", "certify_global",
     # simulation
     "RK4_FIXED", "RK45_ADAPTIVE", "IntegratorConfig", "Bounds", "Violation",
     "Trajectory", "InvariantSummary", "ConvergenceReport",

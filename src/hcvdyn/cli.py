@@ -48,6 +48,7 @@ from .formats import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from .lyapunov import certify_global
 from .model import validate as validate_params
 from .simulate import (
     IntegratorConfig,
@@ -55,7 +56,7 @@ from .simulate import (
     convergence_report,
     integrate,
 )
-from .stability import certify_global, stability_report
+from .stability import stability_report
 from .sweep import run_sweep
 
 __all__ = ["main"]

@@ -340,12 +340,15 @@ def _constant_F(params, delta, H):
 
 
 # derive_constants' refusals at each step: of the rates, before _constants
-# divides by them; of H, before F divides by r_I r_T H; of the constants,
-# F among them where H != 0.
+# divides by them; of H, where r_I r_T overflows (H reads 0 though the
+# exact H is not) and before F divides by r_I r_T H; of the constants, F
+# among them where H != 0.
 _RATES_REFUSALS = ((DomainError, "derived constants require r_I r_T > 0, got r_T = {params.r_T!r}, r_I = {params.r_I!r}",
                     lambda params: params.r_I * params.r_T <= 0),)
-_F_REFUSALS = ((DomainError, "radical constant F is undefined: r_I r_T H underflows to 0",
-                lambda params, H: (H != 0.0) & (params.r_I * params.r_T * H == 0.0)),)
+_F_REFUSALS = ((DomainError, "derived constant H is lost: r_I r_T overflows to inf while A = {A!r} is not 0",
+                lambda params, A, H: (params.r_I * params.r_T == math.inf) & (A != 0.0)),
+               (DomainError, "radical constant F is undefined: r_I r_T H underflows to 0",
+                lambda params, A, H: (H != 0.0) & (params.r_I * params.r_T * H == 0.0)))
 _CONSTANTS_REFUSALS = ((DomainError, "derived constants are not finite for this parameter set",
                         lambda constants: reduce(or_, map(_not_finite, constants))),)
 
@@ -358,7 +361,7 @@ def derive_constants(params: ModelParameters) -> DerivedConstants:
     """
     _refuse(_RATES_REFUSALS, params)
     theta, delta, A, H, D = _constants(params)
-    _refuse(_F_REFUSALS, params, H)
+    _refuse(_F_REFUSALS, params, A, H)
     F = _constant_F(params, delta, H) if H != 0.0 else None
     _refuse(_CONSTANTS_REFUSALS, (theta, delta, A, H, D) + ((F,) if F is not None else ()))
     return DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)

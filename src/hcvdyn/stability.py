@@ -1,13 +1,11 @@
-"""Local and global stability analysis.
+"""Local stability analysis at both equilibria.
 
-Local analysis runs two independent routes everywhere: specialised
-equilibrium Jacobians against the general Jacobian, closed-form
-characteristic coefficients against a minor-expansion oracle, and the
-characteristic cubic's roots (one real root by Newton's method, the other
-two from the shared quadratic solver), whose signs must match the
-Routh-Hurwitz verdict.  Global analysis evaluates Lyapunov functions, both
-pointwise (with dual-evaluation integrity checks) and over sampling grids
-of the invariant region.
+Every check runs two independent routes: specialised equilibrium Jacobians
+against the general Jacobian, closed-form characteristic coefficients
+against a minor-expansion oracle, and the characteristic cubic's roots (one
+real root by Newton's method, the other two from the shared quadratic
+solver), whose signs must match the Routh-Hurwitz verdict.  The Lyapunov
+functions and the global certificates are in lyapunov.
 """
 
 from __future__ import annotations
@@ -15,39 +13,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
 
 import numpy as np
 
-from . import _rowbounds
-from .equilibria import (
-    REGIME_UNIQUE,
-    EquilibriumPoint,
-    ExistenceReport,
-    existence_regime,
-    infected_equilibrium,
-    uninfected_equilibrium,
-)
+from .equilibria import REGIME_UNIQUE, EquilibriumPoint, ExistenceReport, existence_regime, uninfected_equilibrium
 from .errors import DomainError, IntegrityError, _refuse
-from .model import (
-    ModelParameters,
-    State,
-    _field,
-    _jacobian_entries,
-    _ldexp,
-    _quadratic_roots,
-    _region,
-    derive_constants,
-)
-from .reproduction import _next_generation, r0_from_T0
+from .model import ModelParameters, State, _field, _jacobian_entries, _ldexp, _quadratic_roots, derive_constants
+from .reproduction import _next_generation
 from .tolerances import DEFAULT_TOLERANCES
+
+# perfbench/tracing.py wraps these names in this module; keep them bound.
+from .equilibria import infected_equilibrium  # noqa: F401
+from .reproduction import r0_from_T0  # noqa: F401
 
 __all__ = [
     "LocalReport",
     "CharacteristicCoefficients",
     "RouthHurwitzReport",
-    "CertificateReport",
     "StabilityReport",
     "STABLE",
     "UNSTABLE",
@@ -58,9 +40,6 @@ __all__ = [
     "cubic_roots",
     "routh_hurwitz",
     "infected_local",
-    "lyapunov_uninfected",
-    "lyapunov_infected",
-    "certify_global",
     "stability_report",
 ]
 
@@ -112,30 +91,6 @@ class RouthHurwitzReport:
     a3: float
     delta2: float
     classification: str
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of a Lyapunov grid certificate.
-
-    min_margin is the most-positive derivative value observed; the
-    certificate holds iff it does not exceed the report tolerance, which is
-    exactly when violations is empty.  preconditions_met records whether the
-    underlying theorem's hypotheses hold for this parameter set; a clean grid
-    with failed preconditions is advisory only.
-    """
-
-    target: str
-    """"E0" or "Estar"."""
-    grid_shape: tuple[int, int, int]
-    points_sampled: int
-    min_margin: float
-    tolerance: float
-    violations: tuple[tuple[float, float, float, float], ...]
-    """(T, I, V, dL/dt) rows of the points above tolerance, in row-major grid order."""
-    preconditions_met: bool
-    r0: float
-    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -478,407 +433,6 @@ def _infected_local(params: ModelParameters, cons, st: State):
     verdict = routh_hurwitz(coeffs.a1, coeffs.a2, coeffs.a3)
     J = np.array(_infected_rows(params, cons.A, st, general))
     return coeffs, verdict, LocalReport(jacobian=J, eigenvalues=eigs, classification=verdict.classification)
-
-
-def _lyapunov_weight(params: ModelParameters, target: str, anchor: State) -> float:
-    """V-weight of the target's Lyapunov function at its anchor equilibrium."""
-    b_eff = (1.0 - params.eta) * params.beta
-    if target == "E0":
-        return b_eff * anchor.T / params.c
-    production = (1.0 - params.epsilon) * params.p * anchor.I
-    if production == 0.0:
-        raise DomainError("Lyapunov weight is undefined without virion production")
-    return b_eff * anchor.T * anchor.V / production
-
-
-def _lyapunov_rate(params: ModelParameters, target: str, anchor: State, T, I, V):
-    """(dL/dt as gradient-dot-field, sum of its three terms' magnitudes) of
-    the target's Lyapunov function; broadcasts over floats and arrays.  The
-    gradient is multiplied in place into the fresh arrays _field returns,
-    and on arrays so are the magnitudes, summed left to right into the
-    first term's array.  Float arguments give plain floats."""
-    w = _lyapunov_weight(params, target, anchor)
-    t0, t1, t2 = _field(params, T, I, V)
-    t0 *= 1.0 - anchor.T / T
-    if target == "E0":
-        t2 *= w
-    else:
-        t1 *= 1.0 - anchor.I / I
-        t2 *= w * (1.0 - anchor.V / V)
-    rate = t0 + t1
-    rate += t2
-    if not isinstance(t0, np.ndarray):
-        return rate, abs(t0) + abs(t1) + abs(t2)
-    scale = np.absolute(t0, out=t0)
-    scale += np.absolute(t1, out=t1)
-    scale += np.absolute(t2, out=t2)
-    return rate, scale
-
-
-def _positive_state(state) -> tuple[float, float, float]:
-    """(T, I, V) of a state as floats; raises DomainError unless each is positive."""
-    T, I, V = (float(x) for x in state)
-    if T <= 0 or I <= 0 or V <= 0:
-        raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
-    return T, I, V
-
-
-def lyapunov_uninfected(
-    params: ModelParameters, state: State | tuple[float, float, float]
-) -> tuple[float, float]:
-    """Lyapunov function for the uninfected equilibrium and its derivative.
-
-    L = T - T0 - T0 ln(T/T0) + I + (1 - eta) beta T0 V / c.  The derivative
-    is evaluated twice, as gradient-dot-field and as the collected algebraic
-    form; the two must agree to the lyapunov_agreement tolerance.  Returns
-    (L, dL/dt) with the gradient route as the reported value.  A value
-    beyond the float range, or a state so small that T/T0 or T*T0
-    underflows to 0, raises DomainError.
-    """
-    T, I, V = _positive_state(state)
-    e0 = uninfected_equilibrium(params).state
-    T0 = e0.T
-    if T0 <= 0:
-        raise DomainError("Lyapunov function is undefined for T0 = 0")
-    # ln(T/T0) and the collected route's s/(T T0) need both to stay nonzero.
-    if T / T0 == 0.0 or T * T0 == 0.0:
-        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
-    L = T - T0 - T0 * math.log(T / T0) + I + _lyapunov_weight(params, "E0", e0) * V
-    grad_route, term_scale = _lyapunov_rate(params, "E0", e0, T, I, V)
-
-    # delta (R0 - 1 + q/delta) expands to delta R0 - d_I, which stays defined
-    # at delta = 0.
-    one_minus_theta = (1.0 - params.eta) * (1.0 - params.epsilon)
-    delta_r0 = (
-        params.r_I * (1.0 - T0 / params.T_max)
-        + one_minus_theta * params.beta * params.p * T0 / params.c
-    )
-    collected = grad_route if params.r_T <= 0 else (
-        -(params.s / (T * T0)) * ((T - T0) * (T - T0))
-        - (params.r_T / params.T_max) * (T + I - T0) * (T + (params.r_I / params.r_T) * I - T0)
-        - params.q * I * T0 / T
-        + I * (delta_r0 - params.d_I)
-    )
-    # A non-finite state makes L non-finite, so this also rejects it.
-    if not all(math.isfinite(x) for x in (L, grad_route, collected)):
-        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
-    diff = abs(grad_route - collected)
-    if diff > DEFAULT_TOLERANCES.lyapunov_agreement * max(abs(grad_route), abs(collected)) and diff > 64.0 * np.finfo(float).eps * term_scale:
-        raise IntegrityError(
-            f"Lyapunov derivative routes disagree: gradient {grad_route!r} vs "
-            f"collected {collected!r}"
-        )
-    return L, grad_route
-
-
-def lyapunov_infected(
-    params: ModelParameters, state: State | tuple[float, float, float], estar: State | EquilibriumPoint
-) -> tuple[float, float]:
-    """Volterra-type Lyapunov function for the infected equilibrium.
-
-    L = T - T* - T* ln(T/T*) + I - I* - I* ln(I/I*) + w (V - V* - V* ln(V/V*))
-    with weight w = (1 - eta) beta T* V* / ((1 - epsilon) p I*)
-    (Korobeinikov 2004, Bull. Math. Biol. 66:879-883).  Only the
-    gradient-dot-field derivative is evaluated; there is no trustworthy
-    independent collected form for this function.  A value beyond the float
-    range, or a state so small that a ratio to E* underflows to 0, raises
-    DomainError.
-    """
-    T, I, V = _positive_state(state)
-    st = _as_state(estar)
-    if st.I <= 0 or st.T <= 0 or st.V <= 0:
-        raise DomainError("infected-equilibrium Lyapunov function needs positive (T*, I*, V*)")
-    if 0.0 in (T / st.T, I / st.I, V / st.V):
-        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
-    w = _lyapunov_weight(params, "Estar", st)
-    L = (
-        T - st.T - st.T * math.log(T / st.T)
-        + I - st.I - st.I * math.log(I / st.I)
-        + w * (V - st.V - st.V * math.log(V / st.V))
-    )
-    dLdt, _ = _lyapunov_rate(params, "Estar", st, T, I, V)
-    if not (math.isfinite(L) and math.isfinite(dLdt)):
-        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
-    return L, dLdt
-
-
-# Rate evaluations per certificate block: an Estar block holds this many
-# // N (T, I) pairs, each against the N-point V axis, and at least one
-# pair; an E0 block, three evaluations per pair, half as many evaluations.
-# Larger temporaries cost more in fresh page faults than fewer, larger
-# numpy calls save: at N = 140, 2**15 takes about 26 times the faults of
-# 2**14 per call, and 2**13 is slower.
-_CERTIFICATE_BLOCK = 1 << 14
-
-
-def _grid_axis(bound: float, n: int) -> np.ndarray:
-    """n log-spaced points over [1e-6 bound, bound], which must be finite and nonempty."""
-    low = 1e-6 * bound
-    if not (low > 0.0 and bound < math.inf):
-        raise DomainError("certificate region is degenerate for this parameter set")
-    return np.logspace(math.log10(low), math.log10(bound), n)
-
-
-def _region_counts(axis: np.ndarray, bound: float) -> np.ndarray:
-    """How many points of axis, as I, each point of axis, as T, keeps in the
-    region T + I <= bound (1 + 1e-12), tested in floats: fl(T + I) grows
-    with I, so each T line keeps a prefix of the axis.  A search on the
-    rounded bound - T finds the prefix to within a point or two, and the
-    exact test moves each count until it holds."""
-    limit = bound * (1.0 + 1e-12)
-    n = len(axis)
-    with np.errstate(over="ignore", invalid="ignore"):  # T + I may pass the float maximum
-        counts = np.searchsorted(axis, limit - axis, side="right")
-        while True:
-            grow = (counts < n) & (axis + axis[np.minimum(counts, n - 1)] <= limit)
-            shrink = (counts > 0) & ~(axis + axis[np.maximum(counts - 1, 0)] <= limit)
-            if not (grow.any() or shrink.any()):
-                return counts
-            counts += grow
-            counts -= shrink
-
-
-def _in_range(scale):
-    """Raise DomainError unless every term scale is finite."""
-    if not math.isfinite(scale.max(initial=0.0)):
-        raise DomainError("Lyapunov derivative leaves the float range on the certificate grid")
-
-
-def _rate_in_range(rate, T, I, V):
-    """rate(T, I, V), checked by _in_range."""
-    value, scale = rate(T, I, V)
-    _in_range(scale)
-    return value, scale
-
-
-def _e0_pairs(rate, V, T, I):
-    """(rate at V = 0, term scales at the two ends of the V axis) of E0 on
-    the (T, I) pairs T and I (columns); V is (0, V_lo, V_hi).
-
-    The weight (1 - eta) beta T0 / c cancels every V term of dL/dt
-    (Korobeinikov 2004), so the rate at V = 0 is the rate at every V, and
-    the term scale, a sum of magnitudes of terms affine in V, peaks at an
-    end in exact arithmetic.  A term scale at an end that is not finite
-    raises DomainError, and a rate at an end that differs from the V = 0
-    rate by more than the margin of the pair's term scale raises
-    IntegrityError.  Callers set numpy's error state.
-    """
-    dLdt, scale = rate(T, I, V)
-    dLdt, ends, scale = dLdt[:, :1], dLdt[:, 1:], scale[:, 1:]
-    _in_range(scale)
-    pair_tolerance = DEFAULT_TOLERANCES.certificate_margin * np.maximum(scale.max(axis=1, keepdims=True), 1.0)
-    if (np.abs(ends - dLdt) > pair_tolerance).any():
-        raise IntegrityError(
-            "E0 Lyapunov derivative depends on V: a rate at an end of the V axis "
-            "differs from the rate at V = 0 by more than the certificate margin"
-        )
-    return dLdt, scale
-
-
-def _whole_row_scale_peak(rate, near, scale_peak, axis_V):
-    """The term-scale peak scale_peak of E0's V ends, raised to the peak
-    over the whole V rows of the (T, I, reach) pairs of near whose reach,
-    a bound on the route's scale inside the axis, attains it; a line whose
-    allowance is not finite is left at its ends.  Rows are evaluated in
-    blocks of about 2**14 points."""
-    T, I, reach = (np.concatenate(arrays) for arrays in zip(*near))
-    close = (reach >= scale_peak) & (reach < math.inf)
-    T, I = T[close], I[close]
-    rows = max(1, _CERTIFICATE_BLOCK // len(axis_V))
-    for start in range(0, len(T), rows):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, scale = _rate_in_range(rate, T[start : start + rows], I[start : start + rows], axis_V)
-        scale_peak = np.maximum(scale_peak, scale.max())
-    return scale_peak
-
-
-def certify_global(params: ModelParameters, target: str = "E0", grid_points: int = 20) -> CertificateReport:
-    """Sample a Lyapunov derivative over the invariant region.
-
-    The grid is log-uniform over [1e-6 b, b] in each coordinate (b = T-tilde0
-    for T and I, the matching virion ceiling for V), restricted to
-    T + I <= T-tilde0.  A grid of a single point per axis evaluates exactly at
-    the target equilibrium, where the derivative vanishes identically.
-
-    The report records whether the relevant theorem hypotheses hold
-    (R0 < 1 - q/delta for E0; the theorem slice r_I = r_T, s = d_T T_max,
-    delta = d_T plus R0 > 1 for Estar).  Sampling runs either way: a clean
-    grid under failed preconditions is an advisory result, and violations
-    under met preconditions would contradict the theorem.  A grid on which
-    a term of the derivative leaves the float range raises DomainError.
-
-    The region is taken per T line: each keeps a prefix of the I axis
-    (_region_counts).  _rowbounds.kept_lines bounds each line's rate and
-    term scale over its (I, V) box in closed form and evaluates a few of
-    its grid points; (T, I) pairs are built only on the lines those bounds
-    cannot rule out, and evaluated in row-major blocks.  For Estar, each
-    pair is a V row, evaluated against the whole V axis by broadcasting
-    (terms of T and I alone once per pair).  Where the kept lines' rows
-    hold more points than one block, _rowbounds.kept_rows first bounds each
-    pair's rate and term scale over the V axis and evaluates three of its
-    grid points, and only the rows those bounds cannot rule out are
-    scanned; fewer rows cost less to scan whole than to bound.  The report
-    is the one every point gives.  A rate or term scale above its line's or
-    row's bound raises IntegrityError.
-
-    For E0 the weight (1 - eta) beta T0 / c cancels every V term of dL/dt
-    (Korobeinikov 2004), so a pair's rate at V = 0 is its rate at every V:
-    each pair is evaluated at V = 0 and at the two ends of the V axis, which
-    give the term scale and a cross-check (_e0_pairs).  Rounding can lift
-    the scale at a V inside the axis above both ends where the exact scale
-    is flat in V, so the pairs whose rows could so reach the scale peak
-    are evaluated on their whole V rows too (_whole_row_scale_peak).  A
-    violating E0 pair reports its N points, with the V = 0 rate, so
-    min_margin and the violations' dL/dt carry none of the V terms'
-    rounding.  points_sampled counts N points per pair of the region for
-    both.
-
-    Working memory is bounded by one block (at most about 2**14 rate
-    evaluations, or one V row of N points once that is larger), a few
-    floats per T line, 40 bytes per pair of a kept line, the Estar rows
-    the bounds keep and the violations found.  A block whose peak is
-    within the running tolerance is not scanned.
-    """
-    if grid_points < 1:
-        raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
-    if target not in ("E0", "Estar"):
-        raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
-    cons = derive_constants(params)
-    bound_TI, bound_V, _ = _region(params)
-    if not math.isfinite(bound_TI) or bound_TI <= 0:
-        raise DomainError("certificate region is degenerate for this parameter set")
-    e0 = uninfected_equilibrium(params).state
-    R0 = r0_from_T0(params, e0.T)
-
-    notes: list[str] = []
-    if target == "E0":
-        anchor = e0
-        if cons.delta > 0:
-            gap = (1.0 - params.q / cons.delta) - R0
-            preconditions_met = gap > 0
-            notes.append(f"hypothesis R0 < 1 - q/delta: gap {gap!r}")
-        else:
-            preconditions_met = False
-            notes.append("hypothesis undefined: delta = 0")
-    else:
-        report = infected_equilibrium(params)
-        if report.regime != REGIME_UNIQUE:
-            raise DomainError(
-                f"Estar certificate needs a unique infected equilibrium, regime is {report.regime}"
-            )
-        anchor = report.candidates[0].state
-        rel = lambda x, y: abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1e-300)
-        on_slice = (
-            rel(params.r_I, params.r_T)
-            and rel(params.s, params.d_T * params.T_max)
-            and rel(cons.delta, params.d_T)
-        )
-        preconditions_met = on_slice and R0 > 1
-        notes.append(
-            f"theorem slice (r_I = r_T, s = d_T T_max, delta = d_T): {on_slice}; R0 = {R0!r}"
-        )
-
-    if grid_points == 1:
-        axis_T, axis_I, axis_V = np.array([anchor.T]), np.array([anchor.I]), np.array([anchor.V])
-        counts = np.ones(1, dtype=np.intp)
-    else:
-        axis_T = axis_I = _grid_axis(bound_TI, grid_points)
-        axis_V = _grid_axis(bound_V, grid_points)
-        counts = _region_counts(axis_T, bound_TI)
-    points_sampled = int(counts.sum()) * len(axis_V)
-    rate = partial(_lyapunov_rate, params, target, anchor)
-    w = _lyapunov_weight(params, target, anchor)
-    if target == "E0":
-        # The rate does not depend on V: evaluate V = 0 and the axis ends, in
-        # blocks of 2730 pairs whose 64 KiB arrays stay below glibc's 128 KiB
-        # mmap threshold.  Blocks of 5461 pairs cross it: an N = 140 call on
-        # s1 then takes about 170 minor page faults instead of about 1.
-        evaluate = partial(_e0_pairs, rate, np.array([0.0, axis_V[0], axis_V[-1]]))
-        pairs = max(1, _CERTIFICATE_BLOCK // 6)
-    else:
-        evaluate = partial(_rate_in_range, rate)
-        pairs = max(1, _CERTIFICATE_BLOCK // len(axis_V))
-    lines, line_rate, line_scale, line_allowance = _rowbounds.kept_lines(
-        evaluate, w, params, anchor, axis_T, axis_I, counts, axis_V, target == "E0"
-    )
-    # The pairs of the kept lines in row-major order, with their lines' bounds.
-    size = counts[lines]
-    pair_T = axis_T[lines].repeat(size)[:, None]
-    pair_I = axis_I[np.arange(len(pair_T)) - (size.cumsum() - size).repeat(size)][:, None]
-    cap_rate, cap_scale = line_rate.repeat(size)[:, None], line_scale.repeat(size)[:, None]
-    cap_allowance = line_allowance.repeat(size)
-    part = "T line"
-    if target == "Estar" and len(pair_T) * len(axis_V) > _CERTIFICATE_BLOCK:
-        # Rows that fit in one block are cheaper to scan than to bound.  The
-        # row bounds' seeds are three V per pair, in blocks of E0's size.
-        rows, cap_rate, cap_scale = _rowbounds.kept_rows(
-            rate, w, params, anchor, pair_T, pair_I, (cap_rate, cap_scale), axis_V, max(1, _CERTIFICATE_BLOCK // 6)
-        )
-        pair_T, pair_I, part = pair_T[rows], pair_I[rows], "(T, I) row"
-
-    # One pass over the blocks keeps the running maxima and, per block, the
-    # points above the tolerance the running scale maximum gives.  A term
-    # scale beyond the float range raises, so that tolerance only grows and
-    # the points kept hold every violation of the final one.
-    margin = DEFAULT_TOLERANCES.certificate_margin
-    peak = np.float64(-math.inf)
-    scale_peak = np.float64(0.0)
-    kept = []
-    # E0 pairs whose rows could pass the scale peak inside the V axis, and
-    # the fraction of the V range from each end of the axis to its neighbour.
-    near = [] if target == "E0" and len(axis_V) > 2 else None
-    if near is not None:
-        width = axis_V[-1] - axis_V[0]
-        inner = (axis_V[1] - axis_V[0]) / width, (axis_V[-1] - axis_V[-2]) / width
-    for start in range(0, len(pair_T), pairs):
-        T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dLdt, term_scale = evaluate(T, I) if target == "E0" else evaluate(T, I, axis_V)
-        block_peak = dLdt.max(initial=-math.inf)
-        peak = np.maximum(peak, block_peak)
-        scale_peak = np.maximum(scale_peak, term_scale.max(initial=0.0))
-        if (dLdt > cap_rate[start : start + pairs]).any() or (term_scale > cap_scale[start : start + pairs]).any():
-            raise IntegrityError(_rowbounds.FAULT.format(part))
-        tolerance = margin * max(1.0, float(scale_peak))
-        if not block_peak <= tolerance:  # a NaN peak is scanned too
-            pair, v = np.nonzero(dLdt > tolerance)
-            kept.append((T[pair, 0], I[pair, 0], v, dLdt[pair, v]))
-        if near is not None:
-            # E0's exact term scale is convex in V: inside the axis it is at
-            # most the chord of its ends, whose largest value at a grid V is
-            # next to the larger end, and rounding lifts the route's scale
-            # above that by at most the line's allowance.  These are the
-            # pairs whose rows could so pass the scale peak.
-            lo, hi = term_scale[:, 0], term_scale[:, 1]
-            reach = np.maximum(lo, hi) - np.abs(hi - lo) * np.where(hi < lo, inner[0], inner[1])
-            reach += cap_allowance[start : start + pairs]
-            close = reach >= scale_peak
-            near.append((T[close], I[close], reach[close]))
-    if near:
-        scale_peak = _whole_row_scale_peak(rate, near, scale_peak, axis_V)
-        tolerance = margin * max(1.0, float(scale_peak))
-    row_V = axis_V.tolist()
-
-    def violating(T, I, v, dLdt):
-        hit = dLdt > tolerance
-        if target == "E0":  # a violating pair violates at every V, in axis order
-            hits = zip(T[hit].tolist(), I[hit].tolist(), dLdt[hit].tolist())
-            return chain.from_iterable(zip(repeat(t), repeat(i), row_V, repeat(d)) for t, i, d in hits)
-        return zip(T[hit].tolist(), I[hit].tolist(), axis_V[v[hit]].tolist(), dLdt[hit].tolist())
-
-    # One tuple, grown in place: no list of every row beside it.
-    violations = tuple(chain.from_iterable(violating(*block) for block in kept))
-    return CertificateReport(
-        target=target,
-        grid_shape=(grid_points, grid_points, grid_points),
-        points_sampled=points_sampled,
-        min_margin=float(peak),
-        tolerance=tolerance,
-        violations=violations,
-        preconditions_met=preconditions_met,
-        r0=R0,
-        notes=tuple(notes),
-    )
 
 
 def stability_report(params: ModelParameters) -> StabilityReport:

@@ -310,7 +310,7 @@ def _evaluate_grid(
             # derive_constants; F is None where H = 0, so it is 0.0 there
             theta, delta, A, H, D = _constants(params)
             F = np.where(H == 0.0, 0.0, _constant_F(params, delta, H))
-            ok &= ~_fails(_RATES_REFUSALS, params) & ~_fails(_F_REFUSALS, params, H)
+            ok &= ~_fails(_RATES_REFUSALS, params) & ~_fails(_F_REFUSALS, params, A, H)
             ok &= ~_fails(_CONSTANTS_REFUSALS, (theta, delta, A, H, D, F))
             cons = DerivedConstants(theta=theta, delta=delta, A=A, H=H, D=D, F=F)
 

@@ -36,11 +36,11 @@ from hcvdyn import (
     r0_from_T0,
     uninfected_equilibrium,
 )
-from hcvdyn import model, stability
+from hcvdyn import lyapunov, model
 from hcvdyn.cli import main
 from hcvdyn.equilibria import REGIME_UNIQUE
 from hcvdyn.model import PARAMETER_NAMES, PLAUSIBLE_RANGES, _field
-from hcvdyn.stability import CertificateReport, _grid_axis
+from hcvdyn.lyapunov import CertificateReport, _grid_axis
 from hcvdyn.tolerances import DEFAULT_TOLERANCES
 
 # PLAUSIBLE_RANGES has no range for r_I, eta and epsilon.
@@ -184,7 +184,7 @@ def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
     # the overflow with NaN in dT/dt on one slice of the last block: the
     # certificate raises instead of reporting a tolerance the NaN lowered.
     params = replace(SCENARIO_S1, q=0.0)
-    monkeypatch.setattr(stability, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, certificate_margin=1e-2))
+    monkeypatch.setattr(lyapunov, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, certificate_margin=1e-2))
     n = 60
     nan_slice = _grid_axis(model._region(params)[0], n)[-2]
 
@@ -192,7 +192,7 @@ def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
         f0, f1, f2 = model._field(params, T, I, V)
         return np.where(T == nan_slice, math.nan, f0), f1, f2
 
-    monkeypatch.setattr(stability, "_field", overflowing_field)
+    monkeypatch.setattr(lyapunov, "_field", overflowing_field)
     with pytest.raises(DomainError, match="float range"):
         certify_global(params, "E0", n)
 

@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from conftest import draw_params, draw_supercritical_params
 from hcvdyn import SCENARIO_S1, SCENARIO_S2, ModelError, ModelParameters, State, certify_global
-from hcvdyn import _rowbounds, stability
+from hcvdyn import lyapunov
 from hcvdyn.model import _field, _region
-from hcvdyn.stability import _grid_axis, _lyapunov_rate, _lyapunov_weight, _region_counts
+from hcvdyn.lyapunov import _grid_axis, _lyapunov_rate, _lyapunov_weight, _region_counts
 from test_certify_blocks import SLICE_PARAMS, _report_or_error, plausible_params, reference_certificate
 from test_lyapunov import FAR_R_I_PARAMS
 
@@ -40,12 +40,11 @@ EARLY_POINTS = replace(SCENARIO_S2, r_I=1e-4)
 positive = st.floats(-6.0, 9.0).map(lambda x: 10.0**x)
 
 
-def plain_rate(params, target, anchor, T, I, V):
+def plain_rate(params, anchor, w, T, I, V):
     """_lyapunov_rate as written before its products moved in place."""
-    w = _lyapunov_weight(params, target, anchor)
     f0, f1, f2 = _field(params, T, I, V)
     g_T = 1.0 - anchor.T / T
-    if target == "E0":
+    if anchor.I == anchor.V == 0.0:  # E0: the gradient factors of I and V are 1
         t0, t1, t2 = g_T * f0, f1, w * f2
     else:
         t0, t1, t2 = g_T * f0, (1.0 - anchor.I / I) * f1, w * (1.0 - anchor.V / V) * f2
@@ -61,17 +60,20 @@ def plain_rate(params, target, anchor, T, I, V):
     V=st.lists(positive, min_size=1, max_size=6),
 )
 def test_rate_on_broadcast_arrays_equals_the_float_route(params, target, anchor, pairs, V):
+    if target == "E0":
+        anchor = State(anchor.T, 0.0, 0.0)
+    w = _lyapunov_weight(params, anchor)
     T = np.array([[t] for t, _ in pairs])
     I = np.array([[i] for _, i in pairs])
     with np.errstate(over="ignore", invalid="ignore"):
-        rate, scale = _lyapunov_rate(params, target, anchor, T, I, np.array(V))
-        plain = plain_rate(params, target, anchor, T, I, np.array(V))
+        rate, scale = _lyapunov_rate(params, anchor, w, T, I, np.array(V))
+        plain = plain_rate(params, anchor, w, T, I, np.array(V))
     assert rate.shape == scale.shape == (len(pairs), len(V))
     for m, (t, i) in enumerate(pairs):
         for n, v in enumerate(V):
             # repr tells -0.0 from 0.0 and compares NaN with itself.
             got = (repr(float(rate[m, n])), repr(float(scale[m, n])))
-            assert got == tuple(map(repr, _lyapunov_rate(params, target, anchor, t, i, v)))
+            assert got == tuple(map(repr, _lyapunov_rate(params, anchor, w, t, i, v)))
             assert got == (repr(float(plain[0][m, n])), repr(float(plain[1][m, n])))
 
 
@@ -83,28 +85,28 @@ def test_rate_leaves_its_inputs_unmodified():
         tuple(np.meshgrid(np.logspace(2, 7, 5), np.logspace(1, 6, 4), np.logspace(0, 5, 3), indexing="ij")),
     ]:
         before = [x.copy() for x in (T, I, V)]
-        for target in ("E0", "Estar"):
-            _lyapunov_rate(SCENARIO_S2, target, anchor, T, I, V)
+        for point in (State(anchor.T, 0.0, 0.0), anchor):
+            _lyapunov_rate(SCENARIO_S2, point, _lyapunov_weight(SCENARIO_S2, point), T, I, V)
         for x, y in zip((T, I, V), before):
             assert np.array_equal(x, y)
 
 
 def _recording_rate(monkeypatch):
     calls = []
-    real = stability._lyapunov_rate
+    real = lyapunov._lyapunov_rate
 
     def rate(*args):
         calls.append(real(*args))
         return calls[-1]
 
-    monkeypatch.setattr(stability, "_lyapunov_rate", rate)
+    monkeypatch.setattr(lyapunov, "_lyapunov_rate", rate)
     return calls
 
 
 def test_points_above_an_early_running_tolerance_are_not_violations(monkeypatch):
     ref = reference_certificate(EARLY_POINTS, "Estar", 40)
     # One V row per block, so that the rows the row bounds keep span blocks.
-    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", 40)
+    monkeypatch.setattr(lyapunov, "_CERTIFICATE_BLOCK", 40)
     calls = _recording_rate(monkeypatch)
     got = certify_global(EARLY_POINTS, "Estar", 40)
     assert repr(got) == repr(ref)
@@ -117,7 +119,7 @@ def test_points_above_an_early_running_tolerance_are_not_violations(monkeypatch)
     scale_peak, early = 1.0, 0
     for rate, scale in blocks[:-1]:
         scale_peak = max(scale_peak, float(np.max(scale)))
-        early += np.count_nonzero(rate > stability.DEFAULT_TOLERANCES.certificate_margin * scale_peak)
+        early += np.count_nonzero(rate > lyapunov.DEFAULT_TOLERANCES.certificate_margin * scale_peak)
     assert len(blocks) > 1 and early > 0
 
 
@@ -129,9 +131,9 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
     # the ends of the V axis: first three seed pairs per T line, then the
     # pairs of the kept lines in blocks, here of 409 pairs.
     ref = reference_certificate(MANY_VIOLATIONS, "E0", 40)
-    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", 6 * 409)
+    monkeypatch.setattr(lyapunov, "_CERTIFICATE_BLOCK", 6 * 409)
     calls = _recording_rate(monkeypatch)
-    real = stability._lyapunov_rate
+    real = lyapunov._lyapunov_rate
 
     def nan_in_second_block(*args):
         rate, scale = real(*args)
@@ -139,7 +141,7 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
             rate[np.argmin(rate[:, 0]), 0] = math.nan
         return rate, scale
 
-    monkeypatch.setattr(stability, "_lyapunov_rate", nan_in_second_block)
+    monkeypatch.setattr(lyapunov, "_lyapunov_rate", nan_in_second_block)
     got = certify_global(MANY_VIOLATIONS, "E0", 40)
     seeds, blocks = calls[0][0], [rate for rate, _ in calls[1:]]
     assert len(seeds) % 3 == 0 and len(blocks) >= 3 and len(blocks[0]) == len(blocks[1]) == 409
@@ -152,7 +154,7 @@ def test_nan_derivative_in_one_block_keeps_its_violations(monkeypatch):
 def test_report_does_not_depend_on_the_block_size(monkeypatch, block, params, target, grid_points):
     # From one (T, I) pair per block to the whole grid in one block.
     ref = reference_certificate(params, target, grid_points)
-    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", block)
+    monkeypatch.setattr(lyapunov, "_CERTIFICATE_BLOCK", block)
     assert repr(certify_global(params, target, grid_points)) == repr(ref)
 
 
@@ -184,7 +186,7 @@ def assert_same_outcome_with_and_without_row_bounds(params, grid_points):
     # V row unless a single pair is kept.
     assert_same_outcome(params, grid_points)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stability, "_CERTIFICATE_BLOCK", grid_points)
+        patch.setattr(lyapunov, "_CERTIFICATE_BLOCK", grid_points)
         assert_same_outcome(params, grid_points)
 
 
@@ -203,16 +205,16 @@ def test_estar_bounds_rows_only_beyond_one_block(monkeypatch, params, grid_point
     # and 394 pairs at N = 140 do not and are bounded row by row.
     ref = certify_global(params, "Estar", grid_points)
     calls = []
-    kept_rows = _rowbounds.kept_rows
+    kept_rows = lyapunov.kept_rows
 
     def counted(*args):
-        calls.append(len(args[4]))
+        calls.append(len(args[3]))
         return kept_rows(*args)
 
-    monkeypatch.setattr(_rowbounds, "kept_rows", counted)
+    monkeypatch.setattr(lyapunov, "kept_rows", counted)
     assert repr(certify_global(params, "Estar", grid_points)) == repr(ref)
     assert bool(calls) == bounded
-    assert all(pairs * grid_points > stability._CERTIFICATE_BLOCK for pairs in calls)
+    assert all(pairs * grid_points > lyapunov._CERTIFICATE_BLOCK for pairs in calls)
 
 
 def scaled(params, scale, time):

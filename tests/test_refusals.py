@@ -22,6 +22,7 @@ from hcvdyn import (
     ModelParameters,
     SweepSpec,
     characteristic_coefficients,
+    derive_constants,
     infected_equilibrium,
     r0_from_T0,
     run_sweep,
@@ -109,26 +110,19 @@ WITNESSES = [
          d_I=5e-324, T_max=1.0528971089342399e+77, beta=7.369607323865812e-97, p=3.3340576157700846e-14,
          c=4.5785903267150926e-215, q=1.0860215824077182e-266, eta=0.7137244228376275, epsilon=0.5533740884759797,
      )),
+    # Draw 94.
+    ('derived constant H is lost: r_I r_T overflows to inf while A = {A!r} is not 0', DomainError,
+     'derived constant H is lost: r_I r_T overflows to inf while A = 2.068146193640278e+182 is not 0', dict(
+         s=1.6198142404795945e-98, r_T=1.6083541711989907e+105, r_I=9.897948593671876e+209, d_T=45831529519.02216,
+         d_I=9.276100661234198e+145, T_max=1.390108734913828e-15, beta=1.3527374411954885e+125, p=2.3098472734607587e-224,
+         c=3.929013922548197e-298, q=3.167624707211158e+51, eta=0.49788318870584225, epsilon=0.9627424328992099,
+     )),
     # Draw 95.
     ('{name} is not finite: {value!r}', DomainError,
      'rejected_T_roots is not finite: nan', dict(
          s=5.572898056201674e-50, r_T=4.536970069865559e+223, r_I=5.4625421659309735e-73, d_T=5.513689420481065e-26,
          d_I=5.640390656860512e-125, T_max=1.625526240970061e+33, beta=1.5713066891798098e-107, p=5.492705832632262e+209,
          c=2.62146044505621e-34, q=2.628037115150523e-118, eta=0.14499061879251796, epsilon=0.5754328025653888,
-     )),
-    # Draw 339.
-    ('infected equilibrium is not finite: I* = {I!r}, V* = {V!r}', DomainError,
-     'infected equilibrium is not finite: I* = 1.8777305503341507e+146, V* = inf', dict(
-         s=3.1693015274615063e+22, r_T=1.4473584236224978e+200, r_I=2.7498099000820973e+253, d_T=2.2822262574862314e-259,
-         d_I=9.187894283141097e-31, T_max=1.8777305503341507e+146, beta=1.4120012460619383e-217, p=3.0811586000277997e+280,
-         c=3.055924497565444e-30, q=6.054445986066423e-27, eta=0.51758757515859, epsilon=0.785700248044195,
-     )),
-    # Draw 366.
-    ('closed-form characteristic coefficients deviate from the minor expansion by relative {rel!r}', IntegrityError,
-     'closed-form characteristic coefficients deviate from the minor expansion by relative nan', dict(
-         s=5e-324, r_T=4.6223302061833887e+219, r_I=3.3059523348595414e+149, d_T=9.316762722621713e-13,
-         d_I=1.0595580597511762e-188, T_max=330396535.9439614, beta=1.9279338232457053e-31, p=1.4943075354251498e+220,
-         c=5.988052947406038e-49, q=6.481369256961524e-11, eta=0.7061941733245395, epsilon=0.36173802508091113,
      )),
     # Draw 1299.
     ('no uninfected steady state: r_T = 0, d_T = 0 and s > 0', DomainError,
@@ -151,6 +145,20 @@ WITNESSES = [
          d_I=1.3835788767442456e-90, T_max=1.6949817018941011e-264, beta=7.962479257254006e-13, p=6.37927867972775e+250,
          c=7.296424408185082e+237, q=7.84214568592925e-151, eta=0.09604468691424639, epsilon=0.5665607986977953,
      )),
+    # Draw 3801.
+    ('infected equilibrium is not finite: I* = {I!r}, V* = {V!r}', DomainError,
+     'infected equilibrium is not finite: I* = 4.1891341159412904e-116, V* = inf', dict(
+         s=7.585723250047552e-09, r_T=1.4860887873554295e-102, r_I=5.1363904907371114e+95, d_T=9.04808245525503e+183,
+         d_I=416799.86655813444, T_max=4.1891341159412904e-116, beta=1.120616812579881e-238, p=9.065096867292982e+189,
+         c=4.14421311778281e-275, q=2.803118341080065e-217, eta=0.04889203575479961, epsilon=0.25172670824511256,
+     )),
+    # Draw 4797.
+    ('closed-form characteristic coefficients deviate from the minor expansion by relative {rel!r}', IntegrityError,
+     'closed-form characteristic coefficients deviate from the minor expansion by relative nan', dict(
+         s=1.223457910148676e-57, r_T=7.118347680103437e-85, r_I=7.637069174457274e+234, d_T=6.151251768397176e+115,
+         d_I=2.9053198426731617e+233, T_max=2.72812933970671e-79, beta=2.5352431315729593e-132, p=3.088548592564939e+104,
+         c=3.810899545993535e+22, q=1.8758514722808977e+28, eta=0.8168764197956491, epsilon=0.19656807300703538,
+     )),
     # Draw 5657.
     ('characteristic coefficients need T_max**2 and T* T_max within the float range', DomainError,
      'characteristic coefficients need T_max**2 and T* T_max within the float range', dict(
@@ -172,7 +180,7 @@ def scalar_route(params):
 
 def test_every_refusal_has_a_witness():
     written = [message for table in TABLES for _, message, _ in table]
-    assert len(written) == len(set(written)) == 17
+    assert len(written) == len(set(written)) == 18
     assert sorted(written) == sorted(template for template, *_ in WITNESSES)
 
 
@@ -187,3 +195,29 @@ def test_witness_is_refused_by_both_routes(template, error, message, fields):
     grid = run_sweep(SweepSpec(params, Axis("eta", params.eta, 0.5 * (1.0 + params.eta), 2), outputs=SWEEP_OUTPUTS))
     assert grid.axis1_values[0] == params.eta
     assert grid.status[0] == STATUS_INVALID
+
+
+# r_I r_T overflows to inf, so H = (A / (r_I r_T)) (A + r_T - r_I) reads -0.0
+# where the exact H is -1.976e-178; infected_equilibrium used to solve its
+# quadratic as a linear equation here.
+LOST_H = ModelParameters(
+    s=5.002174663749923e+273, r_T=1.504390154324462e+187, r_I=1.1332676081387775e+248, d_T=3.442618615227103e+29,
+    d_I=4.84864810716622e-271, T_max=3.2828706896700976e-30, beta=4.947960809299864e+86, p=2.4330049502052083e-271,
+    c=2.436644834658434e-224, q=1.57656396116036e-94, eta=0.29777186554478685, epsilon=0.7390325049962496,
+)
+# H reads -0.0 because A / (r_I r_T) underflows while r_I r_T stays finite
+# (t0pin.scn of the CI workflow): that H is answered.
+UNDERFLOWED_H = ModelParameters(
+    s=1.6059484463526526e+164, r_T=1.0378895204753431e+48, r_I=8.263063001673519e+90, d_T=2.709505887367695e-210,
+    d_I=5e-324, T_max=6.637147734151798e-104, beta=3.392226303104842e-238, p=2.850730940109298e+232,
+    c=1.6417531631418575e+131, q=7.429175374854339e-42, eta=0.8805305462691764, epsilon=0.04672381254907876,
+)
+
+
+def test_an_h_lost_to_overflow_is_refused():
+    assert repr(model._constants(LOST_H)[3]) == "-0.0"
+    with pytest.raises(DomainError, match="^derived constant H is lost: r_I r_T overflows to inf"):
+        derive_constants(LOST_H)
+    with pytest.raises(DomainError, match="^derived constant H is lost"):
+        infected_equilibrium(LOST_H)
+    assert repr(derive_constants(UNDERFLOWED_H).H) == "-0.0"

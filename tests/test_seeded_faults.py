@@ -30,7 +30,7 @@ from hcvdyn import (
     uninfected_equilibrium,
     uninfected_local,
 )
-from hcvdyn import _rowbounds, equilibria, model, reproduction, stability, sweep
+from hcvdyn import equilibria, lyapunov, model, reproduction, stability, sweep
 from hcvdyn.equilibria import REGIME_NONE
 from hcvdyn.sweep import STATUS_INVALID
 from hcvdyn.tolerances import DEFAULT_TOLERANCES as TOL
@@ -140,13 +140,13 @@ def test_r0_routes_catch_a_fault_in_the_closed_form(monkeypatch, params):
 
 @pytest.mark.parametrize("params", E0_SETS)
 def test_lyapunov_routes_catch_a_fault_in_the_gradient_route(monkeypatch, params):
-    rate = stability._lyapunov_rate
+    rate = lyapunov._lyapunov_rate
 
     def faulty_rate(*args):
         value, scale = rate(*args)
         return value * (1.0 + 10 * TOL.lyapunov_agreement), scale
 
-    monkeypatch.setattr(stability, "_lyapunov_rate", faulty_rate)
+    monkeypatch.setattr(lyapunov, "_lyapunov_rate", faulty_rate)
     with pytest.raises(IntegrityError, match="Lyapunov derivative routes disagree"):
         lyapunov_uninfected(params, DEFAULT_INITIAL_STATE)
 
@@ -160,8 +160,8 @@ def test_certificate_v_check_catches_a_fault_in_the_e0_weight(monkeypatch, param
     # weight where the V terms carry a pair's scale, as on s1 and s2.  On
     # the seeded draw of E0_SETS they stay below b T0 V_max = 1.4, and the
     # same fault moves no pair's rate by more than 2e-3 of its margin.
-    weight = faulty(stability._lyapunov_weight, 1.0 + 10 * TOL.certificate_margin)
-    monkeypatch.setattr(stability, "_lyapunov_weight", weight)
+    weight = faulty(lyapunov._lyapunov_weight, 1.0 + 10 * TOL.certificate_margin)
+    monkeypatch.setattr(lyapunov, "_lyapunov_weight", weight)
     with pytest.raises(IntegrityError, match="E0 Lyapunov derivative depends on V"):
         certify_global(params, "E0", 20)
 
@@ -172,14 +172,14 @@ def bound_rows(monkeypatch, grid_points=20):
     The kept lines' rows are bounded only when they hold more points than
     one block, so a block of one V row takes every grid of more than one
     kept pair there."""
-    monkeypatch.setattr(stability, "_CERTIFICATE_BLOCK", grid_points)
-    kept_rows, calls = _rowbounds.kept_rows, []
+    monkeypatch.setattr(lyapunov, "_CERTIFICATE_BLOCK", grid_points)
+    kept_rows, calls = lyapunov.kept_rows, []
 
     def counted(*args):
-        calls.append(len(args[4]))
+        calls.append(len(args[3]))
         return kept_rows(*args)
 
-    monkeypatch.setattr(_rowbounds, "kept_rows", counted)
+    monkeypatch.setattr(lyapunov, "kept_rows", counted)
     return calls
 
 
@@ -191,7 +191,7 @@ def test_certificate_row_bounds_catch_a_low_rate_bound(monkeypatch, params):
     # the end of a V row where that row peaks.
     # On the seeded draw a line's seed is caught first (see below).
     bound_rows(monkeypatch)
-    monkeypatch.setattr(_rowbounds, "ALLOWANCE", -9 * _rowbounds.ALLOWANCE)
+    monkeypatch.setattr(lyapunov, "ALLOWANCE", -9 * lyapunov.ALLOWANCE)
     with pytest.raises(IntegrityError, match="exceeds the bound of its"):
         certify_global(params, "Estar", 20)
 
@@ -201,14 +201,14 @@ def test_certificate_row_bounds_catch_a_low_scale_bound(monkeypatch, params):
     # The term-scale bound needs no allowance.  Halved, it falls below the
     # term scale at an end of some V row: those reach 0.95 of their bound
     # on s2 and 0.90 on the seeded draw at N = 20.
-    bounds = _rowbounds.bounds
+    bounds = lyapunov.row_bounds
 
     def halved(*args):
         rate, scale, vertex = bounds(*args)
         return rate, 0.5 * scale, vertex
 
     calls = bound_rows(monkeypatch)
-    monkeypatch.setattr(_rowbounds, "bounds", halved)
+    monkeypatch.setattr(lyapunov, "row_bounds", halved)
     with pytest.raises(IntegrityError, match=r"exceeds the bound of its \(T, I\) row"):
         certify_global(params, "Estar", 20)
     assert calls
@@ -219,16 +219,16 @@ def test_certificate_row_bounds_catch_a_fault_in_a_scanned_row(monkeypatch, para
     # The bounds' seeds are right; the rows the certificate scans carry a
     # term scale twice the true one, which passes the scale bound on the
     # row of the grid's scale peak.
-    rate = stability._lyapunov_rate
+    rate = lyapunov._lyapunov_rate
 
-    def doubled_on_rows(params, target, anchor, T, I, V):
-        value, scale = rate(params, target, anchor, T, I, V)
+    def doubled_on_rows(params, anchor, w, T, I, V):
+        value, scale = rate(params, anchor, w, T, I, V)
         if np.ndim(V) == 1:  # a scanned row; the seeds take a V column per pair
             scale = 2.0 * scale
         return value, scale
 
     calls = bound_rows(monkeypatch)
-    monkeypatch.setattr(stability, "_lyapunov_rate", doubled_on_rows)
+    monkeypatch.setattr(lyapunov, "_lyapunov_rate", doubled_on_rows)
     with pytest.raises(IntegrityError, match=r"exceeds the bound of its \(T, I\) row"):
         certify_global(params, "Estar", 20)
     assert calls
@@ -249,7 +249,7 @@ def test_certificate_line_bounds_catch_a_low_rate_bound(monkeypatch, params, tar
     # concave quadratic in I peaks at a seed on some line, one allowance
     # below its bound, and on the seeded draw an E* seed comes within 1.3
     # allowances of its line's bound at N = 20.
-    monkeypatch.setattr(_rowbounds, "ALLOWANCE", -9 * _rowbounds.ALLOWANCE)
+    monkeypatch.setattr(lyapunov, "ALLOWANCE", -9 * lyapunov.ALLOWANCE)
     with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
         certify_global(params, target, 20)
 
@@ -258,13 +258,13 @@ def test_certificate_line_bounds_catch_a_low_rate_bound(monkeypatch, params, tar
 def test_certificate_line_bounds_catch_a_low_scale_bound(monkeypatch, params, target):
     # The term-scale bound takes each factor at its worst end of the line's
     # box; a seed reaches 0.9995 of it or more on these sets at N = 20.
-    line_bounds = _rowbounds.line_bounds
+    line_bounds = lyapunov.line_bounds
 
     def halved(*args):
         rate, scale, *rest = line_bounds(*args)
         return rate, 0.5 * scale, *rest
 
-    monkeypatch.setattr(_rowbounds, "line_bounds", halved)
+    monkeypatch.setattr(lyapunov, "line_bounds", halved)
     with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
         certify_global(params, target, 20)
 
@@ -274,13 +274,13 @@ def test_certificate_checks_each_scanned_e0_pair_against_its_line(monkeypatch, p
     # The seeds pass their lines' bounds; the bounds the scan then gets are
     # half the true scale bounds, which the pairs of the line that holds
     # the grid's scale peak pass.
-    kept_lines = _rowbounds.kept_lines
+    kept_lines = lyapunov.kept_lines
 
     def halved_after_the_seeds(*args):
         lines, rate, scale, allowance = kept_lines(*args)
         return lines, rate, 0.5 * scale, allowance
 
-    monkeypatch.setattr(_rowbounds, "kept_lines", halved_after_the_seeds)
+    monkeypatch.setattr(lyapunov, "kept_lines", halved_after_the_seeds)
     with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
         certify_global(params, "E0", 20)
 
@@ -291,14 +291,14 @@ def test_certificate_checks_each_scanned_estar_row_against_its_line(monkeypatch,
     # without row bounds.  As for E0 above, the scan gets half the true
     # scale bounds of the lines, which the rows of the line that holds the
     # grid's scale peak pass.
-    kept_lines, kept_rows = _rowbounds.kept_lines, []
+    kept_lines, kept_rows = lyapunov.kept_lines, []
 
     def halved_after_the_seeds(*args):
         lines, rate, scale, allowance = kept_lines(*args)
         return lines, rate, 0.5 * scale, allowance
 
-    monkeypatch.setattr(_rowbounds, "kept_lines", halved_after_the_seeds)
-    monkeypatch.setattr(_rowbounds, "kept_rows", lambda *args: kept_rows.append(args))
+    monkeypatch.setattr(lyapunov, "kept_lines", halved_after_the_seeds)
+    monkeypatch.setattr(lyapunov, "kept_rows", lambda *args: kept_rows.append(args))
     with pytest.raises(IntegrityError, match="exceeds the bound of its T line"):
         certify_global(params, "Estar", 20)
     assert kept_rows == []

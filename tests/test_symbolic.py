@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import sympy
 
-from hcvdyn import ModelParameters, model, stability
+from hcvdyn import ModelParameters, lyapunov, model
 
 P = SimpleNamespace(**{f.name: sympy.Symbol(f.name, positive=True) for f in fields(ModelParameters)})
 T, I, V, T0 = sympy.symbols("T I V T0", positive=True)
@@ -36,10 +36,32 @@ def test_v_drops_out_of_the_e0_rate():
     assert exact(sympy.diff(e0_rate(weight), V)) == 0
     # Any other weight leaves V in: the identity is not vacuous.
     assert exact(sympy.diff(e0_rate(2 * weight), V)) != 0
-    # The certificate's kernel forms that same rate.
+    # The certificate's kernel, anchored at E0 with E0's weight, forms that
+    # same rate.
     anchor = SimpleNamespace(T=T0, I=0, V=0)
-    rate, _ = stability._lyapunov_rate(P, "E0", anchor, T, I, V)
+    assert exact(lyapunov._lyapunov_weight(P, anchor) - weight) == 0
+    rate, _ = lyapunov._lyapunov_rate(P, anchor, weight, T, I, V)
     assert exact(rate - e0_rate(weight)) == 0
+
+
+def test_the_e0_rate_equals_its_collected_form():
+    # lyapunov_uninfected's second route, written out as it computes it
+    # (delta R0 - d_I standing for delta (R0 - 1 + q/delta)), equals the
+    # kernel's rate once s is eliminated through T0's equation
+    # s + (r_T - d_T) T0 - (r_T / T_max) T0**2 = 0.
+    anchor = SimpleNamespace(T=T0, I=0, V=0)
+    rate, _ = lyapunov._lyapunov_rate(P, anchor, lyapunov._lyapunov_weight(P, anchor), T, I, V)
+    delta_r0 = P.r_I * (1 - T0 / P.T_max) + (1 - P.eta) * (1 - P.epsilon) * P.beta * P.p * T0 / P.c
+    collected = (
+        -(P.s / (T * T0)) * (T - T0) ** 2
+        - (P.r_T / P.T_max) * (T + I - T0) * (T + (P.r_I / P.r_T) * I - T0)
+        - P.q * I * T0 / T
+        + I * (delta_r0 - P.d_I)
+    )
+    s_at_T0 = (P.r_T / P.T_max) * T0**2 - (P.r_T - P.d_T) * T0
+    assert sympy.cancel(exact((rate - collected).subs(P.s, s_at_T0))) == 0
+    # Without T0's equation the routes differ: the identity is not vacuous.
+    assert sympy.cancel(exact(rate - collected)) != 0
 
 
 def test_v_is_cleared_linearly():
