@@ -32,7 +32,7 @@ import numpy as np
 
 from .equilibria import REGIME_UNIQUE, EquilibriumPoint, infected_equilibrium, uninfected_equilibrium
 from .errors import DomainError, IntegrityError
-from .model import ModelParameters, State, _field, _field_terms, _region, derive_constants
+from .model import ModelParameters, State, _field, _field_terms, _region
 from .reproduction import r0_from_T0
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -100,12 +100,27 @@ def _lyapunov_rate(params: ModelParameters, anchor: State, w: float, T, I, V):
     return rate, scale
 
 
-def _positive_state(state) -> tuple[float, float, float]:
-    """(T, I, V) of a state as floats; raises DomainError unless each is positive."""
+def _volterra(params: ModelParameters, anchor: State, state) -> tuple[float, float, float]:
+    """(L, dL/dt, term scale) at state of the Volterra function anchored at
+    anchor: each component X with X* != 0 contributes X - X* - X* ln(X/X*),
+    and one with X* = 0 contributes X, as in _lyapunov_rate; the V term is
+    weighted by _lyapunov_weight.  L adds left to right.  Raises DomainError
+    unless the state is positive, where a ratio X/X* underflows to 0, and
+    where L or dL/dt is beyond the float range."""
     T, I, V = (float(x) for x in state)
     if T <= 0 or I <= 0 or V <= 0:
         raise DomainError(f"Lyapunov evaluation needs a strictly positive state, got ({T!r}, {I!r}, {V!r})")
-    return T, I, V
+    if T / anchor.T == 0.0 or anchor.I and I / anchor.I == 0.0 or anchor.V and V / anchor.V == 0.0:
+        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
+    w = _lyapunov_weight(params, anchor)
+    L = T - anchor.T - anchor.T * math.log(T / anchor.T) + I
+    if anchor.I:
+        L = L - anchor.I - anchor.I * math.log(I / anchor.I)
+    L += w * (V - anchor.V - anchor.V * math.log(V / anchor.V) if anchor.V else V)
+    rate, scale = _lyapunov_rate(params, anchor, w, T, I, V)
+    if not (math.isfinite(L) and math.isfinite(rate)):
+        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
+    return L, rate, scale
 
 
 def lyapunov_uninfected(
@@ -113,40 +128,34 @@ def lyapunov_uninfected(
 ) -> tuple[float, float]:
     """Lyapunov function for the uninfected equilibrium and its derivative.
 
-    L = T - T0 - T0 ln(T/T0) + I + (1 - eta) beta T0 V / c.  The derivative
-    is evaluated twice, as gradient-dot-field and as the collected algebraic
-    form; the two must agree to the lyapunov_agreement tolerance.  Returns
-    (L, dL/dt) with the gradient route as the reported value.  A value
-    beyond the float range, or a state so small that T/T0 or T*T0
-    underflows to 0, raises DomainError.
+    L = T - T0 - T0 ln(T/T0) + I + (1 - eta) beta T0 V / c, _volterra at
+    E0.  The derivative is evaluated twice, as gradient-dot-field and as the
+    collected algebraic form; the two must agree to the lyapunov_agreement
+    tolerance.  Returns (L, dL/dt), the gradient route's.  Raises
+    DomainError where T0 = 0, where _volterra refuses, and where T T0 (the
+    collected form divides by it) underflows to 0 or that form leaves the
+    float range.
     """
-    T, I, V = _positive_state(state)
+    T, I, V = state = tuple(float(x) for x in state)
     e0 = uninfected_equilibrium(params).state
     T0 = e0.T
     if T0 <= 0:
         raise DomainError("Lyapunov function is undefined for T0 = 0")
-    # ln(T/T0) and the collected route's s/(T T0) need both to stay nonzero.
-    if T / T0 == 0.0 or T * T0 == 0.0:
+    L, grad_route, term_scale = _volterra(params, e0, state)
+    if T * T0 == 0.0:
         raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
-    w = _lyapunov_weight(params, e0)
-    L = T - T0 - T0 * math.log(T / T0) + I + w * V
-    grad_route, term_scale = _lyapunov_rate(params, e0, w, T, I, V)
 
     # delta (R0 - 1 + q/delta) expands to delta R0 - d_I, which stays defined
     # at delta = 0.
-    one_minus_theta = (1.0 - params.eta) * (1.0 - params.epsilon)
-    delta_r0 = (
-        params.r_I * (1.0 - T0 / params.T_max)
-        + one_minus_theta * params.beta * params.p * T0 / params.c
-    )
+    transmission = (1.0 - params.eta) * (1.0 - params.epsilon) * params.beta * params.p
+    delta_r0 = params.r_I * (1.0 - T0 / params.T_max) + transmission * T0 / params.c
     collected = grad_route if params.r_T <= 0 else (
         -(params.s / (T * T0)) * ((T - T0) * (T - T0))
         - (params.r_T / params.T_max) * (T + I - T0) * (T + (params.r_I / params.r_T) * I - T0)
         - params.q * I * T0 / T
         + I * (delta_r0 - params.d_I)
     )
-    # A non-finite state makes L non-finite, so this also rejects it.
-    if not all(math.isfinite(x) for x in (L, grad_route, collected)):
+    if not math.isfinite(collected):
         raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
     diff = abs(grad_route - collected)
     if diff > DEFAULT_TOLERANCES.lyapunov_agreement * max(abs(grad_route), abs(collected)) and diff > 64.0 * np.finfo(float).eps * term_scale:
@@ -164,28 +173,16 @@ def lyapunov_infected(
 
     L = T - T* - T* ln(T/T*) + I - I* - I* ln(I/I*) + w (V - V* - V* ln(V/V*))
     with weight w = (1 - eta) beta T* V* / ((1 - epsilon) p I*)
-    (Korobeinikov 2004, Bull. Math. Biol. 66:879-883).  Only the
-    gradient-dot-field derivative is evaluated; there is no trustworthy
-    independent collected form for this function.  A value beyond the float
-    range, or a state so small that a ratio to E* underflows to 0, raises
-    DomainError.
+    (Korobeinikov 2004, Bull. Math. Biol. 66:879-883), _volterra at E*.
+    Only the gradient-dot-field derivative is evaluated; there is no
+    trustworthy independent collected form for this function.  Raises
+    DomainError unless T*, I* and V* are positive, and where _volterra
+    refuses.
     """
-    T, I, V = _positive_state(state)
     st = estar.state if isinstance(estar, EquilibriumPoint) else estar
     if st.I <= 0 or st.T <= 0 or st.V <= 0:
         raise DomainError("infected-equilibrium Lyapunov function needs positive (T*, I*, V*)")
-    if 0.0 in (T / st.T, I / st.I, V / st.V):
-        raise DomainError(f"Lyapunov function underflows at ({T!r}, {I!r}, {V!r})")
-    w = _lyapunov_weight(params, st)
-    L = (
-        T - st.T - st.T * math.log(T / st.T)
-        + I - st.I - st.I * math.log(I / st.I)
-        + w * (V - st.V - st.V * math.log(V / st.V))
-    )
-    dLdt, _ = _lyapunov_rate(params, st, w, T, I, V)
-    if not (math.isfinite(L) and math.isfinite(dLdt)):
-        raise DomainError(f"Lyapunov function is not finite at ({T!r}, {I!r}, {V!r})")
-    return L, dLdt
+    return _volterra(params, st, state)[:2]
 
 
 # Rate evaluations per certificate block: an Estar block holds this many
@@ -648,7 +645,7 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
     if target not in ("E0", "Estar"):
         raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
-    cons = derive_constants(params)
+    delta = params.d_I + params.q
     bound_TI, bound_V, _ = _region(params)
     if not math.isfinite(bound_TI) or bound_TI <= 0:
         raise DomainError("certificate region is degenerate for this parameter set")
@@ -659,8 +656,8 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     plane = target == "E0"
     if plane:
         anchor = e0
-        if cons.delta > 0:
-            gap = (1.0 - params.q / cons.delta) - R0
+        if delta > 0:
+            gap = (1.0 - params.q / delta) - R0
             preconditions_met = gap > 0
             notes.append(f"hypothesis R0 < 1 - q/delta: gap {gap!r}")
         else:
@@ -677,7 +674,7 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
         on_slice = (
             rel(params.r_I, params.r_T)
             and rel(params.s, params.d_T * params.T_max)
-            and rel(cons.delta, params.d_T)
+            and rel(delta, params.d_T)
         )
         preconditions_met = on_slice and R0 > 1
         notes.append(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import REGIME_UNIQUE, EquilibriumPoint, ExistenceReport, existence_regime, uninfected_equilibrium
-from .errors import DomainError, IntegrityError, _refuse
+from .errors import DomainError, IntegrityError, _not_finite, _refuse
 from .model import ModelParameters, State, _field, _jacobian_entries, _ldexp, _quadratic_roots, derive_constants
 from .reproduction import _next_generation
 from .tolerances import DEFAULT_TOLERANCES
@@ -266,7 +266,9 @@ _RANGE_REFUSALS = ((DomainError, "characteristic coefficients need T_max**2 and 
                                        & (T * params.T_max > 0.0)) == False),)  # noqa: E712
 _COEFFICIENT_REFUSALS = ((IntegrityError, "closed-form characteristic coefficients deviate from the minor expansion "
                           "by relative {rel!r}",
-                          lambda rel: (rel <= DEFAULT_TOLERANCES.char_coeff_integrity) == False),)  # noqa: E712
+                          lambda rel, delta2: (rel <= DEFAULT_TOLERANCES.char_coeff_integrity) == False),  # noqa: E712
+                         (DomainError, "second Hurwitz determinant a1 a2 - a3 is not finite: {delta2!r}",
+                          lambda rel, delta2: _not_finite(delta2)))
 
 
 def characteristic_coefficients(
@@ -290,10 +292,11 @@ def _coefficients(params, cons, st, general) -> CharacteristicCoefficients:
     m1, m2, m3 = _principal_minors(general)
     # An overflowing minor gives a NaN difference; _nanmax keeps it and it fails.
     rel = _nanmax([abs(a - m) / max(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))])
-    _refuse(_COEFFICIENT_REFUSALS, rel)
-    return CharacteristicCoefficients(
+    coeffs = CharacteristicCoefficients(
         a1=a1, a2=a2, a3=a3, minor_a1=m1, minor_a2=m2, minor_a3=m3, max_rel_diff=rel
     )
+    _refuse(_COEFFICIENT_REFUSALS, rel, coeffs.delta2)
+    return coeffs
 
 
 def _closed_coefficients(params, A, delta, T, I):
@@ -392,12 +395,12 @@ def routh_hurwitz(a1: float, a2: float, a3: float) -> RouthHurwitzReport:
     delta2 = a1 a2 - a3 > 0 (a2 > 0 then follows).  A condition violated
     beyond the marginal band is decisive for instability; marginal is
     reserved for points within the band of the stable region's boundary,
-    where an exact root sits on the imaginary axis.  A coefficient that is
-    not finite raises DomainError: no comparison would classify it.
+    where an exact root sits on the imaginary axis.  A coefficient or
+    delta2 that is not finite raises DomainError: nothing classifies it.
     """
-    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
-        raise DomainError(f"Routh-Hurwitz needs finite coefficients, got ({a1!r}, {a2!r}, {a3!r})")
     delta2 = a1 * a2 - a3
+    if not all(map(math.isfinite, (a1, a2, a3, delta2))):
+        raise DomainError(f"Routh-Hurwitz needs finite coefficients and delta2, got ({a1!r}, {a2!r}, {a3!r}), {delta2!r}")
     band = DEFAULT_TOLERANCES.marginal_band
     # a2 clearly negative with the other margins near zero means the cubic
     # degenerates to lambda (lambda^2 + a2), which has a positive root.

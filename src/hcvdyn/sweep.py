@@ -351,8 +351,8 @@ def _evaluate_grid(
                 abs(a - m) / np.maximum(abs(m), 1e-300) for a, m in ((a1, m1), (a2, m2), (a3, m3))
             )
             rel = np.maximum(np.maximum(d1, d2), d3)
-            coefficients_ok = ~_fails(_RANGE_REFUSALS, params, T) & ~_fails(_COEFFICIENT_REFUSALS, rel)
             delta2 = CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel).delta2
+            coefficients_ok = ~_fails(_RANGE_REFUSALS, params, T) & ~_fails(_COEFFICIENT_REFUSALS, rel, delta2)
 
     columns = {
         "r0": (R0, ok),

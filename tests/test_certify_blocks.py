@@ -58,7 +58,7 @@ def reference_certificate(params, target="E0", grid_points=20, v_inclusive=False
         raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
     if target not in ("E0", "Estar"):
         raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
-    cons = derive_constants(params)
+    delta = params.d_I + params.q
     bound_TI, bound_V, _ = model._region(params)
     if not math.isfinite(bound_TI) or bound_TI <= 0:
         raise DomainError("certificate region is degenerate for this parameter set")
@@ -68,8 +68,8 @@ def reference_certificate(params, target="E0", grid_points=20, v_inclusive=False
     notes: list[str] = []
     if target == "E0":
         anchor = e0
-        if cons.delta > 0:
-            gap = (1.0 - params.q / cons.delta) - R0
+        if delta > 0:
+            gap = (1.0 - params.q / delta) - R0
             preconditions_met = gap > 0
             notes.append(f"hypothesis R0 < 1 - q/delta: gap {gap!r}")
         else:
@@ -86,7 +86,7 @@ def reference_certificate(params, target="E0", grid_points=20, v_inclusive=False
         on_slice = (
             rel(params.r_I, params.r_T)
             and rel(params.s, params.d_T * params.T_max)
-            and rel(cons.delta, params.d_T)
+            and rel(delta, params.d_T)
         )
         preconditions_met = on_slice and R0 > 1
         notes.append(
@@ -179,22 +179,72 @@ def test_blocks_keep_violations_in_row_major_order():
     assert len(slices) > 2
 
 
-def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
-    # An overflowing field (inf - inf) makes a term scale NaN.  Stand in for
-    # the overflow with NaN in dT/dt on one slice of the last block: the
-    # certificate raises instead of reporting a tolerance the NaN lowered.
-    params = replace(SCENARIO_S1, q=0.0)
-    monkeypatch.setattr(lyapunov, "DEFAULT_TOLERANCES", replace(DEFAULT_TOLERANCES, certificate_margin=1e-2))
-    n = 60
-    nan_slice = _grid_axis(model._region(params)[0], n)[-2]
+# E0's certificate reads delta = d_I + q and none of E*'s constants.  s2
+# with r_T = 0 meets R0 < 1 - q/delta, though H needs r_I r_T > 0; on draw
+# 52 of the whole-domain draws (tests/test_refusals.py numbers them) D
+# overflows to -inf.  Both used to be refused as E*'s constants were.
+RT0_PARAMS = replace(SCENARIO_S2, r_T=0.0)
+D_OVERFLOWS = ModelParameters(
+    s=4.2818694953649196e-39, r_T=88466824115910.4, r_I=1.5918836014058346e+85, d_T=1.5751368075082241e-170,
+    d_I=1.3696951030812353e-291, T_max=4.62994349508632e-159, beta=6.587751449138879e+266, p=1.3268991768603575e-104,
+    c=1.3559243905046848e-103, q=3.475653076904812e+244, eta=0.630696042788609, epsilon=0.6928429602210273,
+)
+
+
+@pytest.mark.parametrize(
+    "params, grid_points, message",
+    [(RT0_PARAMS, 40, "derived constants require r_I r_T > 0"), (D_OVERFLOWS, 8, "derived constants are not finite")],
+    ids=["s2-r_T-0", "draw-52"],
+)
+def test_e0_certificate_answers_where_estar_constants_fail(params, grid_points, message):
+    with pytest.raises(DomainError, match=message):
+        derive_constants(params)
+    report = assert_identical(params, "E0", grid_points)
+    if params is RT0_PARAMS:
+        assert report.preconditions_met and report.violations == ()
+
+
+def raise_from_a_later_block(monkeypatch, params, target, grid_points, kernel, nan_at):
+    """Stand in for an overflowing field (inf - inf makes a term scale NaN)
+    with NaN in dT/dt at the (T, I) pair, or (T, I, V) point, nan_at (axis
+    indices) of a kept line, in blocks of 2**8 rate evaluations.  The
+    certificate must raise instead of reporting a tolerance the NaN lowered,
+    and from the block loop: the line stage's one call of kernel, and for E*
+    its rows' seeds, never reach the NaN, nor does the loop's first block."""
+    monkeypatch.setattr(lyapunov, "_CERTIFICATE_BLOCK", 1 << 8)
+    bound_TI, bound_V, _ = model._region(params)
+    axis_TI, axis_V = _grid_axis(bound_TI, grid_points), _grid_axis(bound_V, grid_points)
+    at = [axis_TI[nan_at[0]], axis_TI[nan_at[1]], *axis_V[list(nan_at[2:])]]
+    calls, nan_calls = [], []
 
     def overflowing_field(params, T, I, V):
         f0, f1, f2 = model._field(params, T, I, V)
-        return np.where(T == nan_slice, math.nan, f0), f1, f2
+        hit = (T == at[0]) & (I == at[1]) & (V == at[2] if len(at) == 3 else True)
+        if np.any(hit):
+            nan_calls.append(len(calls))
+        return np.where(hit, math.nan, f0), f1, f2
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
 
     monkeypatch.setattr(lyapunov, "_field", overflowing_field)
+    monkeypatch.setattr(lyapunov, kernel.__name__, counted)
     with pytest.raises(DomainError, match="float range"):
-        certify_global(params, "E0", n)
+        certify_global(params, target, grid_points)
+    assert nan_calls == [len(calls)] and len(calls) > 2
+
+
+def test_nan_term_scale_in_a_later_block_raises(monkeypatch):
+    # T line 58 of 60 is kept, the last of 48 lines; I index 30 is none of
+    # its seeds' (the line's ends and the point nearest Q's vertex).
+    raise_from_a_later_block(monkeypatch, replace(SCENARIO_S1, q=0.0), "E0", 60, lyapunov._e0_pairs, (58, 30))
+
+
+def test_nan_rate_in_a_later_estar_block_raises(monkeypatch):
+    # Row (T line 38, I index 0) is the last of the 24 rows that the row
+    # bounds keep; V index 20 is none of the seeds of its line or its row.
+    raise_from_a_later_block(monkeypatch, SCENARIO_S2, "Estar", 40, lyapunov._rate_in_range, (38, 0, 20))
 
 
 def test_overflowing_field_on_the_grid_raises():

@@ -407,14 +407,19 @@ def test_utf8_input_reads_the_same_whatever_the_locale(tmp_path):
     ("analyze", []), ("certify", ["--grid", "5"]), ("simulate", ["--t-end", "10"])
 ])
 def test_overflowing_t_max_squared_exits_1_without_traceback(tmp_path, capsys, command, options):
-    # T_max**2 is beyond the float range; validate accepts the file.
+    # T_max**2 is beyond the float range; validate accepts the file.  The E0
+    # certificate takes none of the derived constants: its own grid leaves
+    # the float range.
     scn = tmp_path / "huge.scn"
     scn.write_text(S1_Q0_LOW_BETA.replace("T_max = 1e7", "T_max = 1e200"))
     assert main(["validate", str(scn)]) == 0
     capsys.readouterr()
     assert main([command, str(scn), *options]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: derived constants are not finite")
+    if command == "certify":
+        assert err.startswith("error: Lyapunov derivative leaves the float range on the certificate grid")
+    else:
+        assert err.startswith("error: derived constants are not finite")
     assert "Traceback" not in err
 
 

@@ -5,9 +5,9 @@ expressions as they were written out before model._field_terms; the
 reference residuals are residual_norm and the sweep kernel's _residual
 built on them.  Over the whole parameter domain and states of either sign
 from 1e-300 to 1e300, 0 and the smallest subnormal, and over plausible sets
-and states, _field, residual_norm and sweep._residual must equal them bit
-for bit, on Python floats and on arrays, with any NaN counted equal to any
-NaN.
+and states, _field, the integrators' field_function closure, residual_norm
+and sweep._residual must equal them bit for bit, on Python floats and on
+arrays, with any NaN counted equal to any NaN.
 """
 
 import math
@@ -22,7 +22,7 @@ from conftest import any_value
 
 from hcvdyn import PARAMETER_NAMES, SCENARIO_S1, DomainError, ModelParameters
 from hcvdyn import jacobian, residual_norm, vector_field
-from hcvdyn.model import PLAUSIBLE_RANGES, _field
+from hcvdyn.model import PLAUSIBLE_RANGES, _field, field_function
 from hcvdyn.sweep import _residual
 
 
@@ -96,6 +96,7 @@ cells = st.tuples(parameter_sets, coordinates, coordinates, coordinates)
 def test_scalar_field_and_residual_equal_the_written_out_expressions(cell):
     params, T, I, V = cell
     assert bits(_field(params, T, I, V)) == bits(reference_field(params, T, I, V))
+    assert bits(field_function(params)(0.0, (T, I, V))) == bits(reference_field(params, T, I, V))
     assert bits(residual_norm(params, (T, I, V))) == bits(reference_residual_norm(params, T, I, V))
 
 

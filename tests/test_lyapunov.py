@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import draw_certificate_params
+from conftest import draw_certificate_params, draw_params, draw_supercritical_params
 
 from hcvdyn import (
     SCENARIO_S1,
@@ -241,3 +241,113 @@ def test_infected_lyapunov_where_a_ratio_to_estar_underflows_raises(component):
     state[component] = 5e-324
     with pytest.raises(DomainError, match="underflows"):
         lyapunov_infected(SCENARIO_S2, tuple(state), estar)
+
+
+# repr((L, dL/dt)) of both Lyapunov functions at four states on s1, s2, two
+# draw_params sets and two draw_supercritical_params sets (seed 20261022),
+# recorded while each function spelled its own L: one Volterra function now
+# gives the same floats.
+LYAPUNOV_STATES = [(1e3, 2.0, 1.0), (4e6, 3e5, 2e4), (1e-3, 1e-2, 1e5), (2.5e7, 7.0, 3e-4)]
+LYAPUNOV_PINS = {
+    ("uninfected", "s1"): ["(80266227.10503301, -587903.1466326913)", "(3291645.7171761547, -390872.7205496751)",
+                           "(215709048.54279765, -98051521994.21014)", "(6022180.18106328, -1155178.7601514577)"],
+    ("uninfected", "s2"): ["(81644062.15772745, -19905962.671480663)", "(3457018.6103884033, -6570612.834426685)",
+                           "(219306437.85580346, -99569600776.31462)", "(5883034.797643747, -45300490.66615457)"],
+    ("uninfected", "draw0"): ["(1167564.8718200587, -1506.3517349528458)", "(3339928.1137826974, -301382.27663077455)",
+                              "(4716422.036242914, -208237645.8747812)", "(23568679.445623357, -11349484.70978971)"],
+    ("uninfected", "draw1"): ["(367367.2085774831, -1156486.0125957266)", "(3826452.9471739614, -1255213.7056639793)",
+                              "(1765492.0491585801, -1179572489867.4646)", "(24340866.713017996, -2953922.6107985335)"],
+    ("uninfected", "super0"): ["(221.13060079152066, -22.80552634853821)", "(4295768.732393656, -2329823.171531384)",
+                               "(4966.547616715252, -11630149.68464174)", "(24995013.356555786, -32421751.95684246)"],
+    ("uninfected", "super1"): ["(981.9139362934494, -38.90162625807464)", "(4299955.518922426, 547176.6701451918)",
+                               "(20.563856578448107, -389.1763552465729)", "(24999957.128112193, -1221812.5853659431)"],
+    ("infected", "s2"): ["(193027779.91129482, -15174964.954376847)", "(43227632.8611137, -97388822.77255605)",
+                         "(190703387.84059256, -39104762388.52368)", "(229201770.95949396, -162039279530.69366)"],
+    ("infected", "super0"): ["(298627.74988062057, -786.7784121456134)", "(4093396.481083391, -2198488.360991196)",
+                             "(685136.075028073, -450894421.7207028)", "(25095367.089383073, -31656212.574029285)"],
+    ("infected", "super1"): ["(727096145.9245174, -77240441.64171301)", "(146972017.05319917, -80799476.1713258)",
+                             "(1185975214.561497, -2925948211.3334174)", "(502355169.332197, -18560545337.432964)"],
+}
+
+
+def pinned_sets():
+    rng = np.random.default_rng(20261022)
+    sets = {"s1": SCENARIO_S1, "s2": SCENARIO_S2}
+    sets.update((f"draw{k}", draw_params(rng)) for k in range(2))
+    sets.update((f"super{k}", draw_supercritical_params(rng)) for k in range(2))
+    return sets
+
+
+def test_lyapunov_values_are_pinned():
+    sets = pinned_sets()
+    for (function, name), pins in LYAPUNOV_PINS.items():
+        params = sets[name]
+        if function == "uninfected":
+            got = [repr(lyapunov_uninfected(params, state)) for state in LYAPUNOV_STATES]
+        else:
+            estar = infected_equilibrium(params).candidates[0]
+            got = [repr(lyapunov_infected(params, state, estar)) for state in LYAPUNOV_STATES]
+        assert got == pins, (function, name)
+
+
+_ESTAR = infected_equilibrium(SCENARIO_S2).candidates[0]
+_NO_E0 = replace(SCENARIO_S1, r_T=0.0, d_T=0.0)
+_ZERO_T0 = replace(SCENARIO_S1, s=0.0, r_T=0.0)
+_TINY_T0 = replace(SCENARIO_S1, s=1e-3, r_T=1.0, d_T=0.999, T_max=1e-300)  # T0 = 3.2e-152
+# T0 = 1e-6, so at T = T0 the collected route's s / (T T0) overflows while
+# L and the gradient route stay finite.
+_HUGE_S = replace(SCENARIO_S1, s=1e300, r_T=1.0, d_T=1e306, T_max=1e300)
+_NO_PRODUCTION = replace(SCENARIO_S2, p=0.0)
+_POSITIVE = "Lyapunov evaluation needs a strictly positive state, got "
+
+# (function, params, state, E* or None) -> (class, message), recorded while
+# each function wrote its own refusals: each refusal in the order the
+# functions check it, and, where two hold, the one raised first.
+LYAPUNOV_REFUSALS = [
+    (lyapunov_uninfected, SCENARIO_S1, (0.0, 1.0, 1.0), None, _POSITIVE + "(0.0, 1.0, 1.0)"),
+    (lyapunov_uninfected, SCENARIO_S1, (1.0, -1.0, 1.0), None, _POSITIVE + "(1.0, -1.0, 1.0)"),
+    (lyapunov_uninfected, SCENARIO_S1, (1.0, 1.0, 0.0), None, _POSITIVE + "(1.0, 1.0, 0.0)"),
+    (lyapunov_uninfected, _NO_E0, (1.0, 1.0, 1.0), None, "no uninfected steady state: r_T = 0, d_T = 0 and s > 0"),
+    (lyapunov_uninfected, _ZERO_T0, (1.0, 1.0, 1.0), None, "Lyapunov function is undefined for T0 = 0"),
+    (lyapunov_uninfected, SCENARIO_S1, (5e-324, 1.0, 1.0), None, "Lyapunov function underflows at (5e-324, 1.0, 1.0)"),
+    (lyapunov_uninfected, _TINY_T0, (5e-324, 1.0, 1.0), None, "Lyapunov function underflows at (5e-324, 1.0, 1.0)"),
+    (lyapunov_uninfected, SCENARIO_S1, (1e200, 1.0, 1.0), None, "Lyapunov function is not finite at (1e+200, 1.0, 1.0)"),
+    (lyapunov_uninfected, SCENARIO_S1, (float("nan"), 1.0, 1.0), None, "Lyapunov function is not finite at (nan, 1.0, 1.0)"),
+    (lyapunov_uninfected, SCENARIO_S1, (1.0, float("inf"), 1.0), None, "Lyapunov function is not finite at (1.0, inf, 1.0)"),
+    (lyapunov_uninfected, _HUGE_S, (1e-6, 1.0, 1.0), None, "Lyapunov function is not finite at (1e-06, 1.0, 1.0)"),
+    (lyapunov_infected, SCENARIO_S2, (0.0, 1.0, 1.0), _ESTAR, _POSITIVE + "(0.0, 1.0, 1.0)"),
+    (lyapunov_infected, SCENARIO_S2, (1.0, 1.0, 1.0), State(1.0, 0.0, 1.0),
+     "infected-equilibrium Lyapunov function needs positive (T*, I*, V*)"),
+    (lyapunov_infected, SCENARIO_S2, (1.0, 1.0, 1.0), State(-1.0, 1.0, 1.0),
+     "infected-equilibrium Lyapunov function needs positive (T*, I*, V*)"),
+    (lyapunov_infected, SCENARIO_S2, (5e-324, _ESTAR.state.I, _ESTAR.state.V), _ESTAR,
+     "Lyapunov function underflows at (5e-324, 4441870.02376613, 8882851.673527507)"),
+    (lyapunov_infected, SCENARIO_S2, (_ESTAR.state.T, _ESTAR.state.I, 5e-324), _ESTAR,
+     "Lyapunov function underflows at (3908396.5694500296, 4441870.02376613, 5e-324)"),
+    (lyapunov_infected, _NO_PRODUCTION, (1.0, 1.0, 5e-324), _ESTAR.state, "Lyapunov function underflows at (1.0, 1.0, 5e-324)"),
+    (lyapunov_infected, _NO_PRODUCTION, (1.0, 1.0, 1.0), _ESTAR.state, "Lyapunov weight is undefined without virion production"),
+    (lyapunov_infected, _NO_PRODUCTION, (1e300, 1e300, 1e300), _ESTAR.state,
+     "Lyapunov weight is undefined without virion production"),
+    (lyapunov_infected, SCENARIO_S2, (1e300, 1e300, 1e300), _ESTAR,
+     "Lyapunov function is not finite at (1e+300, 1e+300, 1e+300)"),
+    (lyapunov_infected, SCENARIO_S2, (1.0, float("nan"), 1.0), _ESTAR, "Lyapunov function is not finite at (1.0, nan, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("function, params, state, estar, message", LYAPUNOV_REFUSALS)
+def test_lyapunov_refusals_are_pinned(function, params, state, estar, message):
+    with pytest.raises(DomainError) as raised:
+        function(params, state) if estar is None else function(params, state, estar)
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == message
+
+
+def test_the_anchor_is_checked_before_the_state():
+    # Where both fail, the anchor's refusal comes first; a state that is not
+    # positive used to be refused first.
+    with pytest.raises(DomainError, match="^no uninfected steady state"):
+        lyapunov_uninfected(_NO_E0, (0.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match="^Lyapunov function is undefined for T0 = 0$"):
+        lyapunov_uninfected(_ZERO_T0, (0.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match=r"needs positive \(T\*, I\*, V\*\)$"):
+        lyapunov_infected(SCENARIO_S2, (0.0, 1.0, 1.0), State(1.0, 0.0, 1.0))

@@ -124,6 +124,13 @@ WITNESSES = [
          d_I=5.640390656860512e-125, T_max=1.625526240970061e+33, beta=1.5713066891798098e-107, p=5.492705832632262e+209,
          c=2.62146044505621e-34, q=2.628037115150523e-118, eta=0.14499061879251796, epsilon=0.5754328025653888,
      )),
+    # Draw 714.
+    ('second Hurwitz determinant a1 a2 - a3 is not finite: {delta2!r}', DomainError,
+     'second Hurwitz determinant a1 a2 - a3 is not finite: inf', dict(
+         s=5.67208432275359e+122, r_T=3.424298857560229e+35, r_I=7.994585276832696e+78, d_T=0.0,
+         d_I=3.61823244245398e+111, T_max=2.147455286482876e-40, beta=5.315216202156764e+281, p=7.050204472840284e-217,
+         c=2.7606769209824794e-110, q=6.226854736566716e+117, eta=0.4306907905112555, epsilon=0.011534600455089805,
+     )),
     # Draw 1299.
     ('no uninfected steady state: r_T = 0, d_T = 0 and s > 0', DomainError,
      'no uninfected steady state: r_T = 0, d_T = 0 and s > 0', dict(
@@ -180,7 +187,7 @@ def scalar_route(params):
 
 def test_every_refusal_has_a_witness():
     written = [message for table in TABLES for _, message, _ in table]
-    assert len(written) == len(set(written)) == 18
+    assert len(written) == len(set(written)) == 19
     assert sorted(written) == sorted(template for template, *_ in WITNESSES)
 
 

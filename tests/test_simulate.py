@@ -457,21 +457,24 @@ def test_few_more_sample_intervals_than_steps_step_out_the_budget():
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["s1"], "552db84016b664bbb0de93b5a94fc1607c0e856d836c14f5d721deb1feca5a11"),
-    (["s2"], "3b4d68a3ba5a61ed06f4359bc23a7f8409b2d2cf29e8b1ab3d1e86b567eb2b1f"),
+    (["s1"], "6f10fadb4274c97859dbe0d978f5c764cc3098b515cf4ba9a61f64549dffcc0a"),
+    (["s2"], "56153c2fbcb096fd633522d16c1406ff5ef85677cc57ade21b36d29c6ec146b9"),
     (["s1", "--method", "rk4", "--t-end", "50"],
      "0e96e6d19a99df21ae55a8b82026cc8b4b45203cb1ac36361f82777b63b95f37"),
     (["s2", "--method", "rk4", "--t-end", "50"],
-     "b8fe3332d8ec548228e9d3d805011c7a42d2bc7cc3e30b67781f16e54e335bd3"),
+     "45ade3101a0734e3aade059ec5e3365139968f5669f11cee5f71be3efa4081ea"),
 ], ids=["s1", "s2", "s1-rk4", "s2-rk4"])
 def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # SHA-256 of the CSV.  The RK4 digests predate the scalar stepping loops;
-    # the RK45 ones were taken under the PI step-size rule, whose last rows
-    # agree with scipy's Radau (rtol 1e-12) to 1e-6 relative in every s2
-    # component and in s1's T.  s1's I and V fall below abs_tol, where V's
-    # clearance is taken exactly; its last row's I and V (1.2e-68, 6.4e-69)
-    # are within 5e-69 of Radau, LSODA and DOP853 (rtol 1e-12, atol 1e-90
-    # for I and V), held by abs_tol alone, not relative to themselves.
+    # SHA-256 of the CSV.  s1's RK4 digest predates the scalar stepping
+    # loops.  The others were taken once the integrators' field divided by
+    # T_max as _field does, which moved every row by at most 1.4e-14
+    # relative.  The RK45 last rows agree with scipy's Radau (rtol 1e-12) to
+    # 1e-13 relative in every s2 component and in s1's T.  s1's I and V fall
+    # below abs_tol, where V's clearance is taken exactly; its last row's I
+    # and V (1.2e-68, 6.4e-69) are within 5e-69 of Radau, LSODA and DOP853
+    # (rtol 1e-12, atol 1e-90 for I and V), held by abs_tol alone, not
+    # relative to themselves.  s2's RK4 row at t = 50 is within 2.1e-9
+    # relative of all three, its step's truncation error.
     out = tmp_path / "run.csv"
     assert main(["simulate", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

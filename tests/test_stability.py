@@ -282,6 +282,14 @@ def test_routh_hurwitz_refuses_non_finite_coefficients(coefficients):
         routh_hurwitz(*coefficients)
 
 
+@pytest.mark.parametrize("coefficients", [(1e200, 1e200, 1.0), (1e200, -1e200, 1.0), (1e300, 1e300, -1e300)])
+def test_routh_hurwitz_refuses_an_overflowing_delta2(coefficients):
+    # a1 a2 overflows while the coefficients are finite: the verdict used to
+    # be decided by the inf (marginal where a1 a2 - a3 = inf - inf is NaN).
+    with pytest.raises(DomainError, match=r"finite coefficients and delta2, got \(.*\), -?inf$"):
+        routh_hurwitz(*coefficients)
+
+
 def test_routh_hurwitz_matches_root_signs():
     rng = np.random.default_rng(7)
     checked = 0

@@ -272,7 +272,11 @@ def test_sweep_on_the_scaled_route_matches_scalar_route(fields, axis_name):
         a, b, d = equilibrium_quadratic(base)
         assert math.isinf(b * b - 4.0 * a * d)
     grid = assert_cells_match_reference(spec)
-    assert STATUS_INVALID not in grid.status
+    without_delta2 = assert_cells_match_reference(SweepSpec(base, spec.axis1, outputs=("r0", "regime", "t0", "estar_T")))
+    assert STATUS_INVALID not in without_delta2.status
+    # On the beta axis a1 a2 - a3 overflows to inf in every cell, where a1,
+    # a2 and a3 are finite: delta2 is refused, so each cell is invalid_params.
+    assert (grid.status == [STATUS_INVALID] * 5) if axis_name == "beta" else STATUS_INVALID not in grid.status
 
 
 def test_sweep_cell_where_a_minor_overflows_matches_scalar_route():
