@@ -70,7 +70,8 @@ def numpy_minors(J):
 
 
 def numpy_coefficients(params, cons, point, general):
-    """The coefficient check with the minors of a numpy array."""
+    """The coefficient check with the minors of a numpy array, then the
+    refusal of an overflowing a1 a2 - a3."""
     if not (0.0 < params.T_max * params.T_max < math.inf and point.T * params.T_max > 0.0):
         raise DomainError("characteristic coefficients need T_max**2 and T* T_max within the float range")
     a1, a2, a3 = stability._closed_coefficients(params, cons.A, cons.delta, point.T, point.I)
@@ -81,6 +82,9 @@ def numpy_coefficients(params, cons, point, general):
             f"closed-form characteristic coefficients deviate from the minor "
             f"expansion by relative {rel!r}"
         )
+    delta2 = a1 * a2 - a3
+    if not math.isfinite(delta2):
+        raise DomainError(f"second Hurwitz determinant a1 a2 - a3 is not finite: {delta2!r}")
     return CharacteristicCoefficients(a1, a2, a3, m1, m2, m3, rel)
 
 
