@@ -12,27 +12,26 @@ whose maxima over the line's (I, V) box have closed forms, so per-line
 upper bounds on the rate and on its term scale, against lower bounds taken
 from a few real grid points, rule out the lines that cannot hold the
 grid's worst margin, its term-scale peak or a violation (kept_lines, for
-both anchors).  On each pair of a kept line the E* derivative has a
-closed-form maximum over V, and per-row bounds rule out its V rows the
-same way (kept_rows); certify_global takes them only where the kept lines'
-rows hold more points than one block, fewer being cheaper to scan than to
-bound.  certify_global evaluates only what these keep, and its report is
-the full scan's.
+both anchors).  One pair's V row is such a box whose I range is one
+point, so the same bounds on each pair of a kept E* line rule out its V
+rows the same way (kept_rows); certify_global takes them only where the
+kept lines' rows hold more points than one block, fewer being cheaper to
+scan than to bound.  certify_global evaluates only what these keep, and
+its report is the full scan's.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, repeat
-from operator import add
 
 import numpy as np
 
 from .equilibria import REGIME_UNIQUE, EquilibriumPoint, infected_equilibrium, uninfected_equilibrium
 from .errors import DomainError, IntegrityError
-from .model import ModelParameters, State, _field, _field_terms, _region
+from .model import ModelParameters, State, _field, _region
 from .reproduction import r0_from_T0
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -193,6 +192,12 @@ def lyapunov_infected(
 # 2**14 per call, and 2**13 is slower.
 _CERTIFICATE_BLOCK = 1 << 14
 
+# Grid points per axis, at most.  The axes and the per-line arrays take
+# about 0.6 KB of working memory per point (E0 on s1: 42, 69 and 108 MB
+# peak RSS at N = 20,000, 65,536 and 131,072), so a larger N is refused
+# before anything is allocated.
+_MAX_GRID_POINTS = 1 << 20
+
 
 def _grid_axis(bound: float, n: int) -> np.ndarray:
     """n log-spaced points over [1e-6 bound, bound], which must be finite and nonempty."""
@@ -275,22 +280,23 @@ def _whole_row_scale_peak(params, anchor, w, near, scale_peak, axis_V):
     return scale_peak
 
 
-# Rounding allowance of the rate bound, per unit of its line's or row's
-# monomial magnitude sum, and its floor for underflow, per unit of the
-# largest factor on a product that may underflow (see line_bounds, row_bounds).
+# Rounding allowance of the rate bound, per unit of its box's monomial
+# magnitude sum, and its floor for underflow, per unit of the largest
+# factor on a product that may underflow (see line_bounds).
 ALLOWANCE = 2.0**-44
 UNDERFLOW = 2.0**-1060
 
 FAULT = "Lyapunov derivative or its term scale exceeds the bound of its {} on the certificate grid"
 
 
-def line_bounds(params: ModelParameters, anchor: State, w: float, T, I_lo: float, I_hi, V_lo: float, V_hi: float):
+def line_bounds(params: ModelParameters, anchor: State, w: float, T, I_lo, I_hi, V_lo: float, V_hi: float):
     """(rate bound, term-scale bound, allowance, I vertex, V/I vertex) of the
     Lyapunov derivative anchored at (T*, I*, V*) with weight w on the boxes
-    T x [I_lo, I_hi] x [V_lo, V_hi]; T and I_hi are 1-D arrays, one entry
-    per T line, T increasing and I_hi not.  E0 is the anchor (T0, 0, 0) on
-    [0, V_hi]: with I* = V* = 0 every g_I = 1 - I*/I and g_V = 1 - V*/V is
-    1, and V = 0 is its rate.
+    T x [I_lo, I_hi] x [V_lo, V_hi]; T, I_lo and I_hi are arrays of one
+    shape, one entry per box in any order, or I_lo one float for every box:
+    a T line of the grid, or one pair's V row with I_lo = I_hi = I.  E0 is
+    the anchor (T0, 0, 0) on [0, V_hi]: with I* = V* = 0 every g_I = 1 -
+    I*/I and g_V = 1 - V*/V is 1, and V = 0 is its rate.
 
     Rate.  With b = (1 - eta) beta, p_eff = (1 - epsilon) p, w and g_T =
     1 - T*/T as the floats the route takes, the rate at (I, V) is exactly
@@ -329,8 +335,9 @@ def line_bounds(params: ModelParameters, anchor: State, w: float, T, I_lo: float
     + V_hi / I_lo + I_hi / V_lo + the field's term magnitude sums); a
     curvature r_I / T_max that underflows moves Q's vertex at a cost of at
     most 2**-1074 I_hi**2 more.  UNDERFLOW P = 2**-1060 P covers them with
-    2**9 times to spare.  One floor serves every line: P is taken at the
-    largest T, I_hi and |g| of the lines.
+    2**9 times to spare.  One floor serves every box: P is taken at the
+    boxes' extremes, the smallest T and I_lo and the largest T and I_hi,
+    which bound each box's factors in any order of the boxes.
 
     Term scale.  _lyapunov_rate's scale is |g_T dT| + |g_I dI| + |w g_V dV|.
     g_I dI = (I - I*)(r_I cr - d_I - q) + g_I b V T and w g_V dV =
@@ -400,88 +407,16 @@ def line_bounds(params: ModelParameters, anchor: State, w: float, T, I_lo: float
     scale = abs_g_T * (others + rT * crowding) + far_I * (r_I * crowding + cure)
     scale += g_I * infection + w * (pI * g_V + c * max(abs(V_lo - V_star), abs(V_hi - V_star)))
 
-    # The floor's factors at the lines' largest T and I_hi.
-    T_hi, I_top = T[-1], I_hi[0]
+    # The floor's factors at the boxes' extremes (I_lo may be one float).
+    T_hi, I_bottom, I_top = T.max(), np.min(I_lo), I_hi.max()
     C_top = 1.0 + (T_hi + I_top) / T_max
-    g = max(abs(1.0 - T_star / T[0]), abs(1.0 - T_star / T_hi)) + abs(1.0 - I_star / I_lo) + abs(1.0 - I_star / I_top) + g_V
-    fields = s + (r_T * C_top + d_T) * T_hi + (r_I * C_top + cure + q) * I_top + 2.0 * b * V_hi * T_hi + pI[0] + c * V_hi
-    sizes = 1.0 + T_hi + I_top + I_star + V_hi + V_star + V_hi / I_lo + (I_top / V_lo if V_star else 0.0) + fields
+    g = max(abs(1.0 - T_star / T.min()), abs(1.0 - T_star / T_hi)) + abs(1.0 - I_star / I_bottom) + abs(1.0 - I_star / I_top) + g_V
+    fields = s + (r_T * C_top + d_T) * T_hi + (r_I * C_top + cure + q) * I_top + 2.0 * b * V_hi * T_hi + p_eff * I_top + c * V_hi
+    sizes = 1.0 + T_hi + I_top + I_star + V_hi + V_star + V_hi / I_bottom + (I_top / V_lo if V_star else 0.0) + fields
     allowance = ALLOWANCE * span + UNDERFLOW * (1.0 + w) * (1.0 + C_top) * (1.0 + g) * (1.0 + I_top) * sizes
     peak += allowance
     peak[peak == -math.inf] = math.nan  # a negative term beyond the float range bounds nothing
     return peak, scale + allowance, allowance, vertex_I, vertex_r
-
-
-def row_bounds(params: ModelParameters, anchor: State, w: float, T, I, V_lo: float, V_hi: float):
-    """(rate bound, term-scale bound, vertex) of the E* Lyapunov derivative
-    with weight w on the rows (T, I) x [V_lo, V_hi]; T and I are columns.
-
-    Term scale.  _lyapunov_rate's scale is |g_T dT| + |g_I dI| + |w g_V dV|
-    with g_X = 1 - X*/X.  Here each field term is taken at the V end where
-    it is largest (the infection term and c V at V_hi, |g_V| at whichever
-    end is larger), and the magnitudes are summed in the route's order.
-    Rounding is monotone, so each intermediate is at least the route's at
-    every V of the row: the bound needs no allowance.
-
-    Rate.  With the pair's own floats (crowding, g_T, g_I, p_eff I, ...)
-    and w, b = (1 - eta) beta as given, the rate is exactly
-    alpha + beta V + gamma / V, where
-        alpha = g_T (a0 + q I) + g_I (a1 - q I) + w p_eff I + w c V*,
-        beta = b T (g_I - g_T) - w c,  gamma = -w V* p_eff I <= 0,
-    a0 and a1 being dT/dt and dI/dt without their infection and cure
-    terms; no equilibrium identity is used.  Over [V_lo, V_hi] it peaks at
-    an end, or, when beta and gamma are negative, at the vertex
-    sqrt(gamma / beta), where it is alpha - 2 sqrt(beta gamma) (by AM-GM,
-    an upper bound at every V; taken where the vertex lies inside the axis
-    or is subnormal and so uncertain).
-
-    Allowance.  Let A = |g_T| m_T + |g_I| m_I + w (p_eff I + c V_hi + c V*
-    + V* p_eff I / V_lo), m_T and m_I the terms' magnitude sums of the
-    scale bound: A bounds the sum of the magnitudes of every monomial
-    either route forms, at any V of the row.  Each such monomial passes
-    through at most 9 roundings in the route and at most 10 here, so the
-    route's rate is within 10u A of the exact one and the computed peak is
-    at least the exact peak less 10u A (u = 2**-53; the computed vertex
-    costs a relative error of order u**2).  ALLOWANCE A = 512u A covers
-    the 20u A with 25 times to spare; on 800 supercritical draws, half of
-    them carried to magnitudes of 10**+-150, the route came within 6u A.  A
-    product that underflows errs by up to 2**-1075 absolutely, which the
-    later factors scale: the two routes form about 30 such products, each
-    scaled by at most P = (1 + w)(1 + c V_hi + V* + max|g_V| + 1/V_lo)
-    (1 + T + V_hi)(1 + |g_T| + |g_I|)(1 + p_eff I), and UNDERFLOW P =
-    2**-1060 P covers them with 2**10 times to spare.  A value beyond the
-    float range makes a bound inf or NaN (-inf is taken as NaN); such rows
-    are scanned.
-    """
-    b = (1.0 - params.eta) * params.beta
-    c, V_star = params.c, anchor.V
-    dT, dI, dV = _field_terms(params, T, I, V_hi)
-    m_T, m_I, m_V = (reduce(add, map(abs, terms)) for terms in (dT, dI, dV))
-    g_T, g_I = 1.0 - anchor.T / T, 1.0 - anchor.I / I
-    g_V = max(abs(1.0 - V_star / V_lo), abs(1.0 - V_star / V_hi))
-    cells = abs(g_T) * m_T + abs(g_I) * m_I
-    scale_bound = cells + m_V * (w * g_V)
-
-    made = dV[0]
-    alpha = g_T * (dT[0] + dT[1] - dT[2] + dT[4]) + g_I * (dI[0] - dI[1] - dI[3]) + w * made + w * c * V_star
-    # Fewer arrays alive per block leave less heap behind: about 0.2 MB
-    # less peak RSS over a run of certify ops.
-    del dT, dI, dV
-    beta = b * T * (g_I - g_T) - w * c
-    gamma = -(w * V_star) * made
-    ends = np.maximum(alpha + beta * V_lo + gamma / V_lo, alpha + beta * V_hi + gamma / V_hi)
-    root_b, root_g = np.sqrt(-beta), np.sqrt(-gamma)  # NaN where beta > 0
-    vertex = root_g / root_b
-    inside = (V_lo < vertex) & (vertex < V_hi) | (0.0 < vertex) & (vertex < np.finfo(float).tiny)
-    peak = np.maximum(ends, np.where(inside, alpha - 2.0 * root_b * root_g, ends))
-    del ends, root_b, root_g, inside, alpha, beta, gamma
-
-    span = cells + w * (m_V + c * V_star + V_star * made / V_lo)
-    floor = UNDERFLOW * (1.0 + w) * (1.0 + c * V_hi + V_star + g_V + 1.0 / V_lo)
-    floor = floor * ((1.0 + T + V_hi) * (1.0 + abs(g_T) + abs(g_I)) * (1.0 + made))
-    peak += ALLOWANCE * span + floor
-    peak[peak == -math.inf] = math.nan  # as in line_bounds
-    return peak, scale_bound, vertex
 
 
 def reaches(rate_bound, scale_bound, peak, scale_peak):
@@ -559,9 +494,10 @@ def kept_rows(params: ModelParameters, anchor: State, w: float, pair_T, pair_I, 
 
     pair_T and pair_I are columns of the pairs of the kept T lines, and
     caps their lines' rate and scale bounds (columns), taken in blocks of
-    pairs.  A row's bounds are its own (row_bounds) or its line's,
-    whichever is lower.  _lyapunov_rate at three grid points of each pair,
-    the two V ends and the grid V nearest its vertex, gives lower bounds on
+    pairs.  A row's bounds are line_bounds' on its one-point box (I_lo =
+    I_hi = I) or its line's, whichever is lower.  _lyapunov_rate at three
+    grid points of each pair, the two V ends and the grid V nearest I times
+    line_bounds' vertex of V/I, gives lower bounds on
     the grid's peak and scale peak; a value above a finite bound of its row
     raises IntegrityError.  A row is kept if its bounds reach the final
     lower bounds.  Every other row holds only points below the worst
@@ -577,11 +513,11 @@ def kept_rows(params: ModelParameters, anchor: State, w: float, pair_T, pair_I, 
     for start in range(0, len(pair_T), pairs):
         T, I = pair_T[start : start + pairs], pair_I[start : start + pairs]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bound, limit, vertex = row_bounds(params, anchor, w, T, I, V_lo, V_hi)
+            bound, limit, _, _, vertex_r = line_bounds(params, anchor, w, T, I, I, V_lo, V_hi)
             # fmin: a row bound beyond the float range leaves its line's.
             bound = np.fmin(bound, caps[0][start : start + pairs])
             limit = np.fmin(limit, caps[1][start : start + pairs])
-            seeds[: len(T), 2] = axis_V[_nearest(axis_V, vertex[:, 0], len(axis_V) - 1)]
+            seeds[: len(T), 2] = axis_V[_nearest(axis_V, (vertex_r * I)[:, 0], len(axis_V) - 1)]
             value, scale = _lyapunov_rate(params, anchor, w, T, I, seeds[: len(T)])
             if (value > bound).any() or (scale > limit).any():
                 raise IntegrityError(FAULT.format("(T, I) row"))
@@ -635,14 +571,15 @@ def certify_global(params: ModelParameters, target: str = "E0", grid_points: int
     rounding.  points_sampled counts N points per pair of the region for
     both.
 
-    Working memory is bounded by one block (at most about 2**14 rate
-    evaluations, or one V row of N points once that is larger), a few
-    floats per T line, 40 bytes per pair of a kept line, the Estar rows
+    grid_points is an integer from 1 to 2**20; any other value raises
+    DomainError.  Working memory is bounded by one block (at most about
+    2**14 rate evaluations, or one V row of N points once that is larger),
+    a few floats per T line, 40 bytes per pair of a kept line, the Estar rows
     the bounds keep and the violations found.  A block whose peak is
     within the running tolerance is not scanned.
     """
-    if grid_points < 1:
-        raise DomainError(f"grid_points must be at least 1, got {grid_points!r}")
+    if not isinstance(grid_points, numbers.Integral) or not 1 <= grid_points <= _MAX_GRID_POINTS:
+        raise DomainError(f"grid_points must be an integer from 1 to {_MAX_GRID_POINTS}, got {grid_points!r}")
     if target not in ("E0", "Estar"):
         raise DomainError(f"target must be 'E0' or 'Estar', got {target!r}")
     delta = params.d_I + params.q

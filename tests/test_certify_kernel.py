@@ -23,10 +23,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_params, draw_supercritical_params
-from hcvdyn import SCENARIO_S1, SCENARIO_S2, ModelError, ModelParameters, State, certify_global
+from hcvdyn import (
+    REGIME_UNIQUE, SCENARIO_S1, SCENARIO_S2, ModelError, ModelParameters, State, certify_global, infected_equilibrium,
+)
 from hcvdyn import lyapunov
 from hcvdyn.model import _field, _region
-from hcvdyn.lyapunov import _grid_axis, _lyapunov_rate, _lyapunov_weight, _region_counts
+from hcvdyn.lyapunov import _grid_axis, _lyapunov_rate, _lyapunov_weight, _region_counts, line_bounds
 from test_certify_blocks import SLICE_PARAMS, _report_or_error, plausible_params, reference_certificate
 from test_lyapunov import FAR_R_I_PARAMS
 
@@ -241,6 +243,45 @@ def test_estar_row_bounds_keep_the_report_at_extreme_magnitudes(params, scale, t
     assert_same_outcome_with_and_without_row_bounds(scaled(params, scale, time), grid_points)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    params=supercritical,
+    scale=st.one_of(st.just(1.0), magnitudes),
+    time=st.one_of(st.just(1.0), magnitudes),
+    grid_points=st.integers(2, 40),
+    order=st.randoms(use_true_random=False),
+)
+def test_one_point_boxes_bound_their_v_rows(params, scale, time, grid_points, order):
+    # The E* row stage bounds each (T, I) pair as the box T x [I, I] x the
+    # V axis.  On the region's pairs in shuffled order, every rate and term
+    # scale of a pair's V row stays within its box's bounds, and each box
+    # gets the bounds it gets among the pairs in grid order.
+    params = scaled(params, scale, time)
+    try:
+        report = infected_equilibrium(params)
+        bound_TI, bound_V, _ = _region(params)
+        axis, axis_V = _grid_axis(bound_TI, grid_points), _grid_axis(bound_V, grid_points)
+    except ModelError:
+        assume(False)
+    assume(report.regime == REGIME_UNIQUE)
+    anchor = report.candidates[0].state
+    w = _lyapunov_weight(params, anchor)
+    counts = _region_counts(axis, bound_TI)
+    pairs = [(t, i) for t, count in zip(axis, counts) for i in axis[:count]]
+    assume(pairs)
+    shuffled = order.sample(range(len(pairs)), len(pairs))
+    T, I = (np.array(column)[:, None] for column in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rate, term_scale = _lyapunov_rate(params, anchor, w, T, I, axis_V)
+        in_order = line_bounds(params, anchor, w, T, I, I, axis_V[0], axis_V[-1])[:2]
+        bounds = line_bounds(params, anchor, w, T[shuffled], I[shuffled], I[shuffled], axis_V[0], axis_V[-1])[:2]
+    for got, expected in zip(bounds, in_order):
+        assert np.array_equal(got, expected[shuffled], equal_nan=True)
+    rate_bound, scale_bound = bounds
+    assert not (rate[shuffled] > rate_bound).any()
+    assert not (term_scale[shuffled] > scale_bound).any()
+
+
 drawn = st.integers(0, 2**32 - 1).map(lambda seed: draw_params(np.random.default_rng(seed)))
 
 
@@ -260,9 +301,10 @@ def test_e0_line_bounds_keep_the_violations(params, grid_points):
 
 
 # Whole-domain draws where a negative term of a bound leaves the float
-# range although every point of the grid stays in it (on the first, b T I*
-# of the line bound; on the second, a term of a row bound): a bound of
-# -inf there bounds nothing.
+# range although every point of the grid stays in it: on the first, b T I*
+# of a line's bound and of each row's one-point bound, and a bound of -inf
+# there bounds nothing.  The second, whose rows' bounds overflowed when
+# rows had a bound of their own, keeps its clean report.
 OVERFLOWING_K = [
     (ModelParameters(
         s=1.6419254416883184e39, r_T=79855663.4062647, r_I=2.6149965111828428e-09, d_T=118607.96250944716,
@@ -280,7 +322,7 @@ OVERFLOWING_K = [
 
 @pytest.mark.parametrize("params, grid_points", OVERFLOWING_K)
 def test_estar_bounds_with_a_term_beyond_the_float_range(params, grid_points):
-    assert_same_outcome(params, grid_points)
+    assert_same_outcome_with_and_without_row_bounds(params, grid_points)
     assert certify_global(params, "Estar", grid_points).violations == ()
 
 

@@ -17,7 +17,7 @@ from test_lyapunov import FAR_R_I_PARAMS
 from test_stability import RESIDUAL_BREAKS_JACOBIAN
 
 import hcvdyn
-from hcvdyn import SCENARIO_S2, State, cli
+from hcvdyn import SCENARIO_S2, State, cli, lyapunov
 from hcvdyn.cli import main
 from hcvdyn.formats import Scenario, bundled_scenarios, render_scenario
 
@@ -290,6 +290,16 @@ def test_certify_single_point_grid(capsys):
 def test_certify_estar_needs_equilibrium(capsys):
     assert main(["certify", "s1", "--target", "estar"]) == 1
     assert "unique infected equilibrium" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_grid_beyond_the_bound(monkeypatch, capsys):
+    # Refused before any axis is built; building one fails the test rather
+    # than allocate 10**9 points.
+    monkeypatch.setattr(lyapunov, "_grid_axis", lambda *args: pytest.fail("a certificate axis was built"))
+    assert main(["certify", "s1", "--grid", "1000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid_points must be an integer from 1 to 1048576, got 1000000000\n"
 
 
 def test_sweep_emits_grid_with_cell_statuses(tmp_path, capsys):

@@ -20,6 +20,7 @@ from hcvdyn import (
     r0,
     uninfected_equilibrium,
 )
+from hcvdyn import lyapunov
 from hcvdyn.model import _region
 
 # Modified supercritical set on the theorem slice r_I = r_T, s = d_T T_max,
@@ -190,6 +191,24 @@ def test_certificate_infected_needs_an_equilibrium():
 def test_certificate_rejects_unknown_target():
     with pytest.raises(DomainError):
         certify_global(SCENARIO_S1, target="nowhere")
+
+
+class Allocated(Exception):
+    """Raised in place of building a certificate axis."""
+
+
+def test_certificate_refuses_a_grid_beyond_two_to_the_twenty(monkeypatch):
+    # The bound is checked before any axis is built, so no test allocates a
+    # grid of that size: here building one raises Allocated instead.
+    def allocated(*args):
+        raise Allocated
+
+    monkeypatch.setattr(lyapunov, "_grid_axis", allocated)
+    with pytest.raises(Allocated):
+        certify_global(SCENARIO_S1, target="E0", grid_points=2**20)
+    for grid_points in (0, 2**20 + 1, 10**9, 20.0, "20"):
+        with pytest.raises(DomainError, match=r"grid_points must be an integer from 1 to 1048576, got"):
+            certify_global(SCENARIO_S1, target="E0", grid_points=grid_points)
 
 
 def test_slice_equilibrium_reference_values():

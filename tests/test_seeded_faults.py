@@ -198,17 +198,18 @@ def test_certificate_row_bounds_catch_a_low_rate_bound(monkeypatch, params):
 
 @pytest.mark.parametrize("params", ESTAR_SETS)
 def test_certificate_row_bounds_catch_a_low_scale_bound(monkeypatch, params):
-    # The term-scale bound needs no allowance.  Halved, it falls below the
-    # term scale at an end of some V row: those reach 0.95 of their bound
-    # on s2 and 0.90 on the seeded draw at N = 20.
-    bounds = lyapunov.row_bounds
+    # A row's bounds are line_bounds' on its one-point box, the only calls
+    # whose I_lo is an array.  Halved there alone, the term-scale bound
+    # falls below the term scale at a seed of some V row: those reach
+    # 0.9999997 of their bound on s2 and 0.999996 on the seeded draw at N = 20.
+    bounds = lyapunov.line_bounds
 
-    def halved(*args):
-        rate, scale, vertex = bounds(*args)
-        return rate, 0.5 * scale, vertex
+    def halved_on_rows(params, anchor, w, T, I_lo, *rest):
+        rate, scale, *others = bounds(params, anchor, w, T, I_lo, *rest)
+        return rate, 0.5 * scale if isinstance(I_lo, np.ndarray) else scale, *others
 
     calls = bound_rows(monkeypatch)
-    monkeypatch.setattr(lyapunov, "row_bounds", halved)
+    monkeypatch.setattr(lyapunov, "line_bounds", halved_on_rows)
     with pytest.raises(IntegrityError, match=r"exceeds the bound of its \(T, I\) row"):
         certify_global(params, "Estar", 20)
     assert calls
@@ -235,8 +236,9 @@ def test_certificate_row_bounds_catch_a_fault_in_a_scanned_row(monkeypatch, para
 
 
 # The E0 sets, and E*'s seeded draw: on s2 no E* seed comes within 170
-# allowances of its T line's bound (N = 20 to 60), where the rows' bounds
-# are tight enough to catch the same fault (the row-bound test above).
+# allowances of its T line's bound (N = 20 to 60), where the rows' seeds
+# come within 1.0001 allowances of their rows' one-point bounds, which so
+# catch the same fault (the row-bound test above).
 LINE_ALLOWANCE_SETS = [(params, "E0") for params in E0_SETS] + [(ESTAR_SETS[1], "Estar")]
 LINE_SETS = [(params, "E0") for params in E0_SETS] + [(params, "Estar") for params in ESTAR_SETS]
 
